@@ -322,12 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=512,
         help="row-chunk size for the streaming angle pass",
     )
-    build.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool workers for the chunked pass (0 = serial)",
-    )
     build.add_argument("--seed", type=int, default=19980724, help="run RNG seed")
     build.add_argument(
         "--check",
@@ -460,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="compare against a snapshot (e.g. BENCH_baseline.json); "
-        "exit non-zero on a best-of regression past --threshold",
+        "exit non-zero on a best-of regression past --threshold, or when a "
+        "full run (no --kernels) and the snapshot name different kernels",
     )
     bench.add_argument(
         "--threshold",
@@ -472,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = sub.add_parser(
         "scale",
-        help="run the publish+retrieve workload single-process and sharded; "
-        "verify every sharded row is placement- and bill-identical, report "
-        "the wall-clock speedup per shard count",
+        help="run the publish+retrieve workload single-process and sharded "
+        "(in-process partition harness); verify every sharded row is "
+        "placement- and bill-identical",
     )
     scale.add_argument("--nodes", type=int, default=2_000, help="overlay size")
     scale.add_argument("--items", type=int, default=20_000, help="corpus size")
@@ -495,20 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         default="1,2,4,8",
         metavar="N[,N...]",
-        help="comma-separated worker counts to sweep (default 1,2,4,8)",
+        help="comma-separated shard counts to sweep (default 1,2,4,8)",
     )
     scale.add_argument(
         "--halo",
         type=int,
         default=None,
         help="replicated boundary width in ring ranks (default 512)",
-    )
-    scale.add_argument(
-        "--backend",
-        choices=("serial", "fork"),
-        default="fork",
-        help="worker backend: 'fork' = one process per shard (speedups), "
-        "'serial' = in-process workers (determinism reference)",
     )
     scale.add_argument("--seed", type=int, default=11, help="run RNG seed")
     scale.add_argument(
@@ -935,11 +923,7 @@ def _cmd_build(args) -> int:
     t1 = time.perf_counter()
     whole = absolute_angles(corpus)
     t2 = time.perf_counter()
-    chunked = absolute_angles(
-        corpus,
-        chunk_rows=args.chunk_rows,
-        workers=args.workers if args.workers > 1 else None,
-    )
+    chunked = absolute_angles(corpus, chunk_rows=args.chunk_rows)
     t3 = time.perf_counter()
     keys_identical = bool(np.array_equal(whole, chunked))
 
@@ -982,7 +966,7 @@ def _cmd_build(args) -> int:
     elapsed = time.perf_counter() - t0
     print(
         f"[build] items {args.items}, nodes {args.nodes}, cap {capacity} "
-        f"(~4c/3), chunk_rows {args.chunk_rows}, workers {args.workers}"
+        f"(~4c/3), chunk_rows {args.chunk_rows}"
     )
     print(
         f"keys:    whole {1e3 * (t2 - t1):.1f} ms, chunked "
@@ -1108,7 +1092,6 @@ def _cmd_scale(args) -> int:
         max_walk=args.max_walk,
         shards=shards,
         halo=args.halo if args.halo is not None else DEFAULT_HALO,
-        backend=args.backend,
         seed=args.seed,
     )
     elapsed = time.perf_counter() - t0
@@ -1118,12 +1101,10 @@ def _cmd_scale(args) -> int:
         failed = []
         col = rs.headers.index("identical")
         kcol = rs.headers.index("shards")
-        bcol = rs.headers.index("backend")
         for row in rs.rows:
-            if row[bcol] != "single" and not row[col]:
+            if not row[col]:
                 failed.append(
-                    f"{row[bcol]} x{row[kcol]} diverged from the "
-                    "single-process reference"
+                    f"{row[kcol]} shards diverged from the single-process reference"
                 )
         if args.max_seconds is not None and elapsed > args.max_seconds:
             failed.append(f"runtime {elapsed:.2f}s > {args.max_seconds}s")
@@ -1259,6 +1240,20 @@ def _cmd_bench(args) -> int:
         print(bench.format_comparison(rows, threshold=args.threshold))
         if any(r["delta"] is not None and r["delta"] > args.threshold for r in rows):
             return 1
+        if kernels is None:
+            # A full run must time exactly the baseline's kernels: one
+            # that was deleted, renamed or silently not built has no
+            # delta to regress and would otherwise pass the gate.
+            gone = [r["kernel"] for r in rows if r["current_us"] is None]
+            new = [r["kernel"] for r in rows if r["baseline_us"] is None]
+            if gone or new:
+                print(
+                    "bench --against FAILED: kernel sets differ"
+                    + (f"; only in {args.against}: {', '.join(gone)}" if gone else "")
+                    + (f"; only in this run: {', '.join(new)}" if new else ""),
+                    file=sys.stderr,
+                )
+                return 1
     return 0
 
 

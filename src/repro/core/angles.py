@@ -113,8 +113,8 @@ def _angles_kernel(data: np.ndarray, indptr: np.ndarray, dim: int) -> np.ndarray
     kernel applied to a row slice ``data[indptr[lo]:indptr[hi]]`` with
     the rebased ``indptr[lo:hi+1] - indptr[lo]`` produces bit-identical
     float64 results to the same rows of a whole-corpus pass — the
-    invariant the chunked/parallel paths of :func:`absolute_angles`
-    rely on (pinned by ``tests/core/test_chunked_keys.py``).
+    invariant the chunked path of :func:`absolute_angles` relies on
+    (pinned by ``tests/core/test_chunked_keys.py``).
     """
     n = indptr.shape[0] - 1
     nnz = np.diff(indptr)
@@ -140,65 +140,7 @@ def _angles_kernel(data: np.ndarray, indptr: np.ndarray, dim: int) -> np.ndarray
     return np.sqrt(out)
 
 
-def _angles_chunk_worker(payload: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
-    """Process-pool entry point: one CSR row-chunk → its angles.
-
-    Module-level (not a closure) so it pickles across process
-    boundaries.
-    """
-    data, indptr, dim = payload
-    return _angles_kernel(data, indptr, dim)
-
-
-#: Lazily-created module-level process pool, reused across chunked-angle
-#: calls (and shared with any other caller via :func:`shared_pool`).  A
-#: fresh ``ProcessPoolExecutor`` per call pays worker spawn + interpreter
-#: start on every invocation — on repeated chunked runs that dominates
-#: the kernel itself.
-_POOL = None
-_POOL_WORKERS = 0
-
-
-def shared_pool(workers: int):
-    """The reusable module-level process pool, sized for ``workers``.
-
-    Created on first use and kept for the process lifetime (registered
-    for ``atexit`` shutdown).  If a later caller asks for more workers
-    than the live pool has, the pool is replaced with a larger one —
-    never silently downsized, so concurrent callers keep their capacity.
-    """
-    global _POOL, _POOL_WORKERS
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if _POOL is None or _POOL_WORKERS < workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-        else:
-            import atexit
-
-            atexit.register(shutdown_shared_pool)
-        _POOL = ProcessPoolExecutor(max_workers=workers)
-        _POOL_WORKERS = workers
-    return _POOL
-
-
-def shutdown_shared_pool() -> None:
-    """Tear down the shared pool (tests and interpreter exit)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=True)
-        _POOL = None
-        _POOL_WORKERS = 0
-
-
-def absolute_angles(
-    corpus: Corpus,
-    *,
-    chunk_rows: int | None = None,
-    workers: int | None = None,
-) -> np.ndarray:
+def absolute_angles(corpus: Corpus, *, chunk_rows: int | None = None) -> np.ndarray:
     """Vectorised absolute angles for every item of a corpus.
 
     One pass over the CSR structure: per-row squared norms via a
@@ -209,10 +151,7 @@ def absolute_angles(
     drops from O(total nnz) temporaries to O(chunk nnz) — at the
     paper's 2.76M-item scale the difference between gigabytes and a few
     megabytes — with **bit-identical** float64 output (the kernel is
-    row-local; see :func:`_angles_kernel`).  ``workers > 1``
-    additionally fans the chunks out over a ``concurrent.futures``
-    process pool; results are written back in row order, so the output
-    is identical regardless of worker count.
+    row-local; see :func:`_angles_kernel`).
     """
     mat = corpus.matrix
     n = corpus.n_items
@@ -223,21 +162,14 @@ def absolute_angles(
     data = mat.data
     indptr = mat.indptr
     dim = corpus.dim
-    spans = [(lo, min(lo + chunk_rows, n)) for lo in range(0, n, chunk_rows)]
-    # Row-slicing by hand: data views plus rebased indptr — no CSR
-    # matrix slicing (which would copy indices too).
-    payloads = (
-        (data[indptr[lo] : indptr[hi]], indptr[lo : hi + 1] - indptr[lo], dim)
-        for lo, hi in spans
-    )
     out = np.empty(n)
-    if workers is not None and workers > 1:
-        pool = shared_pool(workers)
-        for (lo, hi), res in zip(spans, pool.map(_angles_chunk_worker, payloads)):
-            out[lo:hi] = res
-    else:
-        for (lo, hi), payload in zip(spans, payloads):
-            out[lo:hi] = _angles_kernel(*payload)
+    for lo in range(0, n, chunk_rows):
+        hi = min(lo + chunk_rows, n)
+        # Row-slicing by hand: data views plus rebased indptr — no CSR
+        # matrix slicing (which would copy indices too).
+        out[lo:hi] = _angles_kernel(
+            data[indptr[lo] : indptr[hi]], indptr[lo : hi + 1] - indptr[lo], dim
+        )
     return out
 
 

@@ -437,11 +437,7 @@ class Meteorograph:
         return self.naming.keys_for(keyword_ids, weights)
 
     def corpus_keys(
-        self,
-        corpus: Corpus,
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
+        self, corpus: Corpus, *, chunk_rows: Optional[int] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`item_keys` over a corpus (primary keys only;
         see :meth:`corpus_keys_multi` for the full key matrix).
@@ -450,19 +446,13 @@ class Meteorograph:
         rows stream the angle pass in chunks automatically (bounded
         temporaries, bit-identical keys); pass ``chunk_rows`` to pin a
         chunk size (or a value ≥ the corpus to force the whole-corpus
-        pass) and ``workers`` to fan chunks over a process pool.
+        pass).
         """
-        angle_keys, key_mat = self.corpus_keys_multi(
-            corpus, chunk_rows=chunk_rows, workers=workers
-        )
+        angle_keys, key_mat = self.corpus_keys_multi(corpus, chunk_rows=chunk_rows)
         return angle_keys, key_mat[:, 0]
 
     def corpus_keys_multi(
-        self,
-        corpus: Corpus,
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
+        self, corpus: Corpus, *, chunk_rows: Optional[int] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(angle keys ``(n,)``, publish keys ``(n, naming.n_keys)``) —
         the scheme's full fan-out, chunk-streamed like :meth:`corpus_keys`."""
@@ -470,9 +460,7 @@ class Meteorograph:
             raise ValueError(f"corpus dim {corpus.dim} != system dim {self.dim}")
         if chunk_rows is None and corpus.n_items > DEFAULT_CHUNK_ROWS:
             chunk_rows = DEFAULT_CHUNK_ROWS
-        return self.naming.corpus_to_keys(
-            corpus, chunk_rows=chunk_rows, workers=workers
-        )
+        return self.naming.corpus_to_keys(corpus, chunk_rows=chunk_rows)
 
     def query_angle_key(self, query: SparseVector) -> int:
         """Eq. 5 key of a query vector."""
@@ -642,7 +630,6 @@ class Meteorograph:
         batch: Optional[bool] = None,
         cascade: Optional[bool] = None,
         chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> list[PublishResult]:
         """Publish every corpus row (keys batch-computed, vectorised).
 
@@ -663,17 +650,15 @@ class Meteorograph:
         ``item_ids`` renames rows (default: row index).
 
         ``cascade`` selects the finite-capacity placement engine (see
-        :func:`repro.core.publish.batch_publish`); ``chunk_rows`` /
-        ``workers`` stream the key pipeline (see :meth:`corpus_keys`).
+        :func:`repro.core.publish.batch_publish`); ``chunk_rows``
+        streams the key pipeline (see :meth:`corpus_keys`).
 
         Under a multi-key scheme every row fans out to its L band keys
         — n·L placements through the same engines, with the L× budget
         surfaced on the ``lsh.publish.*`` counters.  The returned list
         still has one entry per row (the band-0 result).
         """
-        angle_keys, key_mat = self.corpus_keys_multi(
-            corpus, chunk_rows=chunk_rows, workers=workers
-        )
+        angle_keys, key_mat = self.corpus_keys_multi(corpus, chunk_rows=chunk_rows)
         publish_keys = key_mat[:, 0]
         n_keys = self.naming.n_keys
         ids = (

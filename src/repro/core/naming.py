@@ -47,20 +47,16 @@ def vector_to_key(vector: SparseVector, space: KeySpace) -> int:
 
 
 def corpus_to_keys(
-    corpus: Corpus,
-    space: KeySpace,
-    *,
-    chunk_rows: int | None = None,
-    workers: int | None = None,
+    corpus: Corpus, space: KeySpace, *, chunk_rows: int | None = None
 ) -> np.ndarray:
     """Vectorised Eq. 5 over a whole corpus (int64 keys).
 
-    ``chunk_rows`` / ``workers`` stream the angle pass in row chunks
-    (optionally over a process pool) with bit-identical keys — the
-    key map itself is elementwise, so only the O(nnz) angle temporaries
-    need bounding.  See :func:`repro.core.angles.absolute_angles`.
+    ``chunk_rows`` streams the angle pass in row chunks with
+    bit-identical keys — the key map itself is elementwise, so only the
+    O(nnz) angle temporaries need bounding.  See
+    :func:`repro.core.angles.absolute_angles`.
     """
-    thetas = absolute_angles(corpus, chunk_rows=chunk_rows, workers=workers)
+    thetas = absolute_angles(corpus, chunk_rows=chunk_rows)
     keys = np.floor((thetas / math.pi) * space.modulus).astype(np.int64)
     return np.minimum(keys, space.modulus - 1)
 

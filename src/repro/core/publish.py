@@ -61,6 +61,7 @@ __all__ = [
     "run_displacement_chain",
     "batch_publish",
     "batch_live_homes",
+    "store_runs",
     "SweepPlan",
 ]
 
@@ -292,6 +293,38 @@ def batch_live_homes(
     return np.where(ds < dp, succ, np.where(dp < ds, pred, np.minimum(succ, pred)))
 
 
+def store_runs(
+    system: "Meteorograph",
+    items: Sequence[StoredItem],
+    homes: np.ndarray,
+    order: np.ndarray,
+    norms: Optional[np.ndarray] = None,
+) -> None:
+    """Store a displacement-free batch: one bulk store per home run.
+
+    ``order`` is the stable argsort of the batch's publish keys, so key
+    order == sweep order and each maximal stretch of equal ``homes``
+    along it is the run the sweep drops off as it passes that node.  The
+    stable argsort of a subset is the global stable order restricted to
+    it, which is why a shard worker storing only its slice of a batch
+    groups runs exactly as the single-process sweep does.  ``norms``
+    optionally parallels ``items`` (``Corpus.norms``).
+    """
+    if order.size == 0:
+        return
+    order_l = order.tolist()
+    run_homes = homes[order]
+    norms_l = np.asarray(norms)[order].tolist() if norms is not None else None
+    cuts = (np.flatnonzero(run_homes[1:] != run_homes[:-1]) + 1).tolist()
+    store_run = system.store_run
+    for a, b in zip([0, *cuts], [*cuts, len(order_l)]):
+        store_run(
+            int(run_homes[a]),
+            [items[k] for k in order_l[a:b]],
+            norms_l[a:b] if norms_l is not None else None,
+        )
+
+
 class SweepPlan:
     """The global planning state of one key-sorted ring sweep.
 
@@ -506,30 +539,11 @@ def batch_publish(
                 np.all((caps < 0) | (loads + arrivals <= caps))
             )
         if displacement_free:
-            # Key order == sweep order: each node's whole run is dropped
-            # off in one bulk store as the sweep passes its home.
-            store_run = system.store_run
-            norms_l = norms.tolist() if norms is not None else None
-            run: list[StoredItem] = []
-            run_norms: Optional[list[float]] = None
-            run_home = -1
-            for k in order_l:
-                h = homes_l[k]
-                if h != run_home:
-                    if run:
-                        store_run(run_home, run, run_norms)
-                    run = []
-                    run_norms = [] if norms_l is not None else None
-                    run_home = h
-                it = items[k]
-                run.append(it)
-                if norms_l is not None:
-                    run_norms.append(norms_l[k])
-                results[k] = PublishResult(
-                    item_id=it.item_id, home=h, route_hops=route_hops[k]
-                )
-            if run:
-                store_run(run_home, run, run_norms)
+            store_runs(system, items, homes, order, norms)
+            results = [
+                PublishResult(item_id=it.item_id, home=h, route_hops=hops)
+                for it, h, hops in zip(items, homes_l, route_hops)
+            ]
         else:
             from .cascade import cascade_placement, cascade_supported
 

@@ -13,8 +13,8 @@ cliffs this experiment pins:
   cascade placement engine (:mod:`repro.core.cascade`), which must be
   *placement-identical*.
 
-One row per corpus size: key-pipeline timings (whole vs chunked vs
-process pool) with the bit-identity flag, and tight-capacity publish
+One row per corpus size: key-pipeline timings (whole vs chunked) with
+the bit-identity flag, and tight-capacity publish
 wall-clock for the cascade engine, with the sequential-chain branch
 timed alongside up to ``seq_max_items`` (it is quadratic-ish in load;
 at 500K items it would take minutes for a number the small sizes
@@ -72,7 +72,6 @@ def run_build_scale(
     sizes: "tuple[int, ...] | None" = None,
     seq_max_items: int = 25_000,
     chunk_rows: int = 65_536,
-    pool_workers: int = 2,
     seed: int = 19980724,
 ) -> RowSet:
     """Rows: one per corpus size, timing the whole build path.
@@ -94,7 +93,6 @@ def run_build_scale(
             "gen s",
             "angles ms",
             "chunked ms",
-            "pool ms",
             "keys identical",
             "cascade ms",
             "chain ms",
@@ -122,14 +120,7 @@ def run_build_scale(
             t0 = time.perf_counter()
             chunked = absolute_angles(corpus, chunk_rows=chunk_rows)
             chunked_ms = (time.perf_counter() - t0) * 1e3
-            t0 = time.perf_counter()
-            pooled = absolute_angles(
-                corpus, chunk_rows=chunk_rows, workers=pool_workers
-            )
-            pool_ms = (time.perf_counter() - t0) * 1e3
-            keys_identical = bool(
-                np.array_equal(whole, chunked) and np.array_equal(whole, pooled)
-            )
+            keys_identical = bool(np.array_equal(whole, chunked))
             identical_all = identical_all and keys_identical
 
             # Ring sized so ideal load c = items/nodes stays ~125 and
@@ -170,7 +161,6 @@ def run_build_scale(
                 round(gen_s, 2),
                 round(whole_ms, 1),
                 round(chunked_ms, 1),
-                round(pool_ms, 1),
                 keys_identical,
                 round(cascade_ms, 1),
                 chain_ms,
@@ -179,7 +169,6 @@ def run_build_scale(
                 drops,
             )
         rs.notes["chunk_rows"] = chunk_rows
-        rs.notes["pool_workers"] = pool_workers
         rs.notes["seq_max_items"] = seq_max_items
         rs.notes["keys_identical_all"] = identical_all
     return rs

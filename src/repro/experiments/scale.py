@@ -1,25 +1,18 @@
-"""X-SCALE: sharded multi-core scale-out of the simulator.
+"""X-SCALE: the sharded simulator against its single-process twin.
 
-The paper evaluates at 10⁴ nodes (§4); the sharded simulator
-(:mod:`repro.sim.shard`) exists to make 10⁵ nodes / 10⁶+ items a routine
-experiment on a multi-core box.  This experiment measures the thing the
-tentpole claims: a sharded run is **identical** to the single-process
-run (placements, message bill, merged loads) while the wall-clock of the
-publish + retrieve workload scales with worker processes.
+The sharded simulator (:mod:`repro.sim.shard`) cuts the key ring into
+shards and plans, bills and stores per shard.  This experiment checks
+the one thing that harness exists for: a sharded run is **identical**
+to the single-process run (placements, message bill, merged loads) at
+every shard count.
 
 One row per configuration: the single-process reference first, then one
 row per shard count.  ``identical`` is asserted per row by comparing the
 message bill, the per-item homes, and the per-node load vector against
-the reference — the experiment refuses to report a speedup for a run
-that diverged.
-
-Wall-clock speedups require real cores: on a single-core container the
-fork backend adds IPC overhead and speedups sit at or below 1.0× (the
-committed ``results/scale.csv`` records exactly that, honestly).  The
-acceptance-scale invocation for an 8-core box is::
-
-    PYTHONPATH=src python -m repro.cli scale --nodes 100000 \
-        --items 1000000 --queries 20000 --shards 1,2,4,8 --backend fork
+the reference.  The timing columns show what partitioning costs when
+all shards share one interpreter — the sharded rows are slower by
+construction (EXPERIMENTS.md X-SCALE records why there is no
+multi-process mode).
 """
 
 from __future__ import annotations
@@ -56,13 +49,12 @@ def run_scale(
     max_walk: int = 256,
     shards: Sequence[int] = (1, 2, 4, 8),
     halo: int = DEFAULT_HALO,
-    backend: str = "fork",
     seed: int = 11,
 ) -> RowSet:
     """Time the publish + retrieve workload single-process vs sharded.
 
-    Columns: ``backend`` ("single" for the reference row), ``shards``,
-    ``build_s`` (system/worker standup), ``publish_s``, ``retrieve_s``,
+    Columns: ``mode`` ("single" for the reference row, "sharded"
+    otherwise), ``shards``, ``build_s`` (system/worker standup), ``publish_s``, ``retrieve_s``,
     ``total_s`` (publish+retrieve, the steady-state cost standup
     amortises away), ``speedup`` (reference total / row total) and
     ``identical`` (1 = bill+placements+loads match the reference).
@@ -70,7 +62,7 @@ def run_scale(
     rs = RowSet(
         experiment="scale",
         headers=(
-            "backend", "shards", "build_s", "publish_s", "retrieve_s",
+            "mode", "shards", "build_s", "publish_s", "retrieve_s",
             "total_s", "speedup", "identical",
         ),
     )
@@ -105,27 +97,22 @@ def run_scale(
 
         for k in shards:
             t0 = time.perf_counter()
-            sim = ShardedSimulator(builder, n_shards=k, halo=halo, backend=backend)
+            sim = ShardedSimulator(builder, n_shards=k, halo=halo)
             build_s = time.perf_counter() - t0
-            try:
-                t0 = time.perf_counter()
-                publish = sim.publish_corpus(
-                    trace.corpus, np.random.default_rng(seed + 2)
-                )
-                publish_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                sim.retrieve_many(origins, queries, amount, max_walk=max_walk)
-                retrieve_s = time.perf_counter() - t0
-                identical = int(
-                    sim.sink.snapshot() == ref_bill
-                    and [r.home for r in publish] == ref_homes
-                    and bool(np.array_equal(sim.loads(), ref_loads))
-                )
-            finally:
-                sim.close()
+            t0 = time.perf_counter()
+            publish = sim.publish_corpus(trace.corpus, np.random.default_rng(seed + 2))
+            publish_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            sim.retrieve_many(origins, queries, amount, max_walk=max_walk)
+            retrieve_s = time.perf_counter() - t0
+            identical = int(
+                sim.sink.snapshot() == ref_bill
+                and [r.home for r in publish] == ref_homes
+                and bool(np.array_equal(sim.loads(), ref_loads))
+            )
             total = publish_s + retrieve_s
             rs.add(
-                backend, k, build_s, publish_s, retrieve_s, total,
+                "sharded", k, build_s, publish_s, retrieve_s, total,
                 ref_total / total if total else float("inf"), identical,
             )
 
@@ -137,9 +124,5 @@ def run_scale(
         max_walk=max_walk,
         halo=halo,
         seed=seed,
-        full_scale_cmd=(
-            "scale --nodes 100000 --items 1000000 --queries 20000 "
-            "--shards 1,2,4,8 --backend fork"
-        ),
     )
     return rs

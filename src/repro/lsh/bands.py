@@ -20,8 +20,8 @@ buckets.
 Determinism: hyperplanes derive from ``splitmix64``-mixed per-band
 seeds feeding ``PCG64`` generators, so the same ``seed`` reproduces
 the same planes (and therefore the same keys) across processes; the
-signature pass is row-local, so chunked/process-pool runs are
-**bit-identical** to the whole-corpus pass (the `core/angles.py`
+signature pass is row-local, so chunked runs are **bit-identical** to
+the whole-corpus pass (the `core/angles.py`
 row-chunk contract, pinned by ``tests/lsh/test_bands.py``).
 """
 
@@ -64,11 +64,6 @@ def _signature_kernel(
     proj = mat @ hyperplanes.T  # (n, bands*k); row-local dot products
     bits = proj > 0.0
     return (bits.reshape(n, bands, k) * bit_weights).sum(axis=2, dtype=np.int64)
-
-
-def _signature_chunk_worker(payload) -> np.ndarray:
-    """Process-pool entry point — module-level so it pickles."""
-    return _signature_kernel(*payload)
 
 
 class CosineLshScheme:
@@ -149,18 +144,13 @@ class CosineLshScheme:
     # ----------------------------------------------------------- signatures
 
     def signatures(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
+        self, corpus: "Corpus", *, chunk_rows: Optional[int] = None
     ) -> np.ndarray:
-        """``(n_items, bands)`` int64 signatures, chunk/worker-invariant.
+        """``(n_items, bands)`` int64 signatures, chunk-invariant.
 
         Mirrors :func:`repro.core.angles.absolute_angles`: ``chunk_rows``
-        streams the projection in row blocks (bounded temporaries),
-        ``workers`` fans blocks over a process pool, and the output is
-        bit-identical either way because the kernel is row-local.
+        streams the projection in row blocks (bounded temporaries) and
+        the output is bit-identical because the kernel is row-local.
         Corpora past :data:`~repro.core.angles.DEFAULT_CHUNK_ROWS` rows
         chunk automatically.
         """
@@ -179,9 +169,10 @@ class CosineLshScheme:
                     self.hyperplanes, self._bit_weights,
                 )
             data, indices, indptr = mat.data, mat.indices, mat.indptr
-            spans = [(lo, min(lo + chunk_rows, n)) for lo in range(0, n, chunk_rows)]
-            payloads = (
-                (
+            out = np.empty((n, self.bands), dtype=np.int64)
+            for lo in range(0, n, chunk_rows):
+                hi = min(lo + chunk_rows, n)
+                out[lo:hi] = _signature_kernel(
                     data[indptr[lo] : indptr[hi]],
                     indices[indptr[lo] : indptr[hi]],
                     indptr[lo : hi + 1] - indptr[lo],
@@ -189,20 +180,6 @@ class CosineLshScheme:
                     self.hyperplanes,
                     self._bit_weights,
                 )
-                for lo, hi in spans
-            )
-            out = np.empty((n, self.bands), dtype=np.int64)
-            if workers is not None and workers > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for (lo, hi), res in zip(
-                        spans, pool.map(_signature_chunk_worker, payloads)
-                    ):
-                        out[lo:hi] = res
-            else:
-                for (lo, hi), payload in zip(spans, payloads):
-                    out[lo:hi] = _signature_kernel(*payload)
             return out
 
     def _keys_of(self, signatures: np.ndarray) -> np.ndarray:
@@ -229,17 +206,13 @@ class CosineLshScheme:
         return self._keys_of(sigs).tolist()
 
     def corpus_to_keys(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
+        self, corpus: "Corpus", *, chunk_rows: Optional[int] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         with self.metrics.timer("kernel.angles"):
             angle_keys = _naming.corpus_to_keys(
-                corpus, self.space, chunk_rows=chunk_rows, workers=workers
+                corpus, self.space, chunk_rows=chunk_rows
             )
-        sigs = self.signatures(corpus, chunk_rows=chunk_rows, workers=workers)
+        sigs = self.signatures(corpus, chunk_rows=chunk_rows)
         return angle_keys, self._keys_of(sigs)
 
     def probe_keys_for(self, query: "SparseVector") -> list[int]:

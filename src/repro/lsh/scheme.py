@@ -67,11 +67,7 @@ class NamingScheme(Protocol):
         ...  # pragma: no cover - protocol
 
     def corpus_to_keys(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
+        self, corpus: "Corpus", *, chunk_rows: Optional[int] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`keys_for`: (angle keys ``(n,)``, publish
         keys ``(n, n_keys)``), both int64."""
@@ -122,15 +118,11 @@ class AbsoluteAngleScheme:
         return angle_key, [angle_key]
 
     def corpus_to_keys(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
+        self, corpus: "Corpus", *, chunk_rows: Optional[int] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         with self.metrics.timer("kernel.angles"):
             angle_keys = _naming.corpus_to_keys(
-                corpus, self.space, chunk_rows=chunk_rows, workers=workers
+                corpus, self.space, chunk_rows=chunk_rows
             )
         if self.equalizer is not None:
             with self.metrics.timer("kernel.remap"):

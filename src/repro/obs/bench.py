@@ -78,7 +78,6 @@ _LOOPS = {
     "repair_full_scan": 1,
     "lsh_signatures": 3,
     "multi_probe_retrieve": 1,
-    "angles_chunked_pool": 3,
     "shard_tick": 1,
     "cross_shard_batch": 5,
 }
@@ -424,11 +423,10 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         return total
 
     # Sharded-simulator kernels: one retrieve *tick* through a 2-shard
-    # serial coordinator (plan → partition → worker batch engines →
-    # delta merge — everything but the pipe transport), and the
-    # coordinator's cross-shard marshalling step alone (interest-mask
-    # partitioning plus the compact CSR row-slice payloads).  Serial
-    # backend so the kernel times the sharding machinery, not fork(2).
+    # coordinator (plan → partition → worker batch engines → delta
+    # merge), and the coordinator's cross-shard marshalling step alone
+    # (interest-mask partitioning plus the compact CSR row-slice
+    # payloads).
     from ..sim.shard import ShardedSimulator, _csr_take
 
     def shard_builder() -> object:
@@ -440,7 +438,7 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
             config=publish_cfg,
         )
 
-    shard_sim = ShardedSimulator(shard_builder, n_shards=2, backend="serial")
+    shard_sim = ShardedSimulator(shard_builder, n_shards=2)
     shard_sim.publish_corpus(spill_corpus, np.random.default_rng(3))
     shard_rng = np.random.default_rng(23)
     shard_queries = [
@@ -502,9 +500,6 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         "repair_full_scan": (prepare_repair(False), repair_full),
         "lsh_signatures": lambda: lsh_scheme.signatures(corpus),
         "multi_probe_retrieve": lsh_probe_all,
-        "angles_chunked_pool": lambda: absolute_angles(
-            corpus, chunk_rows=1024, workers=2
-        ),
         "shard_tick": shard_tick,
         "cross_shard_batch": cross_shard_marshal,
     }

@@ -1,20 +1,20 @@
-"""Sharded multi-core simulator: ring-partitioned worker processes.
+"""Sharded simulator: a ring-partitioned partition-correctness harness.
 
-The single-process simulator executes every node of the overlay in one
-interpreter.  This module splits the **key ring** into ``n_shards``
-contiguous rank ranges and runs each range's item state in its own
-worker (a separate process under the ``fork`` backend, an in-process
-replica under ``serial``), coordinated in lockstep *ticks*:
+The single-process simulator keeps every node's item state in one
+system.  This module splits the **key ring** into ``n_shards``
+contiguous rank ranges and holds each range's item state in its own
+in-process worker replica, coordinated in lockstep *ticks*:
 
 1. the coordinator plans the tick's batch **globally** on its control
    replica — publish sweep geometry via the same
    :class:`repro.core.publish.SweepPlan` code the single-process engine
    runs, retrieve partitioning by each query's live home;
 2. cross-shard work ships to the owning workers as compact numpy
-   payloads (CSR row slices, key/home/id arrays) in one message per
-   shard per tick;
+   payloads (CSR row slices, key/home/id arrays), one per shard per
+   tick — a worker sees only what was shipped to it, so a twin-identical
+   run proves the shipped slice suffices;
 3. workers execute **intra-shard** work through the existing batch
-   engines (:func:`repro.core.publish.batch_publish`'s store-run loop,
+   engines (:func:`repro.core.publish.store_runs`,
    :func:`repro.core.search_batch.retrieve_many` unchanged) and answer
    with results plus a stamped :class:`repro.sim.metrics.SinkDelta`;
 4. the tick barrier: the coordinator merges all deltas into the master
@@ -47,6 +47,10 @@ Configurations whose message charges are data-dependent per node
 pointers, multi-key naming) cannot be re-billed exactly from a plan and
 are rejected with :class:`ShardConfigError` — the same feature set the
 batch engines themselves guard on.
+
+Everything runs in one process: this is a correctness harness for the
+ring cut, halo, per-shard billing and delta merge, not a speed-up
+(EXPERIMENTS.md X-SCALE records why there is no multi-process mode).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..core.publish import PublishResult, SweepPlan
+from ..core.publish import PublishResult, SweepPlan, store_runs
 from ..core.search_batch import retrieve_many as _core_retrieve_many
 from ..vsm.sparse import SparseVector
 from .engine import TickClock
@@ -203,10 +207,9 @@ class ShardWorker:
 
     def apply_publish(self, payload: dict) -> SinkDelta:
         """Store this shard's slice of the planned batch; bill its sweep
-        segment.  Mirrors the displacement-free branch of
-        :func:`repro.core.publish.batch_publish` exactly: the stable
-        argsort of a subset equals the global stable order restricted to
-        it, so store runs group identically."""
+        segment.  The slice goes through the same
+        :func:`repro.core.publish.store_runs` as the displacement-free
+        branch of ``batch_publish``."""
         system = self.system
         ids = payload["item_ids"]
         pks = payload["publish_keys"]
@@ -214,8 +217,6 @@ class ShardWorker:
         with self.sink.time("shard.publish"):
             if n:
                 aks = payload["angle_keys"]
-                homes = payload["homes"]
-                norms = payload["norms"]
                 indptr = payload["indptr"]
                 kw = payload["kw_ids"]
                 wts = payload["weights"]
@@ -232,25 +233,13 @@ class ShardWorker:
                     )
                     for i in range(n)
                 ]
-                homes_l = homes.tolist()
-                norms_l = norms.tolist()
-                order_l = np.argsort(pks, kind="stable").tolist()
-                store_run = system.store_run
-                run: list[StoredItem] = []
-                run_norms: list[float] = []
-                run_home = -1
-                for k in order_l:
-                    h = homes_l[k]
-                    if h != run_home:
-                        if run:
-                            store_run(run_home, run, run_norms)
-                        run = []
-                        run_norms = []
-                        run_home = h
-                    run.append(items[k])
-                    run_norms.append(norms_l[k])
-                if run:
-                    store_run(run_home, run, run_norms)
+                store_runs(
+                    system,
+                    items,
+                    payload["homes"],
+                    np.argsort(pks, kind="stable"),
+                    payload["norms"],
+                )
                 system.register_published_many(ids, aks, pks)
             sweep_dsts = payload["sweep_dsts"]
             system.network.charge_bulk("publish", int(sweep_dsts.size), sweep_dsts)
@@ -301,40 +290,12 @@ class ShardWorker:
         self._dead += len(node_ids)
 
 
-def _fork_worker_loop(conn, worker: ShardWorker) -> None:
-    """Child-process main: serve tick operations until ``stop``."""
-    try:
-        while True:
-            op, payload = conn.recv()
-            if op == "stop":
-                conn.send(("ok", None))
-                return
-            try:
-                if op == "publish":
-                    conn.send(("ok", worker.apply_publish(payload)))
-                elif op == "retrieve":
-                    conn.send(("ok", worker.apply_retrieve(payload)))
-                elif op == "fail":
-                    worker.apply_fail(payload)
-                    conn.send(("ok", None))
-                else:  # pragma: no cover - protocol guard
-                    conn.send(("error", f"unknown op {op!r}"))
-            except Exception as exc:  # surface worker faults at the barrier
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown races
-        pass
-
-
 class ShardedSimulator:
     """Coordinator of a ring-sharded run (see module docstring).
 
     ``builder`` is a zero-argument callable returning a freshly built
     :class:`Meteorograph`; it must be deterministic (same seed → same
     system), which is what makes every replica's membership identical.
-    Backends: ``"serial"`` executes shard workers in-process (the twin
-    tests' reference; also the portable fallback), ``"fork"`` runs each
-    worker in a forked child process communicating over pipes — the
-    multi-core configuration.
     """
 
     def __init__(
@@ -344,10 +305,7 @@ class ShardedSimulator:
         n_shards: int,
         halo: int = DEFAULT_HALO,
         offset: int = 0,
-        backend: str = "serial",
     ) -> None:
-        if backend not in ("serial", "fork"):
-            raise ShardConfigError(f"unknown backend {backend!r}")
         control = builder()
         _validate_shardable(control)
         self.control = control
@@ -355,7 +313,6 @@ class ShardedSimulator:
         self.sink.source = "coordinator"
         self.ring_array = control.overlay.ring.as_array()
         self.spec = ShardSpec(n_shards, int(self.ring_array.size), halo=halo, offset=offset)
-        self.backend = backend
         self.clock = TickClock()
         # Global per-rank load/capacity ledger for the displacement-free
         # prepass (the control replica stores no items itself).
@@ -369,87 +326,11 @@ class ShardedSimulator:
             count=self.ring_array.size,
         )
         self._key_memo: dict[tuple, int] = {}
-        self._procs: list = []
-        self._conns: list = []
         self._workers: list[ShardWorker] = []
-        if backend == "serial":
-            for s in range(n_shards):
-                replica = builder()
-                _validate_shardable(replica)
-                self._workers.append(ShardWorker(s, replica, self.spec))
-        else:
-            import multiprocessing as mp
-
-            ctx = mp.get_context("fork")
-            # Fork the workers off the (freshly built, still empty)
-            # control replica: the children inherit the full membership
-            # copy-on-write — one build serves all shards.
-            for s in range(n_shards):
-                parent, child = ctx.Pipe()
-                worker = ShardWorker(s, control, self.spec)
-                proc = ctx.Process(
-                    target=_fork_worker_loop, args=(child, worker), daemon=True
-                )
-                proc.start()
-                child.close()
-                # ShardWorker pointed the shared system at the worker's
-                # own sink for the child's benefit; restore the master
-                # sink on the parent side.
-                control.network.sink = self.sink
-                self._conns.append(parent)
-                self._procs.append(proc)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop fork workers (no-op for serial)."""
-        for conn in self._conns:
-            try:
-                conn.send(("stop", None))
-                conn.recv()
-                conn.close()
-            except (OSError, EOFError):  # pragma: no cover - teardown races
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-        self._conns = []
-        self._procs = []
-
-    def __enter__(self) -> "ShardedSimulator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _dispatch(self, ops: dict[int, tuple[str, object]]) -> dict[int, object]:
-        """Run one op per addressed shard; barrier until all answer."""
-        out: dict[int, object] = {}
-        if self.backend == "serial":
-            for s, (op, payload) in ops.items():
-                worker = self._workers[s]
-                if op == "publish":
-                    out[s] = worker.apply_publish(payload)
-                elif op == "retrieve":
-                    out[s] = worker.apply_retrieve(payload)
-                elif op == "fail":
-                    worker.apply_fail(payload)
-                    out[s] = None
-            return out
-        for s, msg in ops.items():
-            self._conns[s].send(msg)
-        for s in ops:
-            status, value = self._conns[s].recv()
-            if status != "ok":
-                raise RuntimeError(f"shard {s} failed: {value}")
-            out[s] = value
-        return out
-
-    def _merge_deltas(self, deltas) -> None:
-        for delta in deltas:
-            if delta is not None:
-                self.sink.merge(delta)
+        for s in range(n_shards):
+            replica = builder()
+            _validate_shardable(replica)
+            self._workers.append(ShardWorker(s, replica, self.spec))
 
     # -- operations --------------------------------------------------------
 
@@ -513,15 +394,13 @@ class ShardedSimulator:
         kw_ids = mat.indices.astype(np.int64)
         weights = np.asarray(mat.data, dtype=np.float64)
         norms = corpus.norms()
-        ops: dict[int, tuple[str, object]] = {}
-        for s in range(self.spec.n_shards):
+        for s, worker in enumerate(self._workers):
             rows = np.nonzero(self.spec.interest_mask(s, home_ranks))[0]
             dsts = sweep_dst[sweep_owner == s]
             if rows.size == 0 and dsts.size == 0:
                 continue
             sub_indptr, sub_idx, sub_data = _csr_take(indptr, kw_ids, weights, rows)
-            ops[s] = (
-                "publish",
+            delta = worker.apply_publish(
                 {
                     "item_ids": ids[rows],
                     "publish_keys": publish_keys[rows],
@@ -532,10 +411,9 @@ class ShardedSimulator:
                     "kw_ids": sub_idx,
                     "weights": sub_data,
                     "sweep_dsts": dsts,
-                },
+                }
             )
-        deltas = self._dispatch(ops)
-        self._merge_deltas(deltas.values())
+            self.sink.merge(delta)
         control.register_published_many(ids, angle_keys, publish_keys)
         route_hops = plan.route_hops.tolist()
         route_hops[int(plan.order[0])] += route.hops
@@ -602,11 +480,9 @@ class ShardedSimulator:
         owner = self.spec.owner_of_ranks(home_ranks)
         origins_arr = np.asarray(origins, dtype=np.int64)
         dim = queries[0].dim
-        ops: dict[int, tuple[str, object]] = {}
-        shard_rows: dict[int, np.ndarray] = {}
+        results: list[Optional["RetrieveResult"]] = [None] * len(queries)
         for s in np.unique(owner).tolist():
             rows = np.nonzero(owner == s)[0]
-            shard_rows[s] = rows
             q_indptr = np.zeros(rows.size + 1, dtype=np.int64)
             np.cumsum([queries[i].indices.size for i in rows.tolist()], out=q_indptr[1:])
             kw_ids = np.concatenate(
@@ -615,8 +491,7 @@ class ShardedSimulator:
             weights = np.concatenate(
                 [queries[i].values for i in rows.tolist()]
             ) if rows.size else np.empty(0, dtype=np.float64)
-            ops[s] = (
-                "retrieve",
+            sub_results, delta = self._workers[s].apply_retrieve(
                 {
                     "origins": origins_arr[rows],
                     "start_keys": keys[rows],
@@ -626,16 +501,11 @@ class ShardedSimulator:
                     "dim": dim,
                     "amount": amount,
                     "knobs": knobs,
-                },
+                }
             )
-        answers = self._dispatch(ops)
-        results: list[Optional["RetrieveResult"]] = [None] * len(queries)
-        deltas = []
-        for s, (sub_results, delta) in answers.items():
-            deltas.append(delta)
-            for i, res in zip(shard_rows[s].tolist(), sub_results):
+            for i, res in zip(rows.tolist(), sub_results):
                 results[i] = res
-        self._merge_deltas(deltas)
+            self.sink.merge(delta)
         self.clock.advance()
         return results  # type: ignore[return-value]
 
@@ -643,11 +513,8 @@ class ShardedSimulator:
         """Broadcast a liveness change to every replica — one tick."""
         ids = [int(i) for i in node_ids]
         self.control.network.fail_nodes(ids)
-        ops = {
-            s: ("fail", ids)
-            for s in range(self.spec.n_shards)
-        }
-        self._dispatch(ops)
+        for worker in self._workers:
+            worker.apply_fail(ids)
         self.clock.advance()
 
     # -- inspection --------------------------------------------------------

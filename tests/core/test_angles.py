@@ -147,39 +147,3 @@ class TestVectorisedAngles:
         d_far = abs(absolute_angle(base) - absolute_angle(far))
         assert d_close < d_far
         assert d_close < 1e-3
-
-
-class TestSharedPool:
-    def test_pool_is_reused_across_calls(self):
-        from repro.core.angles import shared_pool, shutdown_shared_pool
-
-        shutdown_shared_pool()
-        try:
-            p1 = shared_pool(2)
-            p2 = shared_pool(2)
-            assert p1 is p2  # the per-call spawn the hoist removed
-            p3 = shared_pool(1)
-            assert p3 is p1  # never silently downsized
-        finally:
-            shutdown_shared_pool()
-
-    def test_parallel_matches_serial(self):
-        from repro.core.angles import shutdown_shared_pool
-
-        rng = np.random.default_rng(5)
-        vectors = []
-        for _ in range(300):
-            nnz = int(rng.integers(1, 8))
-            idx = np.sort(rng.choice(64, nnz, replace=False))
-            vectors.append(
-                SparseVector.from_pairs(
-                    zip(idx, rng.uniform(0.1, 5.0, nnz)), 64
-                )
-            )
-        corpus = Corpus.from_vectors(vectors)
-        serial = absolute_angles(corpus, chunk_rows=64)
-        try:
-            pooled = absolute_angles(corpus, chunk_rows=64, workers=2)
-        finally:
-            shutdown_shared_pool()
-        np.testing.assert_array_equal(serial, pooled)

@@ -2,9 +2,8 @@
 
 The whole point of the chunked angle pass is that it changes *nothing*
 but peak memory: float64 angles and int64 keys must be bit-identical to
-the whole-corpus pass for every chunk size and worker count, and the
-system-level wrappers must plumb the knobs through without perturbing
-placements.
+the whole-corpus pass for every chunk size, and the system-level
+wrappers must plumb the knob through without perturbing placements.
 """
 
 import numpy as np
@@ -33,11 +32,6 @@ class TestBitIdentity:
             chunked = absolute_angles(corpus, chunk_rows=chunk)
             assert chunked.dtype == np.float64
             assert np.array_equal(whole, chunked), f"chunk_rows={chunk}"
-
-    def test_process_pool_matches_serial_exactly(self, corpus):
-        whole = absolute_angles(corpus)
-        pooled = absolute_angles(corpus, chunk_rows=64, workers=2)
-        assert np.array_equal(whole, pooled)
 
     def test_keys_identical(self, corpus):
         space = KeySpace(10**8)
@@ -106,9 +100,9 @@ class TestSystemWiring:
         seen = []
         real = naming_mod.corpus_to_keys
 
-        def spy(c, space, *, chunk_rows=None, workers=None):
+        def spy(c, space, *, chunk_rows=None):
             seen.append(chunk_rows)
-            return real(c, space, chunk_rows=chunk_rows, workers=workers)
+            return real(c, space, chunk_rows=chunk_rows)
 
         monkeypatch.setattr(naming_mod, "corpus_to_keys", spy)
         system.corpus_keys(corpus)  # small: no chunking

@@ -79,12 +79,6 @@ class TestChunkInvariance:
             chunked = s.signatures(corpus, chunk_rows=chunk)
             assert np.array_equal(whole, chunked), f"chunk_rows={chunk}"
 
-    def test_signatures_process_pool(self, corpus):
-        s = make_scheme(corpus)
-        whole = s.signatures(corpus)
-        pooled = s.signatures(corpus, chunk_rows=64, workers=2)
-        assert np.array_equal(whole, pooled)
-
     def test_corpus_to_keys_chunk_invariant(self, corpus):
         s = make_scheme(corpus)
         a_whole, k_whole = s.corpus_to_keys(corpus)

@@ -3,9 +3,7 @@
 The contract under test is the module's headline guarantee — a sharded
 run at matched seed is *bit-identical* to the single-process run in
 placements, message bill, per-node loads and full retrieve results, for
-every shard count and for partitions that wrap rank 0.  The serial
-backend is the reference (deterministic, in-process); one fork-backend
-case checks the pipe transport ships the same bytes.
+every shard count and for partitions that wrap rank 0.
 """
 
 import numpy as np
@@ -139,45 +137,45 @@ class TestSerialTwin:
     def test_identical_across_shard_counts(
         self, trace, builder, workload, reference, n_shards
     ):
-        with ShardedSimulator(builder, n_shards=n_shards, halo=96) as sim:
-            assert_twin(sim, trace, workload, reference)
+        sim = ShardedSimulator(builder, n_shards=n_shards, halo=96)
+        assert_twin(sim, trace, workload, reference)
 
     def test_identical_with_wraparound_partition(
         self, trace, builder, workload, reference
     ):
-        with ShardedSimulator(builder, n_shards=4, halo=96, offset=37) as sim:
-            assert_twin(sim, trace, workload, reference)
+        sim = ShardedSimulator(builder, n_shards=4, halo=96, offset=37)
+        assert_twin(sim, trace, workload, reference)
 
     def test_worker_state_matches_single(self, trace, builder, reference):
         """Owned nodes hold exactly the items the single-process run
         stored on them (halo replication never leaks into ownership)."""
         single = reference["system"]
         ring = single.overlay.ring.as_array()
-        with ShardedSimulator(builder, n_shards=4, halo=96) as sim:
-            sim.publish_corpus(trace.corpus, np.random.default_rng(7))
-            for w in sim._workers:
-                for lo, hi in sim.spec.owned_intervals(w.shard_id):
-                    for rank in range(lo, min(hi, lo + 4)):
-                        nid = int(ring[rank])
-                        a = sorted(
-                            it.item_id
-                            for it in single.network.node(nid).items()
-                        )
-                        b = sorted(
-                            it.item_id
-                            for it in w.system.network.node(nid).items()
-                        )
-                        assert a == b
+        sim = ShardedSimulator(builder, n_shards=4, halo=96)
+        sim.publish_corpus(trace.corpus, np.random.default_rng(7))
+        for w in sim._workers:
+            for lo, hi in sim.spec.owned_intervals(w.shard_id):
+                for rank in range(lo, min(hi, lo + 4)):
+                    nid = int(ring[rank])
+                    a = sorted(
+                        it.item_id
+                        for it in single.network.node(nid).items()
+                    )
+                    b = sorted(
+                        it.item_id
+                        for it in w.system.network.node(nid).items()
+                    )
+                    assert a == b
 
     def test_merged_sink_carries_shard_instruments(
         self, trace, builder, workload
     ):
         origins, queries = workload
-        with ShardedSimulator(builder, n_shards=2, halo=96) as sim:
-            sim.publish_corpus(trace.corpus, np.random.default_rng(7))
-            sim.retrieve_many(origins, queries, 5)
-            dists = sim.sink.distributions
-            timers = sim.sink.timers
+        sim = ShardedSimulator(builder, n_shards=2, halo=96)
+        sim.publish_corpus(trace.corpus, np.random.default_rng(7))
+        sim.retrieve_many(origins, queries, 5)
+        dists = sim.sink.distributions
+        timers = sim.sink.timers
         assert dists["shard.publish.items"].count == 2
         # Halo replication double-counts boundary items across shards.
         assert dists["shard.publish.items"].total >= trace.corpus.n_items
@@ -198,11 +196,11 @@ class TestFailuresAndGuards:
         single.network.fail_nodes(victims)
         ref = single.retrieve_many(origins, queries, 5)
         ref_bill = single.network.sink.snapshot()
-        with ShardedSimulator(builder, n_shards=4) as sim:
-            sim.publish_corpus(trace.corpus, np.random.default_rng(7))
-            sim.fail_nodes(victims)
-            got = sim.retrieve_many(origins, queries, 5)
-            assert sim.sink.snapshot() == ref_bill
+        sim = ShardedSimulator(builder, n_shards=4)
+        sim.publish_corpus(trace.corpus, np.random.default_rng(7))
+        sim.fail_nodes(victims)
+        got = sim.retrieve_many(origins, queries, 5)
+        assert sim.sink.snapshot() == ref_bill
         for a, b in zip(ref, got):
             assert a.visited == b.visited
             assert [(d.item_id, d.score) for d in a.discoveries] == [
@@ -211,10 +209,10 @@ class TestFailuresAndGuards:
 
     def test_walk_guard_raises_not_diverges(self, trace, builder, workload):
         origins, queries = workload
-        with ShardedSimulator(builder, n_shards=8, halo=0) as sim:
-            sim.publish_corpus(trace.corpus, np.random.default_rng(7))
-            with pytest.raises(ShardWalkError):
-                sim.retrieve_many(origins, queries, 5)
+        sim = ShardedSimulator(builder, n_shards=8, halo=0)
+        sim.publish_corpus(trace.corpus, np.random.default_rng(7))
+        with pytest.raises(ShardWalkError):
+            sim.retrieve_many(origins, queries, 5)
 
     def test_capacity_overflow_refused(self, trace):
         cfg = MeteorographConfig(
@@ -231,9 +229,9 @@ class TestFailuresAndGuards:
                 config=cfg,
             )
 
-        with ShardedSimulator(tight_builder, n_shards=2) as sim:
-            with pytest.raises(ShardCapacityError):
-                sim.publish_corpus(trace.corpus, np.random.default_rng(7))
+        sim = ShardedSimulator(tight_builder, n_shards=2)
+        with pytest.raises(ShardCapacityError):
+            sim.publish_corpus(trace.corpus, np.random.default_rng(7))
 
     def test_unshardable_config_rejected(self, trace):
         cfg = MeteorographConfig(
@@ -253,20 +251,8 @@ class TestFailuresAndGuards:
         with pytest.raises(ShardConfigError):
             ShardedSimulator(replicated_builder, n_shards=2)
 
-    def test_unknown_backend_rejected(self, builder):
-        with pytest.raises(ShardConfigError):
-            ShardedSimulator(builder, n_shards=2, backend="threads")
-
     def test_unknown_retrieve_knob_rejected(self, builder, workload):
         origins, queries = workload
-        with ShardedSimulator(builder, n_shards=1) as sim:
-            with pytest.raises(ShardConfigError):
-                sim.retrieve_many(origins, queries, 5, window=8)
-
-
-class TestForkBackend:
-    def test_fork_twin(self, trace, builder, workload, reference):
-        with ShardedSimulator(
-            builder, n_shards=2, halo=96, backend="fork"
-        ) as sim:
-            assert_twin(sim, trace, workload, reference)
+        sim = ShardedSimulator(builder, n_shards=1)
+        with pytest.raises(ShardConfigError):
+            sim.retrieve_many(origins, queries, 5, window=8)

@@ -260,3 +260,84 @@ class TestBuildVerb:
         )
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
+
+
+class TestBenchAgainstKernelSets:
+    """``bench --against`` must not pass a kernel it never timed."""
+
+    @pytest.fixture
+    def two_kernels(self, monkeypatch):
+        # Two trivial stand-ins under real kernel names: the gate logic
+        # is what is under test, not the kernels.
+        from repro.obs import bench
+
+        monkeypatch.setattr(
+            bench,
+            "build_kernels",
+            lambda scale=1.0: {
+                "absolute_angles": lambda: 1,
+                "corpus_to_keys": lambda: 2,
+            },
+        )
+
+    @staticmethod
+    def _baseline(tmp_path, names):
+        import json
+
+        slow = {"best_us": 1e12, "mean_us": 1e12, "loops": 1, "repeats": 1}
+        path = tmp_path / "BENCH_base.json"
+        path.write_text(json.dumps({"meta": {}, "kernels": {n: slow for n in names}}))
+        return str(path)
+
+    def test_matching_sets_pass(self, two_kernels, tmp_path):
+        base = self._baseline(tmp_path, ["absolute_angles", "corpus_to_keys"])
+        assert main(["bench", "--repeats", "1", "--against", base]) == 0
+
+    def test_kernel_missing_from_full_run_fails(self, two_kernels, tmp_path, capsys):
+        base = self._baseline(
+            tmp_path, ["absolute_angles", "corpus_to_keys", "angles_chunked_pool"]
+        )
+        assert main(["bench", "--repeats", "1", "--against", base]) == 1
+        err = capsys.readouterr().err
+        assert "kernel sets differ" in err
+        assert "angles_chunked_pool" in err
+
+    def test_kernel_missing_from_baseline_fails(self, two_kernels, tmp_path, capsys):
+        base = self._baseline(tmp_path, ["absolute_angles"])
+        assert main(["bench", "--repeats", "1", "--against", base]) == 1
+        assert "only in this run: corpus_to_keys" in capsys.readouterr().err
+
+    def test_kernels_subset_is_not_a_false_alarm(self, two_kernels, tmp_path):
+        base = self._baseline(tmp_path, ["absolute_angles", "corpus_to_keys"])
+        rc = main(
+            ["bench", "--repeats", "1", "--kernels", "absolute_angles", "--against", base]
+        )
+        assert rc == 0
+
+
+class TestScaleVerb:
+    def test_parses_with_defaults(self):
+        args = build_parser().parse_args(["scale"])
+        assert args.shards == "1,2,4,8"
+        assert not args.check
+
+    def test_tiny_scale_check_passes(self, capsys):
+        rc = main(
+            [
+                "scale",
+                "--nodes", "100",
+                "--items", "600",
+                "--queries", "20",
+                "--shards", "1,2",
+                "--check",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "sharded" in out
+        assert "scale --check OK" in out
+
+    @pytest.mark.parametrize("shards", ["1,x", "0", ","])
+    def test_malformed_shards_exit_2(self, capsys, shards):
+        assert main(["scale", "--shards", shards]) == 2
+        assert "bad --shards" in capsys.readouterr().err

@@ -19,6 +19,13 @@ instrument table, and so must every ``linkfault.*`` /
 ``maint.antientropy.*`` instrument of the message-plane fault
 subsystem and every ``shard.*`` instrument of the sharded simulator.
 
+Two reverse checks catch a doc that outlives what it names: every
+kernel heading the BENCH workflow's bullet list must still be in
+``_LOOPS``, and every ``--flag`` a documented ``meteorograph <verb> …``
+command passes (README, EXPERIMENTS, OBSERVABILITY, the verify skill)
+must be an option of that verb's subparser in
+``repro.cli.build_parser()``.
+
 Run as ``python tools/check_docs.py`` from the repo root (CI does;
 ``repro`` must be importable — ``pip install -e .`` or
 ``PYTHONPATH=src``).
@@ -26,6 +33,7 @@ Run as ``python tools/check_docs.py`` from the repo root (CI does;
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import sys
@@ -35,6 +43,69 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: ``**X-BUILD (`buildscale`).**`` → ``buildscale``
 _ENTRY = re.compile(r"\*\*[^*\n]+\(`([a-z0-9_]+)`\)\.?\*\*")
+
+#: Docs whose ``meteorograph <verb> --flag`` commands are checked.
+_COMMAND_DOCS = (
+    "README.md",
+    "EXPERIMENTS.md",
+    "OBSERVABILITY.md",
+    ".claude/skills/verify/SKILL.md",
+)
+_FLAG = re.compile(r"^(--[a-z][a-z0-9-]*)")
+
+
+def _documented_kernels(obs_text: str) -> list[str]:
+    """Kernel names heading the bullets of the BENCH workflow section
+    (``* `a` / `b` — what it times``)."""
+    section = obs_text.split("## BENCH_*.json workflow", 1)[-1].split("\n## ", 1)[0]
+    names: list[str] = []
+    for line in section.splitlines():
+        if line.startswith("* `"):
+            names.extend(re.findall(r"`([a-z0-9_]+)`", line.split(" — ", 1)[0]))
+    return names
+
+
+def _documented_commands(text: str) -> list[list[str]]:
+    """Token lists of the CLI commands a markdown file shows: fenced
+    code lines (minus ``# comments``) and inline code spans, which may
+    wrap across lines.  Commands with ``<placeholders>`` are skipped."""
+    prose: list[str] = []
+    candidates: list[str] = []
+    fenced = False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            candidates.append(line.split("#", 1)[0])
+        else:
+            prose.append(line)
+    candidates.extend(re.findall(r"`([^`]+)`", "\n".join(prose)))
+    return [c.split() for c in candidates if "<" not in c]
+
+
+def _cli_flag_errors(verbs: dict[str, set[str]]) -> list[str]:
+    failed = []
+    for rel in _COMMAND_DOCS:
+        path = ROOT / rel
+        if not path.exists():
+            continue
+        for tokens in _documented_commands(path.read_text()):
+            while tokens and "=" in tokens[0] and not tokens[0].startswith("-"):
+                tokens = tokens[1:]  # PYTHONPATH=src …
+            if tokens[:3] in (["python", "-m", "repro"], ["python", "-m", "repro.cli"]):
+                tokens = tokens[3:]
+            elif tokens[:1] == ["meteorograph"]:
+                tokens = tokens[1:]
+            if not tokens or tokens[0] not in verbs:
+                continue
+            for tok in tokens[1:]:
+                m = _FLAG.match(tok)
+                if m and m.group(1) not in verbs[tokens[0]]:
+                    failed.append(
+                        f"{rel} shows `{tokens[0]} … {m.group(1)}` but the "
+                        f"`{tokens[0]}` verb has no such option"
+                    )
+    return failed
 
 
 def main() -> int:
@@ -65,6 +136,12 @@ def main() -> int:
             failed.append(
                 f"bench kernel `{kernel}` is registered in repro.obs.bench "
                 "but not documented in OBSERVABILITY.md"
+            )
+    for kernel in _documented_kernels(obs_text):
+        if kernel not in _LOOPS:
+            failed.append(
+                f"OBSERVABILITY.md's kernel list documents `{kernel}` but it "
+                "is not registered in repro.obs.bench._LOOPS"
             )
     # The instrument names the LSH subsystem emits (grep the package for
     # the literals): drift here means the taxonomy table went stale.
@@ -120,6 +197,20 @@ def main() -> int:
                 f"shard instrument `{name}` is emitted by repro.sim.shard "
                 "but not documented in OBSERVABILITY.md"
             )
+
+    from repro.cli import build_parser
+
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    failed.extend(
+        _cli_flag_errors(
+            {
+                verb: {opt for act in sub._actions for opt in act.option_strings}
+                for verb, sub in subparsers.choices.items()
+            }
+        )
+    )
 
     manifest_path = ROOT / "results" / "manifest.json"
     if manifest_path.exists():
