@@ -831,7 +831,8 @@ class Meteorograph:
         the rest of the sharing happens inside
         :func:`repro.core.search_batch.retrieve_many` (which falls back
         to the sequential protocols under directory pointers, admission
-        control, replication, or retries).
+        control, link faults, replication, or retries, counting each
+        fallback under ``retrieve.batch.fallback.<reason>``).
         """
         queries = list(queries)
         if isinstance(origin, (int, np.integer)):

@@ -11,14 +11,19 @@ shares the work three ways:
    key; each distinct (origin, key) pair is routed once through the
    epoch-cached route kernel and its path is *replayed* (same message
    charges, no recomputation) for every duplicate;
-2. **walk frontiers** — queries landing on the same home consult
-   neighbors in the same memoised
+2. **one walk per (home, content)** — past the home nothing depends on
+   the origin, so every group that reaches a home with the same content
+   rides one walk (one seen set, one set of dry/walked counters, one
+   hit list) through the memoised
    :meth:`~repro.overlay.base.Overlay.walk_order`, advanced wave by
-   wave so every co-located query harvests a node the moment the
-   shared sweep reaches it;
-3. **index scoring** — each consulted node ranks all active queries in
-   one vectorised :meth:`~repro.vsm.index.LocalVsmIndex.query_many`
-   pass instead of one ``local_index_query`` per query.
+   wave; each wave bills the riders' sends in one
+   :meth:`~repro.sim.network.Network.charge_bulk`, and each group's
+   result is materialised from the walk with its own ``route_hops``
+   as the ``hops`` offset;
+3. **index scoring** — each consulted node ranks the distinct active
+   contents in one vectorised
+   :meth:`~repro.vsm.index.LocalVsmIndex.query_many` pass instead of
+   one ``local_index_query`` per query.
 
 **Equivalence contract** (DESIGN.md, "Read path"): every returned
 :class:`~repro.core.search.RetrieveResult` — discoveries, scores,
@@ -29,10 +34,11 @@ calls would produce.  This holds because, absent back-pressure and
 retries, routing is deterministic and walks/harvests are read-only:
 duplicate queries are *replays*, not approximations.
 
-**Fallback**: under directory pointers, admission control, replication,
-or a retry policy the per-query protocols have side effects or
-non-replayable message charges, so the engine degrades to the exact
-sequential loop — mirroring ``batch_publish``'s guard.
+**Fallback**: under directory pointers, admission control, link faults,
+replication, or a retry policy the per-query protocols have side
+effects or non-replayable message charges, so the engine degrades to
+the exact sequential loop — mirroring ``batch_publish``'s guard — and
+counts the queries under ``retrieve.batch.fallback.<reason>``.
 """
 
 from __future__ import annotations
@@ -50,30 +56,49 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["retrieve_many"]
 
 
-class _Group:
-    """One unique (origin, query content) unit of work and its state."""
+class _Walk:
+    """One ``(home, query content)`` walk: the harvest and every counter
+    past the home, shared by all groups that reach it.  ``hits`` holds
+    ``(item_id, node_id, score, walked_at)``; a group's per-item hop
+    count is its own ``route_hops + walked_at``."""
 
     __slots__ = (
-        "origin", "query", "key", "members", "home", "result",
-        "seen", "dry", "walked", "current", "ledger", "active",
+        "query", "riders", "seen", "dry", "walked", "visited", "replies",
+        "complete", "hits",
     )
 
-    def __init__(self, origin: int, query: SparseVector, key: int) -> None:
-        self.origin = origin
+    def __init__(self, query: SparseVector, home: int) -> None:
         self.query = query
-        self.key = key
-        self.members: list[int] = []
-        self.home: Optional[int] = None
-        self.result: Optional[RetrieveResult] = None
+        #: Groups riding this walk — one send each per wave.
+        self.riders = 0
         self.seen: set[int] = set()
         self.dry = 0
         self.walked = 0
-        self.current = origin
-        #: Every (src, dst) send this group charged, in order — replayed
-        #: verbatim for each duplicate member so sink totals match the
-        #: sequential loop exactly.
-        self.ledger: list[tuple[int, int]] = []
-        self.active = True
+        self.visited = [home]
+        self.replies = 0
+        self.complete = True
+        self.hits: list[tuple[int, int, float, int]] = []
+
+    def harvest(self, ranked: list, node_id: int, amount: Optional[int]) -> int:
+        """Fold one node's full ranking in — ``retrieve``'s inner harvest
+        verbatim: the ``amount`` budget is applied as a prefix of the
+        ranking *before* deduplication, so already-seen items consume
+        budget exactly as they do sequentially."""
+        hits = self.hits
+        if amount is not None:
+            ranked = ranked[: amount - len(hits)]
+        before = len(hits)
+        seen = self.seen
+        at = self.walked
+        for h in ranked:
+            iid = h.item.item_id
+            if iid not in seen:
+                seen.add(iid)
+                hits.append((iid, node_id, h.score, at))
+        fresh = len(hits) - before
+        if fresh:
+            self.replies += 1
+        return fresh
 
 
 def _sequential(
@@ -91,34 +116,6 @@ def _sequential(
         fn(system, o, q, amount, **{**kwargs, "start_key": int(k)})
         for o, q, k in zip(origins, queries, start_keys)
     ]
-
-
-def _harvest(
-    g: _Group,
-    ranked: list,
-    node_id: int,
-    hops_here: int,
-    amount: Optional[int],
-) -> int:
-    """Fold one node's full ranking into a group — ``retrieve``'s inner
-    harvest verbatim: the ``amount`` budget is applied as a prefix of
-    the ranking *before* deduplication, so already-seen items consume
-    budget exactly as they do sequentially."""
-    result = g.result
-    if amount is not None:
-        ranked = ranked[: amount - len(result.discoveries)]
-    fresh = 0
-    seen = g.seen
-    for h in ranked:
-        iid = h.item.item_id
-        if iid in seen:
-            continue
-        seen.add(iid)
-        result.discoveries.append(Discovery(iid, node_id, h.score, hops_here))
-        fresh += 1
-    if fresh:
-        result.reply_messages += 1
-    return fresh
 
 
 def retrieve_many(
@@ -175,30 +172,36 @@ def retrieve_many(
     # messages; pointer mode is a different protocol; replication
     # changes harvest targets under failures; link faults drop or
     # duplicate data-dependently per message) — same guard shape as
-    # batch_publish.
-    if (
-        system.config.directory_pointers
-        or system.network.admission is not None
-        or system.network.link_faults is not None
-        or system.replication is not None
-        or system.config.retry_policy is not None
-    ):
-        return _sequential(system, origins, queries, amount, kwargs, start_keys)
-
+    # batch_publish.  The first matching reason is the one announced.
     network = system.network
     obs = network.obs
     metrics = obs.metrics
+    reason = (
+        "pointers" if system.config.directory_pointers
+        else "admission" if network.admission is not None
+        else "link_faults" if network.link_faults is not None
+        else "replication" if system.replication is not None
+        else "retry" if system.config.retry_policy is not None
+        else None
+    )
+    if reason is not None:
+        metrics.counter(f"retrieve.batch.fallback.{reason}", len(queries))
+        return _sequential(system, origins, queries, amount, kwargs, start_keys)
+
+    # Destination lists only feed the net.node_inbox bucket.
+    obs_on = network._obs_on
     results: list[Optional[RetrieveResult]] = [None] * len(queries)
     with obs.tracer.span(
         "retrieve_batch", queries=len(queries), amount=amount
     ) as sp:
         with metrics.timer("kernel.retrieve_batch"):
-            # -- 1. dedup: one group per unique (origin, key, content) --
-            # The key joins the group identity because per-query
-            # ``start_keys`` can send identical content to different
-            # band buckets; content-only query_key resolution is still
-            # memoised so duplicates cost one key computation.
-            groups: dict[tuple, _Group] = {}
+            # -- 1. dedup: one group (its member indices) per unique
+            #       (key, origin, content).  The key joins the identity
+            #       because per-query ``start_keys`` can send identical
+            #       content to different band buckets; content-only
+            #       query_key resolution is still memoised so duplicates
+            #       cost one key computation ---------------------------
+            groups: dict[tuple, list[int]] = {}
             qkey_memo: dict[tuple, int] = {}
             for i, (o, q) in enumerate(zip(origins, queries)):
                 content = (q.indices.tobytes(), q.values.tobytes())
@@ -210,113 +213,124 @@ def retrieve_many(
                     key = qkey_memo.get(content)
                     if key is None:
                         key = qkey_memo[content] = system.query_key(q)
-                gkey = (o, key, content)
-                g = groups.get(gkey)
-                if g is None:
-                    g = groups[gkey] = _Group(o, q, key)
-                g.members.append(i)
+                groups.setdefault((key, o, content), []).append(i)
 
             # -- 2. route resolution, key-sorted, one live route per
-            #       unique (origin, key); duplicates replay the path ----
+            #       unique (key, origin); a group sharing it replays the
+            #       path.  Origin only decides this prefix and the
+            #       ``hops`` offset: groups reaching one home with one
+            #       content join one walk ------------------------------
             route_cache: dict[tuple[int, int], object] = {}
-            by_home: dict[int, list[_Group]] = {}
-            for g in sorted(groups.values(), key=lambda g: (g.key, g.origin)):
-                rkey = (g.origin, g.key)
-                route = route_cache.get(rkey)
+            walks: dict[tuple, _Walk] = {}
+            by_home: dict[int, list[_Walk]] = {}
+            routed: list[tuple[object, _Walk, list[int]]] = []
+            for gkey, members in sorted(groups.items(), key=lambda kv: kv[0][:2]):
+                key, o, content = gkey
+                route = route_cache.get((key, o))
                 if route is None:
-                    route = system.deliver_home(g.origin, g.key, kind="retrieve")
-                    route_cache[rkey] = route
+                    route = system.deliver_home(o, key, kind="retrieve")
+                    route_cache[key, o] = route
                 else:
-                    for s, d in zip(route.path, route.path[1:]):
-                        network.send(s, d, kind="retrieve")
+                    network.charge_bulk(
+                        "retrieve", route.hops,
+                        route.path[1:] if obs_on else None,
+                    )
                 assert route.home is not None
-                g.home = route.home
-                g.ledger.extend(zip(route.path, route.path[1:]))
-                g.result = RetrieveResult(route_hops=route.hops)
-                g.result.visited.append(route.home)
-                g.current = route.home
-                by_home.setdefault(route.home, []).append(g)
+                w = walks.get((route.home, content))
+                if w is None:
+                    w = walks[route.home, content] = _Walk(
+                        queries[members[0]], route.home
+                    )
+                    by_home.setdefault(route.home, []).append(w)
+                w.riders += 1
+                routed.append((route, w, members))
 
             # -- 3. per home: harvest, then advance all co-located
-            #       queries through the shared walk order in waves ------
+            #       walks through the shared walk order in waves; each
+            #       node ranks the distinct contents only, and a wave
+            #       bills every rider's send in one charge per walk
+            #       (liveness is checked here; no admission, no faults) --
             with metrics.timer("kernel.walk"):
-                for home, hgroups in by_home.items():
-                    index = system.state(home).index
-                    rankings = index.query_many(
-                        [g.query for g in hgroups],
+                for home, walkers in by_home.items():
+                    rankings = system.state(home).index.query_many(
+                        [w.query for w in walkers],
                         require_all=require_all, min_score=min_score,
                     )
-                    for g, ranked in zip(hgroups, rankings):
-                        _harvest(g, ranked, home, g.result.route_hops, amount)
-                    walkers = hgroups
+                    for w, ranked in zip(walkers, rankings):
+                        w.harvest(ranked, home, amount)
                     for neighbor in system.overlay.walk_order(home, direction):
                         if not network.is_alive(neighbor):
                             continue
-                        active: list[_Group] = []
-                        for g in walkers:
-                            if (
-                                amount is not None
-                                and len(g.result.discoveries) >= amount
-                            ):
+                        active: list[_Walk] = []
+                        for w in walkers:
+                            if amount is not None and len(w.hits) >= amount:
                                 continue
-                            if max_walk is not None and g.walked >= max_walk:
-                                g.result.complete = amount is None
+                            if max_walk is not None and w.walked >= max_walk:
+                                w.complete = amount is None
                                 continue
-                            if amount is None and g.dry >= patience:
+                            if amount is None and w.dry >= patience:
                                 continue
-                            active.append(g)
+                            active.append(w)
                         walkers = active
                         if not walkers:
                             break
-                        for g in walkers:
-                            network.send(g.current, neighbor, kind="retrieve")
-                            g.ledger.append((g.current, neighbor))
-                            g.current = neighbor
-                            g.walked += 1
-                            g.result.walk_hops += 1
-                            g.result.visited.append(neighbor)
-                        index = system.state(neighbor).index
-                        rankings = index.query_many(
-                            [g.query for g in walkers],
+                        for w in walkers:
+                            network.charge_bulk(
+                                "retrieve", w.riders,
+                                [neighbor] * w.riders if obs_on else None,
+                            )
+                            w.walked += 1
+                            w.visited.append(neighbor)
+                        rankings = system.state(neighbor).index.query_many(
+                            [w.query for w in walkers],
                             require_all=require_all, min_score=min_score,
                         )
-                        for g, ranked in zip(walkers, rankings):
-                            fresh = _harvest(
-                                g, ranked, neighbor,
-                                g.result.route_hops + g.walked, amount,
-                            )
-                            g.dry = 0 if fresh else g.dry + 1
-                    for g in hgroups:
-                        if (
-                            amount is not None
-                            and len(g.result.discoveries) < amount
-                        ):
-                            g.result.complete = False
+                        for w, ranked in zip(walkers, rankings):
+                            fresh = w.harvest(ranked, neighbor, amount)
+                            w.dry = 0 if fresh else w.dry + 1
+                for w in walks.values():
+                    if amount is not None and len(w.hits) < amount:
+                        w.complete = False
 
-            # -- 4. scatter: representative result to the first member,
-            #       ledger replay + copy to every duplicate --------------
+            # -- 4. materialise per group: hops = route_hops + walked_at,
+            #       Discovery objects shared per distinct route_hops,
+            #       fresh lists per result; duplicate members replay
+            #       their route + walk bill in one bulk charge ----------
             replayed = 0
-            for g in groups.values():
-                results[g.members[0]] = g.result
-                for i in g.members[1:]:
-                    for s, d in g.ledger:
-                        network.send(s, d, kind="retrieve")
-                    replayed += 1
-                    dup = RetrieveResult(
-                        discoveries=list(g.result.discoveries),
-                        route_hops=g.result.route_hops,
-                        walk_hops=g.result.walk_hops,
-                        reply_messages=g.result.reply_messages,
-                        visited=list(g.result.visited),
-                        complete=g.result.complete,
+            shared: dict[tuple[_Walk, int], list[Discovery]] = {}
+            for route, w, members in routed:
+                base = route.hops
+                found = shared.get((w, base))
+                if found is None:
+                    found = shared[w, base] = [
+                        Discovery(iid, nid, score, base + at)
+                        for iid, nid, score, at in w.hits
+                    ]
+                for i in members:
+                    results[i] = RetrieveResult(
+                        discoveries=list(found),
+                        route_hops=base,
+                        walk_hops=w.walked,
+                        reply_messages=w.replies,
+                        visited=list(w.visited),
+                        complete=w.complete,
                     )
-                    results[i] = dup
+                dups = len(members) - 1
+                if dups:
+                    replayed += dups
+                    network.charge_bulk(
+                        "retrieve", dups * (base + w.walked),
+                        (route.path[1:] + w.visited[1:]) * dups
+                        if obs_on else None,
+                    )
         metrics.counter("retrieve.batch.queries", len(queries))
         metrics.counter("retrieve.batch.groups", len(groups))
+        metrics.counter("retrieve.batch.walks", len(walks))
         metrics.counter("retrieve.batch.homes", len(by_home))
         metrics.counter("retrieve.batch.replayed", replayed)
         sp.set(
             groups=len(groups),
+            walks=len(walks),
             homes=len(by_home),
             found=sum(r.found for r in results),
         )

@@ -191,14 +191,22 @@ class Network:
     def charge_bulk(self, kind: str, n: int, dsts=None) -> None:
         """Charge ``n`` ``kind`` messages in one call (no delivery).
 
-        The bulk twin of :meth:`send`'s accounting half, used by the
-        sharded simulator to bill a worker's sweep segment without
-        replaying every step through the delivery machinery (the
-        coordinator already planned delivery globally).  ``dsts``
-        optionally carries the per-message destination ids so the
-        ``net.node_inbox`` observability bucket stays exact; counters
-        are charged identically to ``n`` individual sends.
+        The bulk twin of :meth:`send`'s accounting half, for engines
+        that have already decided delivery themselves: the batch read
+        path bills every query riding a shared walk per wave and replays
+        a duplicate's whole route + walk bill, the sharded simulator
+        bills a worker's sweep segment.  It checks no liveness and
+        consults neither admission control nor the fault plane, so the
+        caller must know each destination is alive and that none of
+        those is attached.  Counters are charged identically to ``n``
+        individual sends.  ``dsts`` carries the ``n`` per-message
+        destination ids that keep the ``net.node_inbox`` observability
+        bucket exact against ``net.sent.*`` (a length mismatch raises
+        :class:`ValueError`); it is only read with observability on, so
+        callers should pass ``None`` instead of building it otherwise.
         """
+        if dsts is not None and len(dsts) != n:
+            raise ValueError(f"{len(dsts)} dsts for {n} {kind!r} messages")
         if n == 0:
             return
         self.sink.charge(kind, n)

@@ -7,15 +7,22 @@ contract ``test_batch_publish`` pins for the write path.  Scores match
 bit-for-bit because both paths run the same vectorised index kernel.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
-from repro.core.search import retrieve
+from repro.core.search import retrieve, retrieve_with_pointers
 from repro.core.search_batch import retrieve_many
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
+from repro.maint.retry import RetryPolicy
+from repro.obs import Observability
 from repro.overload import AdmissionController, OverloadPolicy
+from repro.sim.linkfaults import LinkFaultPlane
 from repro.sim.network import Network
 from repro.vsm.sparse import SparseVector
 
@@ -24,15 +31,17 @@ SPACE = KeySpace(10_000)
 KW_POOL = 12  # small pool → heavy keyword overlap → co-located queries
 
 
-def make_system(node_ids, capacity=None) -> Meteorograph:
-    network = Network()
+def make_system(node_ids, capacity=None, obs=False, **config) -> Meteorograph:
+    network = Network(obs=Observability() if obs else None)
     overlay = TornadoOverlay(SPACE, network)
     system = Meteorograph(
         space=SPACE,
         network=network,
         overlay=overlay,
         dim=DIM,
-        config=MeteorographConfig(scheme=PlacementScheme.NONE, node_capacity=capacity),
+        config=MeteorographConfig(
+            scheme=PlacementScheme.NONE, node_capacity=capacity, **config
+        ),
         equalizer=None,
     )
     for nid in node_ids:
@@ -40,11 +49,11 @@ def make_system(node_ids, capacity=None) -> Meteorograph:
     return system
 
 
-def twin_worlds(seed, *, capacity=None, n_nodes=40, n_items=60):
+def twin_worlds(seed, *, capacity=None, n_nodes=40, n_items=60, obs=False, **config):
     """Two identically-built, identically-published systems + the rng."""
     rng = np.random.default_rng(seed)
     node_ids = sorted(rng.choice(10_000, size=n_nodes, replace=False).tolist())
-    systems = (make_system(node_ids, capacity), make_system(node_ids, capacity))
+    systems = tuple(make_system(node_ids, capacity, obs, **config) for _ in range(2))
     for item_id in range(n_items):
         k = int(rng.integers(1, 4))
         kws = sorted(rng.choice(KW_POOL, size=k, replace=False).tolist())
@@ -142,6 +151,96 @@ class TestRandomizedEquivalence:
         assert_equiv(a, b, origins, queries, None, patience=6)
 
 
+class TestSharedWalk:
+    """Past the home nothing depends on the origin: groups that reach one
+    home with one content ride one walk, and each result is materialised
+    from it with the group's own ``route_hops`` as the ``hops`` offset."""
+
+    @pytest.mark.parametrize("direction", ["both", "up", "down"])
+    def test_one_content_many_origins(self, direction):
+        rng, a, b = twin_worlds(61, capacity=1, n_nodes=80, n_items=40)
+        q = random_queries(rng, 1, dup_every=0)[0]
+        # The home itself rides along: a zero-hop route beside the rest.
+        origins = [a.overlay.home(a.query_key(q))] + list(a.overlay.ring)[::8]
+        assert len(origins) >= 8
+        for amount in (None, 1, 3):
+            for max_walk in (None, 1, 3):
+                seq, _ = assert_equiv(
+                    a, b, origins, [q] * len(origins), amount,
+                    patience=5, max_walk=max_walk, direction=direction,
+                )
+                # The shared hit list is offset per group, not copied.
+                assert len({r.route_hops for r in seq}) >= 3
+
+    def test_start_keys_sharing_a_home_share_a_walk(self):
+        rng, a, b = twin_worlds(63, capacity=1, n_items=40, obs=True)
+        q = random_queries(rng, 1, dup_every=0)[0]
+        home = next(n for n in a.overlay.ring if a.overlay.home(n + 1) == n)
+        keys = [home, home + 1]
+        origin = a.overlay.ring.at(20)
+        seq = [retrieve(a, origin, q, None, patience=5, start_key=k) for k in keys]
+        bat = retrieve_many(b, origin, [q, q], None, patience=5, start_keys=keys)
+        assert [snap(r) for r in seq] == [snap(r) for r in bat]
+        counters = b.network.obs.metrics.counters
+        assert counters["retrieve.batch.groups"] == 2
+        assert counters["retrieve.batch.walks"] == 1
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+
+    @pytest.mark.parametrize("amount", [None, 2])
+    def test_obs_on_bill_parity(self, amount):
+        """net.sent.retrieve, the whole net.node_inbox bucket and the
+        MetricSink equal N scalar retrieves, duplicates included."""
+        rng, a, b = twin_worlds(65, capacity=1, n_items=40, obs=True)
+        queries = random_queries(rng, 24, dup_every=3)
+        pool = [a.random_origin(rng) for _ in range(4)]
+        origins = [pool[i % 4] for i in range(len(queries))]
+        before = dict(a.network.obs.metrics.buckets["net.node_inbox"])
+        _, bat = assert_equiv(a, b, origins, queries, amount, patience=5)
+        ma, mb = a.network.obs.metrics, b.network.obs.metrics
+        assert mb.counters["retrieve.batch.replayed"] > 0
+        assert ma.counters["net.sent.retrieve"] == mb.counters["net.sent.retrieve"]
+        assert ma.buckets["net.node_inbox"] == mb.buckets["net.node_inbox"]
+        assert ma.buckets["net.node_inbox"] != before
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        assert sum(r.messages - r.reply_messages for r in bat) == (
+            mb.counters["net.sent.retrieve"]
+        )
+
+    def test_results_do_not_alias(self):
+        """Same walk, same group or duplicate member: every result owns
+        its ``discoveries`` and ``visited`` lists."""
+        rng, _, b = twin_worlds(67, capacity=1, n_items=40)
+        q = random_queries(rng, 1, dup_every=0)[0]
+        ring = list(b.overlay.ring)
+        origins = [ring[0], ring[0], ring[15], ring[30]]
+        bat = retrieve_many(b, origins, [q] * 4, None, patience=5)
+        want = [snap(r) for r in bat]
+        assert want[0][0] and len(want[0][5]) > 1
+        for i, r in enumerate(bat):
+            r.discoveries.clear()
+            r.visited.append(-1)
+            assert [snap(o) for o in bat[i + 1 :]] == want[i + 1 :]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_origins=st.integers(1, 6),
+    dup_every=st.sampled_from([0, 2, 3, 5]),
+    amount=st.sampled_from([None, 1, 2, 5]),
+    patience=st.integers(1, 6),
+)
+def test_random_storms_match_the_sequential_loop(
+    seed, n_origins, dup_every, amount, patience
+):
+    rng, a, b = twin_worlds(seed, capacity=2, n_nodes=24, n_items=30)
+    queries = random_queries(rng, 16, dup_every=dup_every)
+    pool = [a.random_origin(rng) for _ in range(n_origins)]
+    origins = [pool[int(rng.integers(0, n_origins))] for _ in queries]
+    assert_equiv(a, b, origins, queries, amount, patience=patience)
+    assert a.network.sink.snapshot() == b.network.sink.snapshot()
+
+
 class TestWalkModes:
     def test_wraparound_homes(self):
         """Homes at the extremes of the key space: the half-circle walk
@@ -208,17 +307,37 @@ class TestFallbacks:
         assert [snap(r) for r in seq] == [snap(r) for r in bat]
         assert any(r.degraded for r in bat)  # the storm really shed
 
-    def test_retry_policy_falls_back(self):
-        import dataclasses
-
-        from repro.maint.retry import RetryPolicy
-
-        rng, a, b = twin_worlds(33)
+    @pytest.mark.parametrize(
+        "reason", ["pointers", "admission", "link_faults", "replication", "retry"]
+    )
+    def test_each_reason_announces_itself(self, reason):
+        """A fallback counts its queries under exactly its own reason and
+        bills what the sequential loop bills, nothing more."""
+        config = {
+            "pointers": dict(directory_pointers=True),
+            "replication": dict(replication_factor=2),
+        }.get(reason, {})
+        rng, a, b = twin_worlds(33, obs=True, **config)
         for s in (a, b):
-            s.config = dataclasses.replace(s.config, retry_policy=RetryPolicy())
+            if reason == "admission":
+                s.network.attach_admission(AdmissionController(OverloadPolicy()))
+            elif reason == "link_faults":
+                s.network.attach_link_faults(LinkFaultPlane(seed=1))
+            elif reason == "retry":
+                s.config = dataclasses.replace(s.config, retry_policy=RetryPolicy())
         queries = random_queries(rng, 8)
         origins = [a.random_origin(rng) for _ in queries]
-        assert_equiv(a, b, origins, queries, 2)
+        fn = retrieve_with_pointers if reason == "pointers" else retrieve
+        seq = [fn(a, o, q, 2) for o, q in zip(origins, queries)]
+        bat = retrieve_many(b, origins, queries, 2)
+        assert [snap(r) for r in seq] == [snap(r) for r in bat]
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        batch_counters = {
+            k: v
+            for k, v in b.network.obs.metrics.counters.items()
+            if k.startswith("retrieve.batch.")
+        }
+        assert batch_counters == {f"retrieve.batch.fallback.{reason}": 8}
 
 
 class TestValidation:
@@ -232,13 +351,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             retrieve_many(a, [1, 2], [q], amount=1)
 
+    @pytest.mark.parametrize("obs", [False, True])
+    def test_charge_bulk_length_mismatch(self, obs):
+        network = make_system([1, 2], obs=obs).network
+        with pytest.raises(ValueError):
+            network.charge_bulk("retrieve", 3, [1, 2])
+        with pytest.raises(ValueError):
+            network.charge_bulk("retrieve", 0, [1])
+        assert network.sink.count("retrieve") == 0
+        network.charge_bulk("retrieve", 2, [1, 2])
+        network.charge_bulk("retrieve", 2)
+        assert network.sink.count("retrieve") == 4
+
     def test_empty_batch(self):
         _, a, _ = twin_worlds(1, n_nodes=4, n_items=2)
         assert retrieve_many(a, 0, [], amount=1) == []
 
     def test_batch_span_and_metrics(self):
-        from repro.obs import Observability
-
         obs = Observability()
         rng = np.random.default_rng(41)
         node_ids = sorted(rng.choice(10_000, size=20, replace=False).tolist())
