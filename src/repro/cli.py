@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="exit non-zero unless scalar and batch multi-probe return "
-        "identical items and messages, and LSH recall@k >= the "
-        "equal-storage baseline (CI smoke)",
+        "identical items and messages with at most k discoveries each, "
+        "and LSH recall@k >= the equal-storage baseline (CI smoke)",
     )
     lsh.add_argument(
         "--max-seconds",
@@ -1198,6 +1198,10 @@ def _cmd_lsh(args) -> int:
             failed.append("batch multi-probe items differ from scalar")
         if not messages_identical:
             failed.append("batch multi-probe message bill differs from scalar")
+        if any(r.found > args.k for r in scalar + batch):
+            failed.append(
+                f"a multi-probe result holds more than k={args.k} discoveries"
+            )
         if c["recall"] < b["recall"]:
             failed.append(
                 f"LSH recall {c['recall']:.3f} < baseline {b['recall']:.3f} "

@@ -636,7 +636,8 @@ class Meteorograph:
         ``batch=None`` (auto, the default) takes the single-sweep fast
         path — :func:`repro.core.publish.batch_publish` — whenever the
         configuration allows it: no directory pointers and no
-        replication, both of which need the per-item protocol.
+        replication, both of which need the per-item protocol (the
+        items then count under ``publish.batch.fallback.<reason>``).
         ``batch=False`` forces the sequential per-item loop (the
         reference semantics); ``batch=True`` asserts the fast path and
         raises if the configuration cannot take it.  Placements and
@@ -732,6 +733,11 @@ class Meteorograph:
                 return results
             # One result per row: the band-0 copy's placement.
             return results[::n_keys]
+        if batch is None:  # auto mode wanted the sweep; the config refused it
+            reason = "pointers" if self.config.directory_pointers else "replication"
+            self.network.obs.metrics.counter(
+                f"publish.batch.fallback.{reason}", corpus.n_items
+            )
         origins = (
             rng.integers(0, len(alive), size=corpus.n_items)
             if origin is None
@@ -759,6 +765,21 @@ class Meteorograph:
             results.append(res)
         return results
 
+    @staticmethod
+    def _check_multi_probe_options(use_first_hop: bool, kwargs: dict) -> None:
+        if use_first_hop:
+            raise RuntimeError(
+                "first-hop selection does not compose with multi-key "
+                "naming schemes"
+            )
+        for name in ("patience", "max_walk", "start_key", "start_keys"):
+            if name in kwargs:
+                raise ValueError(
+                    f"{name} does not apply under a multi-key naming scheme: "
+                    "every band walks exactly probe_width nodes past its home "
+                    "(MeteorographConfig.lsh_probe_width)"
+                )
+
     def retrieve(
         self,
         origin: int,
@@ -774,15 +795,14 @@ class Meteorograph:
         bootstrap sample and the walk sweeps upward through the band.
         With directory pointers configured, the §3.5.2 protocol is used.
         Under a multi-key naming scheme the query multi-probes every
-        band (see :mod:`repro.lsh.probe`); first-hop selection does not
-        compose with it (start keys live in angle space, not band space).
+        band (see :mod:`repro.lsh.probe`) and accepts ``probe_width``,
+        ``require_all``, ``min_score`` and ``direction`` only: first-hop
+        selection does not compose with it (start keys live in angle
+        space, not band space), and ``patience`` / ``max_walk`` /
+        ``start_key`` raise ``ValueError`` (a band walks ``probe_width``).
         """
         if self.naming.n_keys > 1:
-            if use_first_hop:
-                raise RuntimeError(
-                    "first-hop selection does not compose with multi-key "
-                    "naming schemes"
-                )
+            self._check_multi_probe_options(use_first_hop, kwargs)
             from ..lsh.probe import multi_probe_retrieve
 
             return multi_probe_retrieve(self, origin, query, amount, **kwargs)
@@ -833,6 +853,11 @@ class Meteorograph:
         to the sequential protocols under directory pointers, admission
         control, link faults, replication, or retries, counting each
         fallback under ``retrieve.batch.fallback.<reason>``).
+
+        Under a multi-key naming scheme the batch multi-probes and
+        accepts ``probe_width``, ``require_all``, ``min_score`` and
+        ``direction`` only; first-hop selection, ``patience``,
+        ``max_walk`` and ``start_key[s]`` are rejected as in :meth:`retrieve`.
         """
         queries = list(queries)
         if isinstance(origin, (int, np.integer)):
@@ -844,11 +869,7 @@ class Meteorograph:
                     f"{len(origins)} origins for {len(queries)} queries"
                 )
         if self.naming.n_keys > 1:
-            if use_first_hop:
-                raise RuntimeError(
-                    "first-hop selection does not compose with multi-key "
-                    "naming schemes"
-                )
+            self._check_multi_probe_options(use_first_hop, kwargs)
             from ..lsh.probe import multi_probe_retrieve_many
 
             return multi_probe_retrieve_many(self, origins, queries, amount, **kwargs)

@@ -8,7 +8,9 @@ terminates after ~k/c nodes for a k-item request.
 
 Entry points:
 
-* :func:`retrieve` — the plain Fig. 2 ``_retrieve`` (+ neighbor walk).
+* :func:`retrieve` — the plain Fig. 2 ``_retrieve`` (+ neighbor walk);
+  :func:`retrieve_columns` is the same walk with the hits left as
+  :class:`Harvest` columns, for callers that merge before materialising.
   Under back-pressure the home may shed the query; the result is then
   harvested from the nearest admitting key-neighbor and tagged with a
   ``degradation_level`` (the overload-protection contract).
@@ -40,9 +42,13 @@ from ..sim.linkfaults import MessageLossError
 from ..vsm.sparse import SparseVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..vsm.index import Ranking
     from .meteorograph import Meteorograph
 
-__all__ = ["Discovery", "RetrieveResult", "FindResult", "retrieve", "find_item", "retrieve_with_pointers"]
+__all__ = [
+    "Discovery", "RetrieveResult", "FindResult", "Harvest", "retrieve",
+    "retrieve_columns", "find_item", "retrieve_with_pointers",
+]
 
 Direction = Literal["both", "up", "down"]
 
@@ -107,6 +113,51 @@ class FindResult:
     degraded: bool = False
 
 
+class Harvest:
+    """One walk's fresh hits as parallel ``(item_ids, node_ids, scores,
+    hops)`` columns, in discovery order.  Every read path folds node
+    rankings in here and builds :class:`Discovery` objects once, for
+    what it returns."""
+
+    __slots__ = ("columns", "seen")
+
+    def __init__(self) -> None:
+        self.columns: tuple[list, list, list, list] = ([], [], [], [])
+        self.seen: set[int] = set()
+
+    @property
+    def found(self) -> int:
+        return len(self.seen)
+
+    def fold(
+        self, ranking: "Ranking", node_id: int, hops: int, amount: Optional[int]
+    ) -> int:
+        """Fold one node's ranking in; returns how many items were fresh
+        (the node replies iff that is non-zero).  The ``amount`` budget
+        is a prefix of the ranking taken *before* deduplication, so
+        already-seen items consume budget (Fig. 2)."""
+        ids, scores = ranking.ids, ranking.scores
+        if not ids.size:  # a dry visit, the common case
+            return 0
+        seen = self.seen
+        if amount is not None:
+            budget = amount - len(seen)
+            ids, scores = ids[:budget], scores[:budget]
+        ids, scores = ids.tolist(), scores.tolist()
+        if not seen.isdisjoint(ids):
+            fresh = [(i, s) for i, s in zip(ids, scores) if i not in seen]
+            ids, scores = [i for i, _ in fresh], [s for _, s in fresh]
+        seen.update(ids)
+        n = len(ids)
+        for column, new in zip(self.columns, (ids, [node_id] * n, scores, [hops] * n)):
+            column += new
+        return n
+
+    def discoveries(self, base: int = 0) -> list[Discovery]:
+        """The hits as objects, ``hops`` offset by ``base``."""
+        return [Discovery(i, n, s, base + h) for i, n, s, h in zip(*self.columns)]
+
+
 def _walk_order(
     system: "Meteorograph", home: int, direction: Direction
 ):
@@ -124,6 +175,16 @@ def _walk_order(
 
 
 def retrieve(
+    system: "Meteorograph", origin: int, query: SparseVector, amount: Optional[int], **options
+) -> RetrieveResult:
+    """Fig. 2 ``_retrieve`` with the closest-neighbor walk:
+    :func:`retrieve_columns` (same options) with the hits materialised."""
+    result, hits = retrieve_columns(system, origin, query, amount, **options)
+    result.discoveries = hits.discoveries()
+    return result
+
+
+def retrieve_columns(
     system: "Meteorograph",
     origin: int,
     query: SparseVector,
@@ -135,8 +196,10 @@ def retrieve(
     max_walk: Optional[int] = None,
     start_key: Optional[int] = None,
     direction: Direction = "both",
-) -> RetrieveResult:
-    """Fig. 2 ``_retrieve`` with the closest-neighbor walk.
+) -> tuple[RetrieveResult, Harvest]:
+    """The Fig. 2 walk with its hits left as columns: the result carries
+    every counter but an empty ``discoveries``, the :class:`Harvest`
+    holds the hits (``hops`` absolute).
 
     ``amount=None`` means "find everything": the walk continues until
     ``patience`` consecutive nodes contribute nothing (the clustering
@@ -154,6 +217,7 @@ def retrieve(
         raise ValueError(f"patience must be >= 1, got {patience}")
     key = start_key if start_key is not None else system.query_key(query)
     obs = system.network.obs
+    hits = Harvest()
     # Context-managed span: an exception in routing or harvest must
     # close the span on the way out, or the trace tree is left with an
     # unfinished frame (matching publish_item / find_item).
@@ -176,25 +240,15 @@ def retrieve(
                     route_hops=route_hops,
                     complete=False,
                     degradation_level=degradation,
-                )
+                ), hits
         result = RetrieveResult(route_hops=route_hops, degradation_level=degradation)
-        seen_items: set[int] = set()
 
         def harvest(node_id: int, hops_here: int) -> int:
-            state = system.state(node_id)
-            remaining = None if amount is None else amount - len(result.discoveries)
-            hits = state.index.query(
+            remaining = None if amount is None else amount - hits.found
+            ranking = system.state(node_id).index.query(
                 query, limit=remaining, require_all=require_all, min_score=min_score
             )
-            fresh = 0
-            for h in hits:
-                if h.item.item_id in seen_items:
-                    continue
-                seen_items.add(h.item.item_id)
-                result.discoveries.append(
-                    Discovery(h.item.item_id, node_id, h.score, hops_here)
-                )
-                fresh += 1
+            fresh = hits.fold(ranking, node_id, hops_here, amount)
             if fresh:
                 result.reply_messages += 1
             return fresh
@@ -207,7 +261,7 @@ def retrieve(
         tracer = obs.tracer
         with obs.metrics.timer("kernel.walk"):
             for neighbor in _walk_order(system, home, direction):
-                if amount is not None and len(result.discoveries) >= amount:
+                if amount is not None and hits.found >= amount:
                     break
                 if max_walk is not None and walked >= max_walk:
                     result.complete = amount is None
@@ -233,18 +287,18 @@ def retrieve(
                 if tracer.enabled:
                     tracer.event("walk", node=neighbor, fresh=fresh)
                 dry = 0 if fresh else dry + 1
-        if amount is not None and len(result.discoveries) < amount:
+        if amount is not None and hits.found < amount:
             result.complete = False
         sp.set(
             home=home,
             route_hops=route_hops,
             walk_hops=result.walk_hops,
-            found=result.found,
+            found=hits.found,
             complete=result.complete,
         )
         if degradation:
             sp.set(degraded=degradation)
-    return result
+    return result, hits
 
 
 def find_item(
@@ -459,32 +513,23 @@ def retrieve_with_pointers(
             body_home = system.overlay.home(p.body_key)
             by_home.setdefault(body_home, []).append(p)
         fetch_origin = home
-        seen_items: set[int] = set()
+        # Hits carry the fetch-relative hop count; the stage-1 hops at
+        # which each item's pointer was met are added at materialisation.
+        hits = Harvest()
         # The displacement walk around a body home honors the caller's
         # ``max_walk`` exactly like the stage-1 sweep and ``retrieve``;
         # the old fixed max(patience, 4) cap is only the fallback.
         fetch_walk_limit = max_walk if max_walk is not None else max(patience, 4)
 
-        def harvest_at(node_id: int, hops_here_of, limit_left) -> int:
-            state = system.state(node_id)
-            hits = state.index.query(
-                query, limit=limit_left, require_all=require, min_score=min_score
+        def harvest_at(node_id: int, fetch_hops_here: int) -> int:
+            remaining = None if amount is None else amount - hits.found
+            ranking = system.state(node_id).index.query(
+                query, limit=remaining, require_all=require, min_score=min_score
             )
-            fresh = 0
-            for h in hits:
-                if h.item.item_id in seen_items:
-                    continue
-                seen_items.add(h.item.item_id)
-                result.discoveries.append(
-                    Discovery(
-                        h.item.item_id, node_id, h.score, hops_here_of(h.item.item_id)
-                    )
-                )
-                fresh += 1
-            return fresh
+            return hits.fold(ranking, node_id, fetch_hops_here, amount)
 
         for body_home in sorted(by_home, key=lambda h: min(p.item_id for p in by_home[h])):
-            if amount is not None and len(result.discoveries) >= amount:
+            if amount is not None and hits.found >= amount:
                 break
             wanted = {p.item_id for p in by_home[body_home]}
             if tracer.enabled:
@@ -501,24 +546,19 @@ def retrieve_with_pointers(
             result.reply_messages += 1  # the k′-items reply to the pointer home
             terminal = fetch.home
             assert terminal is not None
-            remaining = None if amount is None else amount - len(result.discoveries)
-            harvest_at(
-                terminal,
-                lambda iid: pointer_hop.get(iid, route_hops) + fetch.hops,
-                remaining,
-            )
+            harvest_at(terminal, fetch.hops)
             # Displacement (Fig. 2) may have pushed pointer-promised bodies
             # onto the home's neighbors; extend the fetch with the standard
             # closest-neighbor walk until every promised item is accounted
             # for (bounded by patience, like the stage-1 sweep).
-            missing = wanted - seen_items
+            missing = wanted - hits.seen
             if missing:
                 walked = 0
                 current = terminal
                 for neighbor in _walk_order(system, terminal, "both"):
                     if not missing or walked >= fetch_walk_limit:
                         break
-                    if amount is not None and len(result.discoveries) >= amount:
+                    if amount is not None and hits.found >= amount:
                         break
                     try:
                         system.network.send(current, neighbor, kind="retrieve")
@@ -529,21 +569,17 @@ def retrieve_with_pointers(
                     current = neighbor
                     walked += 1
                     result.fetch_hops += 1
-                    depth = walked
-                    fresh = harvest_at(
-                        neighbor,
-                        lambda iid, d=depth: pointer_hop.get(iid, route_hops)
-                        + fetch.hops
-                        + d,
-                        None if amount is None else amount - len(result.discoveries),
-                    )
-                    if fresh:
+                    if harvest_at(neighbor, fetch.hops + walked):
                         # A neighbor that contributes items sends a reply,
                         # exactly as ``retrieve`` counts its walk replies —
                         # §3.5.2 message totals are comparable across modes.
                         result.reply_messages += 1
-                    missing -= seen_items
-        if amount is not None and len(result.discoveries) < amount:
+                    missing -= hits.seen
+        result.discoveries = [
+            Discovery(iid, nid, score, pointer_hop.get(iid, route_hops) + at)
+            for iid, nid, score, at in zip(*hits.columns)
+        ]
+        if amount is not None and hits.found < amount:
             result.complete = False
         sp.set(
             home=home,

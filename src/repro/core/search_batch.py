@@ -48,54 +48,39 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from ..vsm.sparse import SparseVector
-from .search import Direction, Discovery, RetrieveResult, retrieve, retrieve_with_pointers
+from .search import (
+    Direction, Discovery, Harvest, RetrieveResult, retrieve, retrieve_with_pointers,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..vsm.index import Ranking
     from .meteorograph import Meteorograph
 
 __all__ = ["retrieve_many"]
 
 
-class _Walk:
-    """One ``(home, query content)`` walk: the harvest and every counter
-    past the home, shared by all groups that reach it.  ``hits`` holds
-    ``(item_id, node_id, score, walked_at)``; a group's per-item hop
-    count is its own ``route_hops + walked_at``."""
+class _Walk(Harvest):
+    """One ``(home, query content)`` walk: the harvest (each hit's
+    ``hops`` is the walk depth it was met at; a group adds its own
+    ``route_hops``) and every counter past the home, shared by all
+    groups that reach it."""
 
-    __slots__ = (
-        "query", "riders", "seen", "dry", "walked", "visited", "replies",
-        "complete", "hits",
-    )
+    __slots__ = ("query", "riders", "dry", "walked", "visited", "replies", "complete")
 
     def __init__(self, query: SparseVector, home: int) -> None:
+        super().__init__()
         self.query = query
         #: Groups riding this walk — one send each per wave.
         self.riders = 0
-        self.seen: set[int] = set()
         self.dry = 0
         self.walked = 0
         self.visited = [home]
         self.replies = 0
         self.complete = True
-        self.hits: list[tuple[int, int, float, int]] = []
 
-    def harvest(self, ranked: list, node_id: int, amount: Optional[int]) -> int:
-        """Fold one node's full ranking in — ``retrieve``'s inner harvest
-        verbatim: the ``amount`` budget is applied as a prefix of the
-        ranking *before* deduplication, so already-seen items consume
-        budget exactly as they do sequentially."""
-        hits = self.hits
-        if amount is not None:
-            ranked = ranked[: amount - len(hits)]
-        before = len(hits)
-        seen = self.seen
-        at = self.walked
-        for h in ranked:
-            iid = h.item.item_id
-            if iid not in seen:
-                seen.add(iid)
-                hits.append((iid, node_id, h.score, at))
-        fresh = len(hits) - before
+    def harvest(self, ranking: "Ranking", node_id: int, amount: Optional[int]) -> int:
+        """Fold one node's full ranking in at the current depth."""
+        fresh = self.fold(ranking, node_id, self.walked, amount)
         if fresh:
             self.replies += 1
         return fresh
@@ -263,7 +248,7 @@ def retrieve_many(
                             continue
                         active: list[_Walk] = []
                         for w in walkers:
-                            if amount is not None and len(w.hits) >= amount:
+                            if amount is not None and w.found >= amount:
                                 continue
                             if max_walk is not None and w.walked >= max_walk:
                                 w.complete = amount is None
@@ -289,7 +274,7 @@ def retrieve_many(
                             fresh = w.harvest(ranked, neighbor, amount)
                             w.dry = 0 if fresh else w.dry + 1
                 for w in walks.values():
-                    if amount is not None and len(w.hits) < amount:
+                    if amount is not None and w.found < amount:
                         w.complete = False
 
             # -- 4. materialise per group: hops = route_hops + walked_at,
@@ -302,10 +287,7 @@ def retrieve_many(
                 base = route.hops
                 found = shared.get((w, base))
                 if found is None:
-                    found = shared[w, base] = [
-                        Discovery(iid, nid, score, base + at)
-                        for iid, nid, score, at in w.hits
-                    ]
+                    found = shared[w, base] = w.discoveries(base)
                 for i in members:
                     results[i] = RetrieveResult(
                         discoveries=list(found),

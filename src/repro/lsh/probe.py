@@ -26,11 +26,12 @@ contract makes the merged results identical to the scalar loop — the
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.search import Direction, Discovery, RetrieveResult, retrieve
+from ..core.search import Direction, Discovery, RetrieveResult, retrieve_columns
 from ..core.search_batch import retrieve_many
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -41,24 +42,23 @@ __all__ = ["multi_probe_retrieve", "multi_probe_retrieve_many"]
 
 
 def _merge_bands(
-    band_results: Sequence[RetrieveResult], amount: Optional[int]
+    band_results: Sequence[RetrieveResult],
+    band_columns: Sequence[Sequence[Sequence]],
+    amount: Optional[int],
 ) -> RetrieveResult:
     """Union per-band results into one sequential-equivalent result.
 
-    First band wins on duplicate items (earlier bands reach an item
-    first in the sequential execution order), with the winner's hops
-    offset by the messages all earlier bands spent.  The union is
-    ranked by (score desc, item id) and cut to ``amount``.
+    ``band_columns[b]`` holds band b's hits as parallel ``(item_ids,
+    node_ids, scores, hops)`` columns.  First band wins on duplicate
+    items (earlier bands reach an item first in the sequential execution
+    order), with the winner's hops offset by the messages all earlier
+    bands spent.  The union is ranked by (score desc, item id) and cut
+    to ``amount``; only the survivors become :class:`Discovery` objects.
     """
     merged = RetrieveResult()
-    best: dict[int, Discovery] = {}
+    offsets = []
     for r in band_results:
-        offset = merged.messages
-        for d in r.discoveries:
-            if d.item_id not in best:
-                best[d.item_id] = Discovery(
-                    d.item_id, d.node_id, d.score, d.hops + offset
-                )
+        offsets.append(merged.messages)
         merged.route_hops += r.route_hops
         merged.walk_hops += r.walk_hops
         merged.fetch_hops += r.fetch_hops
@@ -67,14 +67,35 @@ def _merge_bands(
         merged.degradation_level = max(
             merged.degradation_level, r.degradation_level
         )
-    union = sorted(best.values(), key=lambda d: (-d.score, d.item_id))
+    item_ids, node_ids, scores, hops = (
+        list(chain.from_iterable(col)) for col in zip(*band_columns)
+    )
+    ids = np.array(item_ids, dtype=np.int64)
+    # Bands are concatenated in execution order and np.unique reports
+    # each id's first occurrence, i.e. its earliest band.
+    first = np.unique(ids, return_index=True)[1]
+    rank = np.lexsort((ids[first], -np.array(scores, dtype=np.float64)[first]))
+    top = first[rank]
     if amount is not None:
-        merged.discoveries = union[:amount]
-        merged.complete = len(union) >= amount
+        merged.complete = top.size >= amount
+        top = top[:amount]
     else:
-        merged.discoveries = union
         merged.complete = all(r.complete for r in band_results)
+    spent = np.repeat(offsets, [len(c[0]) for c in band_columns])
+    merged.discoveries = [
+        Discovery(item_ids[i], node_ids[i], scores[i], hops[i] + s)
+        for i, s in zip(top.tolist(), spent[top].tolist())
+    ]
     return merged
+
+
+def _discovery_columns(discoveries: Sequence[Discovery]) -> list[list]:
+    return [
+        [d.item_id for d in discoveries],
+        [d.node_id for d in discoveries],
+        [d.score for d in discoveries],
+        [d.hops for d in discoveries],
+    ]
 
 
 def _probe_width(system: "Meteorograph", probe_width: Optional[int]) -> int:
@@ -113,8 +134,8 @@ def multi_probe_retrieve(
         "retrieve_multiprobe",
         origin=origin, amount=amount, bands=len(keys), width=width,
     ) as sp:
-        band_results = [
-            retrieve(
+        bands = [
+            retrieve_columns(
                 system, origin, query, None,
                 require_all=require_all, min_score=min_score,
                 patience=width + 1, max_walk=width,
@@ -122,10 +143,12 @@ def multi_probe_retrieve(
             )
             for key in keys
         ]
-        merged = _merge_bands(band_results, amount)
+        merged = _merge_bands(
+            [r for r, _ in bands], [hits.columns for _, hits in bands], amount
+        )
         obs.metrics.counter("lsh.probe.bands", len(keys))
         obs.metrics.counter(
-            "lsh.probe.candidates", sum(r.found for r in band_results)
+            "lsh.probe.candidates", sum(hits.found for _, hits in bands)
         )
         obs.metrics.counter("lsh.probe.unioned", len(merged.discoveries))
         sp.set(found=merged.found, messages=merged.messages,
@@ -174,10 +197,14 @@ def multi_probe_retrieve_many(
             )
             for b in range(bands)
         ]
-        results = [
-            _merge_bands([per_band[b][i] for b in range(bands)], amount)
-            for i in range(len(queries))
-        ]
+        results = []
+        for i in range(len(queries)):
+            band_results = [per_band[b][i] for b in range(bands)]
+            results.append(_merge_bands(
+                band_results,
+                [_discovery_columns(r.discoveries) for r in band_results],
+                amount,
+            ))
         obs.metrics.counter("lsh.probe.bands", bands * len(queries))
         obs.metrics.counter(
             "lsh.probe.candidates",

@@ -10,7 +10,7 @@ from .similarity import (
     top_k_items,
     matches_all_keywords,
 )
-from .index import LocalVsmIndex, ScoredItem
+from .index import LocalVsmIndex, Ranking, ScoredItem
 from .lsi import LsiIndex
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "top_k_items",
     "matches_all_keywords",
     "LocalVsmIndex",
+    "Ranking",
     "ScoredItem",
     "LsiIndex",
 ]

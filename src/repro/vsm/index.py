@@ -49,11 +49,13 @@ import numpy as np
 from ..sim.node import StoredItem
 from .sparse import SparseVector
 
-__all__ = ["LocalVsmIndex", "ScoredItem"]
+__all__ = ["LocalVsmIndex", "Ranking", "ScoredItem"]
 
 #: Initial row / flat-entry capacities (grown by doubling).
 _MIN_ROWS = 16
 _MIN_NNZ = 256
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_SCORES = np.empty(0, dtype=np.float64)
 
 
 class ScoredItem:
@@ -67,6 +69,42 @@ class ScoredItem:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScoredItem(id={self.item.item_id}, score={self.score:.4f})"
+
+
+class Ranking:
+    """One query's ranked hits as columns — what index queries return.
+
+    The rank-ordered ``ids`` (int64) and ``scores`` (float64) columns
+    *are* the result; as a sequence (``len``, indexing, slicing,
+    iteration, ``== list``) the same hits appear as :class:`ScoredItem`
+    views, built only when asked for.  A ranking is a snapshot: it
+    resolves its row slots through the index's append-only slot → item
+    list, so later removals and compactions do not change what it yields.
+    """
+
+    __slots__ = ("ids", "scores", "_slots", "_objs")
+
+    def __init__(self, ids=_NO_IDS, scores=_NO_SCORES, slots=_NO_IDS, objs=()) -> None:
+        self.ids, self.scores, self._slots, self._objs = ids, scores, slots, objs
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Ranking(self.ids[i], self.scores[i], self._slots[i], self._objs)
+        return ScoredItem(self._objs[self._slots[i]], float(self.scores[i]))
+
+    def __iter__(self):
+        items = map(self._objs.__getitem__, self._slots.tolist())
+        return map(ScoredItem, items, self.scores.tolist())
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, Ranking) else other)
+
+
+#: What every dry query returns (rankings are immutable, so one will do).
+_NO_HITS = Ranking()
 
 
 def _range_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -94,8 +132,10 @@ class LocalVsmIndex:
         self.dim = dim
         #: live item id → row slot.
         self._slots: dict[int, int] = {}
-        #: row slot → StoredItem (None once tombstoned).
-        self._item_objs: list[Optional[StoredItem]] = []
+        #: row slot → StoredItem.  Append-only: a tombstoned row keeps its
+        #: reference until compaction swaps in a new list, so a
+        #: :class:`Ranking` can snapshot by (this list, ranked slots).
+        self._item_objs: list[StoredItem] = []
         # -- row columns (parallel, capacity-grown, slots never reused) --
         self._ids = np.empty(_MIN_ROWS, dtype=np.int64)
         self._angle_keys = np.empty(_MIN_ROWS, dtype=np.int64)
@@ -156,7 +196,6 @@ class LocalVsmIndex:
         self._dead_rows += 1
         self._dead_nnz += int(self._lengths[slot])
         item = self._item_objs[slot]
-        self._item_objs[slot] = None
         ladder = self._ladder
         if ladder is not None:
             entry = (int(self._angle_keys[slot]), item.item_id)
@@ -505,33 +544,29 @@ class LocalVsmIndex:
         limit: Optional[int],
         require_all: Optional[Sequence[int]],
         min_score: float,
-    ) -> list[ScoredItem]:
+    ) -> Ranking:
         qnorm = query.norm()
         if qnorm == 0.0:
-            return []
+            return _NO_HITS
         sel, scores = self._kernel_scores(query, qnorm)
         if sel is None:
-            return []
+            return _NO_HITS
         keep = (scores > 0.0) & (scores >= min_score)
         if require_all:
             hit = self._slots_with_all(require_all)
             if hit.size == 0:
-                return []
+                return _NO_HITS
             mask = np.zeros(self._rows, dtype=np.bool_)
             mask[hit] = True
             keep &= mask[sel]
         ksel = np.nonzero(keep)[0]
         if ksel.size == 0:
-            return []
+            return _NO_HITS
         ids_sel = self._view[1]
         ksel = ksel[np.lexsort((ids_sel[ksel], -scores[ksel]))]
         if limit is not None:
             ksel = ksel[:limit]
-        objs = self._item_objs
-        return [
-            ScoredItem(objs[slot], float(score))
-            for slot, score in zip(sel[ksel].tolist(), scores[ksel].tolist())
-        ]
+        return Ranking(ids_sel[ksel], scores[ksel], sel[ksel], self._item_objs)
 
     def query(
         self,
@@ -540,7 +575,7 @@ class LocalVsmIndex:
         *,
         require_all: Optional[Sequence[int]] = None,
         min_score: float = 0.0,
-    ) -> list[ScoredItem]:
+    ) -> Ranking:
         """Items ranked by descending cosine; deterministic tie-break on id.
 
         ``require_all`` additionally filters to items containing every
@@ -560,23 +595,26 @@ class LocalVsmIndex:
         *,
         require_all: Optional[Sequence[int]] = None,
         min_score: float = 0.0,
-    ) -> list[list[ScoredItem]]:
+    ) -> list[Ranking]:
         """Rank many queries in one pass; element i equals ``query(queries[i])``.
 
         The scoring view and the dense scratch are shared across the
-        batch, and queries with identical content are ranked once and
-        copied — the bulk-scoring half of the batch read path (a
-        thousand co-located queries must not cost a thousand
+        batch, and queries with identical content are ranked once — each
+        duplicate gets its own :class:`Ranking` over the same columns —
+        the bulk-scoring half of the batch read path (a thousand
+        co-located queries must not cost a thousand
         ``local_index_query`` calls).
         """
-        memo: dict[tuple[bytes, bytes], list[ScoredItem]] = {}
-        out: list[list[ScoredItem]] = []
+        memo: dict[tuple[bytes, bytes], Ranking] = {}
+        out: list[Ranking] = []
         for q in queries:
             ckey = (q.indices.tobytes(), q.values.tobytes())
             cached = memo.get(ckey)
             if cached is None:
                 cached = memo[ckey] = self._ranked(q, limit, require_all, min_score)
-            out.append(list(cached))
+                out.append(cached)
+            else:
+                out.append(cached[:])
         return out
 
     def score_many(

@@ -132,6 +132,41 @@ class TestBatchEquivalence:
         assert system.network.total_items() > N_ITEMS
 
 
+    @pytest.mark.parametrize(
+        "reason, config",
+        [
+            ("pointers", dict(directory_pointers=True)),
+            ("replication", dict(replication_factor=2)),
+            # First match wins, as for retrieve.batch.fallback.<reason>.
+            ("pointers", dict(directory_pointers=True, replication_factor=2)),
+        ],
+    )
+    def test_auto_fallback_announces_its_reason(self, reason, config):
+        trace = make_trace()
+        auto = build_system(trace, observability=True, **config)
+        forced = build_system(trace, observability=True, **config)
+        auto.publish_corpus(trace.corpus, np.random.default_rng(3))
+        forced.publish_corpus(trace.corpus, np.random.default_rng(3), batch=False)
+        # Same loop, same bill: the announcement charges nothing.
+        assert placements(auto) == placements(forced)
+        assert auto.network.sink.snapshot() == forced.network.sink.snapshot()
+        counters = dict(auto.obs.metrics.counters)
+        # Exactly one counter moves, by item count; asking for the loop
+        # (batch=False) is not a fallback and counts nothing.
+        assert counters.pop(f"publish.batch.fallback.{reason}") == N_ITEMS
+        assert counters == dict(forced.obs.metrics.counters)
+        assert not [k for k in counters if k.startswith("publish.batch.fallback")]
+
+    def test_batch_path_counts_no_fallback(self):
+        trace = make_trace()
+        system = build_system(trace, observability=True)
+        system.publish_corpus(trace.corpus, np.random.default_rng(3))
+        assert not [
+            k for k in system.obs.metrics.counters
+            if k.startswith("publish.batch.fallback")
+        ]
+
+
 class TestCascadeEquivalence:
     """The cascade engine ≡ the per-item chain loop, under every finite
     capacity shape the sequential semantics can take (the ISSUE-5

@@ -4,25 +4,36 @@ import numpy as np
 import pytest
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
-from repro.core.search import find_item, retrieve, retrieve_with_pointers
+from repro.core.search import (
+    Discovery,
+    RetrieveResult,
+    _walk_order,
+    find_item,
+    retrieve,
+    retrieve_with_pointers,
+)
 from repro.obs import Observability
 from repro.overlay.base import RoutingError
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
+from repro.sim.node import StoredItem
 from repro.vsm.sparse import SparseVector
 
 DIM = 32
 SPACE = KeySpace(10_000)
 
 
-def make_system(node_ids, capacity=None, directory_pointers=False, obs=None) -> Meteorograph:
+def make_system(
+    node_ids, capacity=None, directory_pointers=False, obs=None, **config
+) -> Meteorograph:
     network = Network(obs=obs)
     overlay = TornadoOverlay(SPACE, network)
     cfg = MeteorographConfig(
         scheme=PlacementScheme.NONE,
         node_capacity=capacity,
         directory_pointers=directory_pointers,
+        **config,
     )
     system = Meteorograph(
         space=SPACE,
@@ -135,6 +146,143 @@ class TestRetrieve:
         hops = [d.hops for d in sorted(res.discoveries, key=lambda d: d.hops)]
         assert res.found == 8
         assert hops[0] <= hops[-1]
+
+
+def reference_retrieve(
+    system, origin, query, amount, *, patience=8, max_walk=None, direction="both"
+):
+    """The pre-columnar ``retrieve``, kept as the oracle: one
+    ``ScoredItem`` per hit, a ``Discovery`` built inside the seen-set
+    loop.  (Benign network only: no shedding, no lost messages.)"""
+    route = system.deliver_home(origin, system.query_key(query), kind="retrieve")
+    home, route_hops = route.home, route.hops
+    result = RetrieveResult(route_hops=route_hops)
+    seen_items = set()
+
+    def harvest(node_id, hops_here):
+        remaining = None if amount is None else amount - len(result.discoveries)
+        hits = system.state(node_id).index.query(query, limit=remaining)
+        fresh = 0
+        for h in hits:
+            if h.item.item_id in seen_items:
+                continue
+            seen_items.add(h.item.item_id)
+            result.discoveries.append(
+                Discovery(h.item.item_id, node_id, h.score, hops_here)
+            )
+            fresh += 1
+        if fresh:
+            result.reply_messages += 1
+        return fresh
+
+    result.visited.append(home)
+    harvest(home, route_hops)
+    dry = walked = 0
+    current = home
+    for neighbor in _walk_order(system, home, direction):
+        if amount is not None and len(result.discoveries) >= amount:
+            break
+        if max_walk is not None and walked >= max_walk:
+            result.complete = amount is None
+            break
+        if amount is None and dry >= patience:
+            break
+        system.network.send(current, neighbor, kind="retrieve")
+        current = neighbor
+        walked += 1
+        result.walk_hops += 1
+        result.visited.append(neighbor)
+        fresh = harvest(neighbor, route_hops + walked)
+        dry = 0 if fresh else dry + 1
+    if amount is not None and len(result.discoveries) < amount:
+        result.complete = False
+    return result
+
+
+class TestHarvestFoldAgainstReference:
+    """The columnar harvest fold ≡ the per-hit loop it replaced, on twin
+    rings with ``replication_factor=3`` so the same item sits on several
+    nodes of one walk: the seen-set drops the later copies, and a node
+    whose prefix of ``amount`` holds only already-seen items replies
+    nothing and still consumed its budget."""
+
+    KW_POOL = 10
+
+    def twins(self, seed):
+        rng = np.random.default_rng(seed)
+        node_ids = sorted(rng.choice(10_000, size=30, replace=False).tolist())
+        systems = [make_system(node_ids, replication_factor=3) for _ in range(2)]
+        for item_id in range(80):
+            k = int(rng.integers(1, 4))
+            kws = sorted(rng.choice(self.KW_POOL, size=k, replace=False).tolist())
+            ws = np.round(rng.uniform(0.5, 2.0, size=k), 3).tolist()
+            for s in systems:
+                s.publish(s.overlay.ring.at(0), item_id, kws, ws)
+        return rng, systems[0], systems[1]
+
+    def rand_query(self, rng):
+        k = int(rng.integers(1, 4))
+        kws = rng.choice(self.KW_POOL, size=k, replace=False).tolist()
+        return query(dict(zip(kws, rng.uniform(0.5, 2.0, size=k).tolist())))
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    @pytest.mark.parametrize("direction", ["both", "up", "down"])
+    def test_every_field_matches(self, seed, direction):
+        rng, a, b = self.twins(seed)
+        duplicates_skipped = 0
+        for _ in range(6):
+            q = self.rand_query(rng)
+            origin = a.random_origin(rng)
+            for amount in (None, 1, 3, 10):
+                for max_walk in (None, 1, 3):
+                    kwargs = dict(max_walk=max_walk, direction=direction)
+                    want = reference_retrieve(a, origin, q, amount, **kwargs)
+                    got = retrieve(b, origin, q, amount, **kwargs)
+                    assert vars(got) == vars(want)
+                    stored = sum(
+                        len(b.state(n).index.query(q)) for n in got.visited
+                    )
+                    duplicates_skipped += amount is None and stored > got.found
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        # The seen-set really had work to do (a one-sided walk from an
+        # edge home may meet no replica).
+        assert duplicates_skipped or direction != "both"
+
+    def test_seen_items_consume_the_amount_budget(self):
+        system = make_system([1000, 2000, 3000])
+
+        def stored(item_id, mapping, replica_of=None):
+            ids = np.array(sorted(mapping), dtype=np.int64)
+            w = np.array([mapping[i] for i in ids], dtype=np.float64)
+            return StoredItem(item_id, 0, 0, ids, w, replica_of=replica_of)
+
+        system.store_at(2000, stored(1, {4: 1.0}))
+        system.store_at(2000, stored(2, {4: 1.0, 5: 1.0}))
+        system.store_at(3000, stored(1, {4: 1.0}, replica_of=2000))
+        system.store_at(3000, stored(3, {4: 1.0, 5: 2.0}))
+        res = retrieve(
+            system, 1000, query({4: 1.0}), 3, start_key=2000, direction="up"
+        )
+        # Node 3000 is asked for 3 - 2 = 1 hit; its best is the replica
+        # of item 1, already seen — so it contributes nothing, sends no
+        # reply, and item 3 stays undiscovered although budget remained.
+        assert res.item_ids() == [1, 2]
+        assert res.visited == [2000, 3000]
+        assert res.reply_messages == 1 and not res.complete
+        everything = retrieve(
+            system, 1000, query({4: 1.0}), None, start_key=2000, direction="up"
+        )
+        assert everything.item_ids() == [1, 2, 3]
+        assert [d.node_id for d in everything.discoveries] == [2000, 2000, 3000]
+        assert everything.reply_messages == 2
+
+    def test_dry_visits_bill_no_reply(self):
+        system = make_system([1000, 2000, 3000, 4000])
+        publish(system, 1, [5])
+        res = retrieve(system, 1000, query({9: 1.0}), None, patience=2)
+        assert res.discoveries == [] and res.reply_messages == 0
+        assert res.walk_hops == 2 and len(res.visited) == 3
+        assert res.messages == res.route_hops + 2
 
 
 class TestFindItem:

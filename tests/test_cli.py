@@ -262,6 +262,45 @@ class TestBuildVerb:
         assert "FAILED" in capsys.readouterr().err
 
 
+class TestLshVerb:
+    ARGS = [
+        "lsh", "--items", "400", "--nodes", "40", "--queries", "8",
+        "--bands", "3", "--band-bits", "5", "--check",
+    ]
+
+    def test_parses_with_defaults(self):
+        args = build_parser().parse_args(["lsh"])
+        assert (args.bands, args.probe_width, args.k) == (4, 2, 10)
+        assert args.check is False
+
+    def test_small_check_passes(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "multi-probe scalar==batch: items True, messages True" in out
+        assert "lsh --check OK" in out
+
+    def test_check_fails_on_an_overfull_result(self, capsys, monkeypatch):
+        """The merge must cut to k; a result holding k + 1 discoveries
+        fails the gate even when scalar and batch agree on it."""
+        import repro.lsh.probe as probe
+
+        def overfull(fn):
+            def wrapper(system, origin, query, amount, **kwargs):
+                return fn(system, origin, query, amount + 1, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            probe, "multi_probe_retrieve", overfull(probe.multi_probe_retrieve)
+        )
+        monkeypatch.setattr(
+            probe, "multi_probe_retrieve_many", overfull(probe.multi_probe_retrieve_many)
+        )
+        assert main(self.ARGS) == 1
+        captured = capsys.readouterr()
+        assert "items True, messages True" in captured.out
+        assert "more than k=10 discoveries" in captured.err
+
+
 class TestBenchAgainstKernelSets:
     """``bench --against`` must not pass a kernel it never timed."""
 

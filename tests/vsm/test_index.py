@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.node import StoredItem
-from repro.vsm.index import LocalVsmIndex
+from repro.vsm.index import LocalVsmIndex, Ranking, ScoredItem
 from repro.vsm.sparse import SparseVector
 
 DIM = 20
@@ -174,6 +174,105 @@ class TestQueryMany:
     def test_empty_batch_and_empty_index(self):
         assert LocalVsmIndex(DIM).query_many([]) == []
         assert LocalVsmIndex(DIM).query_many([query({1: 1.0})]) == [[]]
+
+
+class TestRanking:
+    """``query`` / ``query_many`` return columns that behave like the
+    list of ``ScoredItem`` they replaced, and stay valid as a snapshot."""
+
+    def build(self, n_items=120, seed=11):
+        rng = np.random.default_rng(seed)
+        idx = LocalVsmIndex(DIM)
+        for iid in range(n_items):
+            k = int(rng.integers(1, 5))
+            kws = rng.choice(DIM, size=k, replace=False).tolist()
+            idx.add(item(iid, dict(zip(kws, rng.uniform(0.2, 2.0, size=k)))))
+        return idx
+
+    def pairs(self, hits):
+        return [(h.item.item_id, h.score) for h in hits]
+
+    def test_sequence_protocol(self):
+        idx = self.build()
+        r = idx.query(query({0: 1.0, 3: 0.5}))
+        assert isinstance(r, Ranking)
+        n = len(r)
+        assert n > 3 and bool(r)
+        hits = list(r)
+        assert all(isinstance(h, ScoredItem) for h in hits)
+        assert all(type(h.score) is float for h in hits)
+        keys = [(-h.score, h.item.item_id) for h in hits]
+        assert keys == sorted(keys)  # iteration order is rank order
+        assert self.pairs([r[0], r[n - 1]]) == self.pairs([hits[0], hits[-1]])
+        assert self.pairs([r[-1], r[-n]]) == self.pairs([hits[-1], hits[0]])
+        with pytest.raises(IndexError):
+            r[n]
+        cut = r[1:3]
+        assert isinstance(cut, Ranking) and len(cut) == 2
+        assert self.pairs(cut) == self.pairs(hits[1:3])
+        assert cut.ids.tolist() == r.ids[1:3].tolist()
+        assert self.pairs(r[: n + 5]) == self.pairs(hits)
+        assert self.pairs(list(r)) == self.pairs(hits)  # re-iterable
+
+    def test_empty_ranking_equals_empty_list(self):
+        idx = self.build()
+        dry = idx.query(query({19: 1.0}), require_all=[0, 1, 2, 3, 4, 5])
+        assert len(dry) == 0 and not dry
+        assert dry == [] and [dry] == [[]] and list(dry) == []
+        assert dry[:3] == []
+        assert idx.query(query({0: 1.0})) != []
+
+    def test_query_many_duplicates_are_independent(self):
+        idx = self.build()
+        q = query({0: 1.0, 3: 0.5})
+        a, b = idx.query_many([q, q])
+        assert a is not b
+        assert self.pairs(a) == self.pairs(b) == self.pairs(idx.query(q))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"limit": 4},
+            {"require_all": [0]},
+            {"min_score": 0.5},
+            {"limit": 2, "require_all": [0], "min_score": 0.2},
+        ],
+    )
+    def test_columns_are_the_hits_bit_for_bit(self, kwargs):
+        idx = self.build()
+        q = query({0: 1.0, 3: 0.5, 7: 0.25})
+        for r in (idx.query(q, **kwargs), idx.query_many([q], **kwargs)[0]):
+            assert r.ids.dtype == np.int64 and r.scores.dtype == np.float64
+            assert list(zip(r.ids.tolist(), r.scores.tolist())) == self.pairs(r)
+            assert len(r) == len(r.ids) == len(r.scores)
+
+    @pytest.mark.parametrize("mutate", ["remove", "remove_many", "compact", "rebuild"])
+    def test_snapshot_survives_mutation(self, mutate):
+        idx = self.build()
+        q = query({0: 1.0, 3: 0.5})
+        r = idx.query(q)
+        before = [(h.item, h.score) for h in r]
+        ranked = r.ids.tolist()
+        if mutate == "remove":
+            idx.remove(ranked[0])
+        elif mutate == "remove_many":
+            idx.remove_many(ranked)
+        elif mutate == "compact":
+            # Dead rows outnumbering live ones forces a compaction, which
+            # renumbers every slot.
+            rows_before = idx._rows
+            idx.remove_many([i for i in range(120) if i % 4])
+            assert idx._rows < rows_before
+        else:
+            idx.rebuild([item(500, {0: 1.0})])
+        idx.add(item(900, {0: 3.0, 3: 1.0}))
+        after = [(h.item, h.score) for h in r]
+        assert [(a is b, s == t) for (a, s), (b, t) in zip(before, after)] == [
+            (True, True)
+        ] * len(before)
+        assert r.ids.tolist() == ranked
+        assert 900 not in r.ids.tolist()
 
 
 class TestLeastSimilar:
