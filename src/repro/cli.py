@@ -464,53 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fractional regression tolerance for --against (default 0.05; "
         "widen on noisy machines — sub-ms kernels jitter ~10%%)",
     )
-
-    scale = sub.add_parser(
-        "scale",
-        help="run the publish+retrieve workload single-process and sharded "
-        "(in-process partition harness); verify every sharded row is "
-        "placement- and bill-identical",
-    )
-    scale.add_argument("--nodes", type=int, default=2_000, help="overlay size")
-    scale.add_argument("--items", type=int, default=20_000, help="corpus size")
-    scale.add_argument(
-        "--queries", type=int, default=400, help="retrieve storm size"
-    )
-    scale.add_argument(
-        "--amount", type=int, default=5, help="items requested per query"
-    )
-    scale.add_argument(
-        "--max-walk",
-        type=int,
-        default=256,
-        help="per-query walk budget (bounds walk length, which must stay "
-        "under the halo)",
-    )
-    scale.add_argument(
-        "--shards",
-        default="1,2,4,8",
-        metavar="N[,N...]",
-        help="comma-separated shard counts to sweep (default 1,2,4,8)",
-    )
-    scale.add_argument(
-        "--halo",
-        type=int,
-        default=None,
-        help="replicated boundary width in ring ranks (default 512)",
-    )
-    scale.add_argument("--seed", type=int, default=11, help="run RNG seed")
-    scale.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every sharded row is identical to the "
-        "single-process reference (CI smoke)",
-    )
-    scale.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="with --check: also fail if the run took longer than this",
-    )
     return parser
 
 
@@ -561,8 +514,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_lsh(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "scale":
-        return _cmd_scale(args)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -1064,54 +1015,6 @@ def _cmd_qps(args) -> int:
             print("qps --check FAILED: " + "; ".join(failed), file=sys.stderr)
             return 1
         print("qps --check OK")
-    return 0
-
-
-def _cmd_scale(args) -> int:
-    import time
-
-    from .experiments.common import format_table
-    from .experiments.scale import run_scale
-    from .sim.shard import DEFAULT_HALO
-
-    try:
-        shards = tuple(int(s) for s in args.shards.split(",") if s.strip())
-    except ValueError:
-        print(f"bad --shards list: {args.shards!r}", file=sys.stderr)
-        return 2
-    if not shards or any(s < 1 for s in shards):
-        print(f"bad --shards list: {args.shards!r}", file=sys.stderr)
-        return 2
-    t0 = time.perf_counter()
-    rs = run_scale(
-        n_nodes=args.nodes,
-        n_items=args.items,
-        n_keywords=max(100, args.items // 5),
-        n_queries=args.queries,
-        amount=args.amount,
-        max_walk=args.max_walk,
-        shards=shards,
-        halo=args.halo if args.halo is not None else DEFAULT_HALO,
-        seed=args.seed,
-    )
-    elapsed = time.perf_counter() - t0
-    print(format_table(rs))
-    print(f"[scale finished in {elapsed:.2f}s]")
-    if args.check:
-        failed = []
-        col = rs.headers.index("identical")
-        kcol = rs.headers.index("shards")
-        for row in rs.rows:
-            if not row[col]:
-                failed.append(
-                    f"{row[kcol]} shards diverged from the single-process reference"
-                )
-        if args.max_seconds is not None and elapsed > args.max_seconds:
-            failed.append(f"runtime {elapsed:.2f}s > {args.max_seconds}s")
-        if failed:
-            print("scale --check FAILED: " + "; ".join(failed), file=sys.stderr)
-            return 1
-        print("scale --check OK")
     return 0
 
 

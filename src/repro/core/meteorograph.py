@@ -396,7 +396,7 @@ class Meteorograph:
             # add_node (draw id, redraw on collision, then capacity) but
             # membership lands in one sorted merge — O(n log n) instead
             # of O(n²) ring inserts, which is what makes 10⁵-node builds
-            # for the sharded experiments routine.
+            # routine.
             pending: list[tuple[int, Optional[int]]] = []
             seen: set[int] = {seed_id}
             for _ in range(n_nodes - 1):

@@ -304,11 +304,8 @@ def store_runs(
 
     ``order`` is the stable argsort of the batch's publish keys, so key
     order == sweep order and each maximal stretch of equal ``homes``
-    along it is the run the sweep drops off as it passes that node.  The
-    stable argsort of a subset is the global stable order restricted to
-    it, which is why a shard worker storing only its slice of a batch
-    groups runs exactly as the single-process sweep does.  ``norms``
-    optionally parallels ``items`` (``Corpus.norms``).
+    along it is the run the sweep drops off as it passes that node.
+    ``norms`` optionally parallels ``items`` (``Corpus.norms``).
     """
     if order.size == 0:
         return
@@ -328,12 +325,9 @@ def store_runs(
 class SweepPlan:
     """The global planning state of one key-sorted ring sweep.
 
-    Extracted from :func:`batch_publish` so the sharded coordinator
-    (:mod:`repro.sim.shard`) plans publishes with the *same code* the
-    single-process engine runs — identical homes, sweep order, per-item
-    marginal ``route_hops`` and total sweep message count by
-    construction, which is what makes a sharded run
-    accounting-identical to the single-process run.
+    :func:`batch_publish`'s vectorised part: every item's live home, the
+    key-sorted sweep order, each item's marginal ``route_hops`` and the
+    total sweep message count.
 
     Two-step protocol: construct with the batch's publish keys, route to
     :attr:`first_key`'s home however the caller likes, then
@@ -369,12 +363,6 @@ class SweepPlan:
         """The smallest publish key — the sweep's single routed target."""
         return int(self.keys[self.order[0]])
 
-    def arrivals(self) -> np.ndarray:
-        """Per-live-node arrival counts (indexed like ``live_sorted``)."""
-        return np.bincount(
-            np.searchsorted(self.live_sorted, self.homes), minlength=self.m
-        )
-
     def finalize(self, start_home: int) -> "SweepPlan":
         """Fix the sweep geometry from the routed landing home.
 
@@ -397,17 +385,6 @@ class SweepPlan:
         route_hops_arr[self.order] = steps_sorted
         self.route_hops = route_hops_arr
         return self
-
-    def sweep_sources(self) -> np.ndarray:
-        """Source node id of every sweep step, in step order.
-
-        Step *i* sends ``live[(start_pos+i) % m] → live[(start_pos+i+1)
-        % m]``; the sharded coordinator bills each step to the shard
-        owning its source node so the merged bill matches the
-        single-process sweep exactly.  Requires :meth:`finalize`.
-        """
-        idx = (self.start_pos + np.arange(self.sweep, dtype=np.int64)) % self.m
-        return self.live_sorted[idx]
 
 
 def batch_publish(
@@ -492,7 +469,7 @@ def batch_publish(
         # Ring sweep: advance clockwise over live nodes, charging one
         # publish message per step; record each item's marginal cost.
         # The sweep geometry (step counts, total sweep length) comes
-        # from the shared SweepPlan, leaving one short loop (~N_nodes
+        # from the SweepPlan, leaving one short loop (~N_nodes
         # iterations, not ~N_items) to charge the per-step messages.
         homes_l = homes.tolist()
         order_l = order.tolist()

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..sim.node import StoredItem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..sim.engine import PeriodicTask
     from .meteorograph import Meteorograph
 
 __all__ = ["ReplicationManager", "ReplicaRecord"]
@@ -202,9 +203,9 @@ class ReplicationManager:
             placed += self.repair_record(item_id, record)[0]
         return placed
 
-    def schedule(self, interval: float) -> None:
+    def schedule(self, interval: float) -> "PeriodicTask":
         """Run :meth:`repair` periodically on the attached simulator."""
         sim = self.system.network.simulator
         if sim is None:
             raise RuntimeError("network has no simulator for periodic repair")
-        sim.schedule_every(interval, lambda: self.repair())
+        return sim.schedule_every(interval, lambda: self.repair())

@@ -27,10 +27,8 @@ from .buildscale import run_build_scale
 from .qps import run_qps, qps_cell, qps_storm
 from .lshfrontier import run_lsh_frontier
 from .chaos import run_chaos, chaos_cell
-from .scale import run_scale
 
 ALL_EXPERIMENTS = {
-    "scale": run_scale,
     "chaos": run_chaos,
     "buildscale": run_build_scale,
     "lsh": run_lsh_frontier,
@@ -101,6 +99,5 @@ __all__ = [
     "run_lsh_frontier",
     "run_chaos",
     "chaos_cell",
-    "run_scale",
     "ALL_EXPERIMENTS",
 ]

@@ -4,9 +4,9 @@ Cooperating parts (DESIGN.md, "Fault tolerance" / "Message plane
 faults"):
 
 * :class:`RepairEngine` — incremental dirty-set replica repair fed by
-  the network's liveness notifications; the full-scan
-  ``ReplicationManager.repair`` remains the fallback, and both paths
-  place copies identically.
+  the network's liveness notifications.  The full-scan
+  ``ReplicationManager.repair`` is the same per-record step over every
+  record — the reference the engine's placements are tested against.
 * :class:`RetryPolicy` / :func:`route_with_retry` — bounded
   exponential backoff (deterministic jitter from the run seed) around
   publish/retrieve home delivery, degrading to the nearest live

@@ -78,8 +78,6 @@ _LOOPS = {
     "repair_full_scan": 1,
     "lsh_signatures": 3,
     "multi_probe_retrieve": 1,
-    "shard_tick": 1,
-    "cross_shard_batch": 5,
 }
 
 
@@ -422,59 +420,6 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
             total += lsh_system.retrieve(o, q, 10).found
         return total
 
-    # Sharded-simulator kernels: one retrieve *tick* through a 2-shard
-    # coordinator (plan → partition → worker batch engines → delta
-    # merge), and the coordinator's cross-shard marshalling step alone
-    # (interest-mask partitioning plus the compact CSR row-slice
-    # payloads).
-    from ..sim.shard import ShardedSimulator, _csr_take
-
-    def shard_builder() -> object:
-        return Meteorograph.build(
-            n_nodes,
-            corpus.dim,
-            rng=np.random.default_rng(9),
-            sample=publish_sample,
-            config=publish_cfg,
-        )
-
-    shard_sim = ShardedSimulator(shard_builder, n_shards=2)
-    shard_sim.publish_corpus(spill_corpus, np.random.default_rng(3))
-    shard_rng = np.random.default_rng(23)
-    shard_queries = [
-        spill_corpus.vector(int(i))
-        for i in shard_rng.choice(spill_corpus.n_items, 64, replace=False)
-    ]
-    shard_origins = [
-        int(shard_sim.ring_array[i])
-        for i in shard_rng.integers(0, shard_sim.ring_array.size, 64)
-    ]
-
-    def shard_tick() -> int:
-        return sum(
-            len(r.discoveries)
-            for r in shard_sim.retrieve_many(
-                shard_origins, shard_queries, 5, patience=16
-            )
-        )
-
-    cs_mat = spill_corpus.matrix
-    cs_indptr = np.asarray(cs_mat.indptr, dtype=np.int64)
-    cs_kw = cs_mat.indices.astype(np.int64)
-    cs_w = np.asarray(cs_mat.data, dtype=np.float64)
-    cs_ranks = np.random.default_rng(29).integers(
-        0, shard_sim.ring_array.size, spill_corpus.n_items
-    )
-
-    def cross_shard_marshal() -> int:
-        spec = shard_sim.spec
-        total = 0
-        for s in range(spec.n_shards):
-            rows = np.nonzero(spec.interest_mask(s, cs_ranks))[0]
-            sub_indptr, _, _ = _csr_take(cs_indptr, cs_kw, cs_w, rows)
-            total += int(sub_indptr[-1])
-        return total
-
     return {
         "absolute_angles": lambda: absolute_angles(corpus),
         "angles_chunked": lambda: absolute_angles(corpus, chunk_rows=1024),
@@ -500,8 +445,6 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         "repair_full_scan": (prepare_repair(False), repair_full),
         "lsh_signatures": lambda: lsh_scheme.signatures(corpus),
         "multi_probe_retrieve": lsh_probe_all,
-        "shard_tick": shard_tick,
-        "cross_shard_batch": cross_shard_marshal,
     }
 
 

@@ -92,33 +92,6 @@ class Distribution:
             raise ValueError("empty distribution")
         return float(np.quantile(np.asarray(self._samples), q))
 
-    def merge(self, other: "Distribution") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        # Equalize strides before concatenating: a reservoir thinned k
-        # times holds one sample per 2^k recordings, so the finer side
-        # must be thinned to the coarser side's stride or the merged
-        # quantiles over-weight it.  Then thin the union back under the
-        # cap (a single halving can be insufficient after concatenation)
-        # and restart the acceptance phase at the new stride.
-        mine, mine_stride = self._samples, self._stride
-        theirs, theirs_stride = other._samples, other._stride
-        while mine_stride < theirs_stride:
-            mine = mine[::2]
-            mine_stride *= 2
-        while theirs_stride < mine_stride:
-            theirs = theirs[::2]
-            theirs_stride *= 2
-        merged = mine + theirs
-        while len(merged) >= _RESERVOIR_CAP:
-            merged = merged[::2]
-            mine_stride *= 2
-        self._samples = merged
-        self._stride = mine_stride
-        self._phase = 0
-
     def as_dict(self) -> dict[str, float]:
         if self.count == 0:
             return {"count": 0}
@@ -146,10 +119,6 @@ class TimerStat:
     def record(self, wall_s: float, cpu_s: float) -> None:
         self.wall.record(wall_s)
         self.cpu.record(cpu_s)
-
-    def merge(self, other: "TimerStat") -> None:
-        self.wall.merge(other.wall)
-        self.cpu.merge(other.cpu)
 
     def as_dict(self) -> dict[str, dict[str, float]]:
         return {"wall_s": self.wall.as_dict(), "cpu_s": self.cpu.as_dict()}
@@ -222,28 +191,7 @@ class MetricsRegistry:
             stat = self.timers[name] = TimerStat()
         stat.record(wall_s, cpu_s)
 
-    # -- aggregation -------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (gauges: the other side wins)."""
-        for k, v in other.counters.items():
-            self.counter(k, v)
-        self.gauges.update(other.gauges)
-        for k, d in other.distributions.items():
-            mine = self.distributions.get(k)
-            if mine is None:
-                mine = self.distributions[k] = Distribution()
-            mine.merge(d)
-        for k, t in other.timers.items():
-            mine_t = self.timers.get(k)
-            if mine_t is None:
-                mine_t = self.timers[k] = TimerStat()
-            mine_t.merge(t)
-        for k, b in other.buckets.items():
-            if k in self.buckets:
-                self.buckets[k].update(b)
-            else:
-                self.buckets[k] = Counter(b)
+    # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-able dump of every instrument."""
@@ -259,8 +207,6 @@ class MetricsRegistry:
                 for k, b in sorted(self.buckets.items())
             },
         }
-
-    # -- export ------------------------------------------------------------
 
     def to_json(self, path: str | Path) -> Path:
         p = Path(path)
@@ -378,9 +324,6 @@ class NullMetricsRegistry:
         return _NULL_TIMING
 
     def record_timing(self, name: str, wall_s: float, cpu_s: float = 0.0) -> None:
-        pass
-
-    def merge(self, other: object) -> None:
         pass
 
     def snapshot(self) -> dict:

@@ -180,7 +180,7 @@ class SortedKeyRing:
 
         Equivalent to ``add`` per key but O((n+k) + k log k) instead of
         O(n·k) — the difference between minutes and milliseconds when
-        seeding a 10⁵-node ring for the sharded experiments.
+        seeding a 10⁵-node ring (``Meteorograph.build``'s bulk path).
         """
         incoming = sorted(self.space.validate(k) for k in keys)
         if not incoming:

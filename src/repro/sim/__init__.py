@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate: engine, nodes, network, metrics, churn."""
 
 from .engine import Simulator, ScheduledEvent, CancelledError
-from .metrics import MetricSink, QueryTrace, HopHistogram, percentile_summary
+from .metrics import MetricSink, HopHistogram
 from .node import PeerNode, StoredItem, DirectoryPointer, CapacityError
 from .network import Network, DeadNodeError
 from .linkfaults import LinkFaultPlane, MessageLossError
@@ -12,9 +12,7 @@ __all__ = [
     "ScheduledEvent",
     "CancelledError",
     "MetricSink",
-    "QueryTrace",
     "HopHistogram",
-    "percentile_summary",
     "PeerNode",
     "StoredItem",
     "DirectoryPointer",

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.profile import SimProfiler
 
-__all__ = ["Simulator", "ScheduledEvent", "CancelledError", "TickClock"]
+__all__ = ["Simulator", "ScheduledEvent", "PeriodicTask", "CancelledError"]
 
 
 class CancelledError(RuntimeError):
@@ -165,42 +165,6 @@ class Simulator:
             fired += 1
         if until is not None and until > self._now:
             self._now = until
-
-
-class TickClock:
-    """Integer tick counter with barrier hooks — the sharded time base.
-
-    The sharded simulator advances in lockstep *ticks*: every shard
-    processes its batch for tick *t*, cross-shard effects are exchanged,
-    and only then does the clock advance.  ``TickClock`` is that
-    barrier's bookkeeping: a monotone counter, ordered ``on_tick`` hooks
-    fired after each advance, and an optionally attached
-    :class:`Simulator` whose event time is dragged forward one unit per
-    tick so time-based machinery (periodic maintenance, churn) composes
-    with tick-stepped execution.
-    """
-
-    __slots__ = ("tick", "_hooks", "_sim")
-
-    def __init__(self, sim: Optional[Simulator] = None) -> None:
-        self.tick = 0
-        self._hooks: list[Callable[[int], None]] = []
-        self._sim = sim
-
-    def on_tick(self, hook: Callable[[int], None]) -> None:
-        """Register a hook fired (in registration order) after each advance."""
-        self._hooks.append(hook)
-
-    def advance(self) -> int:
-        """Complete the current tick: bump the counter, drain the
-        attached simulator up to the new tick time, fire hooks.
-        Returns the new tick number."""
-        self.tick += 1
-        if self._sim is not None:
-            self._sim.run(until=float(self.tick))
-        for hook in self._hooks:
-            hook(self.tick)
-        return self.tick
 
 
 class PeriodicTask:

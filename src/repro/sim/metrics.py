@@ -3,153 +3,23 @@
 The paper's entire evaluation is expressed in two currencies: *hops*
 (sequential overlay forwards on a query's critical path) and *messages*
 (total transmissions, including off-path fetches and replies where the
-paper counts them).  :class:`MetricSink` is the single place both are
-tallied; every layer that moves a message charges it here.
+paper counts them).  :class:`MetricSink` is the message bill — the
+single place messages are tallied; every layer that moves a message
+charges it here.  Distributions and timers are not its business: the
+one store for those is :class:`repro.obs.MetricsRegistry`.
 
-Beyond counters, a sink carries **distributions** and **timers**
-(``observe`` / ``time``) — the per-shard operational state the sharded
-simulator aggregates.  Their state is *exact moments* (count, total,
-sum of squares, min, max), so :meth:`MetricSink.merge` is associative:
-folding per-shard deltas in any grouping or order yields the same
-aggregate, which is what makes the tick-barrier merge of
-:mod:`repro.sim.shard` deterministic.  Deltas cut with
-:meth:`checkpoint` are additionally *stamped* — re-merging the same
-delta is a no-op — so a retried tick round can never double-count.
-
-``QueryTrace`` records one query's journey for the per-query metrics
-(Figures 7, 9, 10a) and :class:`HopHistogram` aggregates them into the
-distributions the figures plot.
+:class:`HopHistogram` aggregates per-query hop counts into the
+distributions Figures 7, 9 and 10a plot.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from time import perf_counter, process_time
-from typing import Iterable, Optional, Union
+from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "MetricSink",
-    "SinkDistribution",
-    "SinkTimer",
-    "SinkDelta",
-    "QueryTrace",
-    "HopHistogram",
-    "percentile_summary",
-]
-
-
-class SinkDistribution:
-    """Exact streaming moments of a sample: count/total/sq/min/max.
-
-    Unlike the reservoir-backed :class:`repro.obs.Distribution`, this
-    keeps no samples — only moments — so ``merge`` is exact,
-    commutative and associative (the property the multi-shard metric
-    aggregation relies on; ``tests/sim/test_metrics.py`` pins it).
-    """
-
-    __slots__ = ("count", "total", "sq_total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.sq_total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def record(self, value: float) -> None:
-        v = float(value)
-        self.count += 1
-        self.total += v
-        self.sq_total += v * v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "SinkDistribution") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.sq_total += other.sq_total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def copy(self) -> "SinkDistribution":
-        out = SinkDistribution()
-        out.merge(self)
-        return out
-
-    def as_dict(self) -> dict[str, float]:
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
-class SinkTimer:
-    """Wall/CPU second distributions for one named region of sink work."""
-
-    __slots__ = ("wall", "cpu")
-
-    def __init__(self) -> None:
-        self.wall = SinkDistribution()
-        self.cpu = SinkDistribution()
-
-    def record(self, wall_s: float, cpu_s: float) -> None:
-        self.wall.record(wall_s)
-        self.cpu.record(cpu_s)
-
-    def merge(self, other: "SinkTimer") -> None:
-        self.wall.merge(other.wall)
-        self.cpu.merge(other.cpu)
-
-    def copy(self) -> "SinkTimer":
-        out = SinkTimer()
-        out.merge(self)
-        return out
-
-
-class _SinkTiming:
-    """Context manager recording one region into a :class:`SinkTimer`."""
-
-    __slots__ = ("_stat", "_w0", "_c0")
-
-    def __init__(self, stat: SinkTimer) -> None:
-        self._stat = stat
-
-    def __enter__(self) -> "_SinkTiming":
-        self._w0 = perf_counter()
-        self._c0 = process_time()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._stat.record(perf_counter() - self._w0, process_time() - self._c0)
-        return False
-
-
-@dataclass(frozen=True)
-class SinkDelta:
-    """An immutable, stamped cut of one sink's accumulated state.
-
-    ``source``/``seq`` identify the cut: a sink that has already merged
-    a given (source, seq) pair ignores it on re-merge.  ``source=None``
-    deltas are unstamped and always fold (snapshot-style use)."""
-
-    source: Optional[str]
-    seq: int
-    counts: dict[str, int]
-    distributions: dict[str, SinkDistribution]
-    timers: dict[str, SinkTimer]
+__all__ = ["MetricSink", "HopHistogram"]
 
 
 class MetricSink:
@@ -159,19 +29,10 @@ class MetricSink:
     ``"displace"``, ``"reply"``, ``"flood"`` ...).  ``total`` sums them
     all.  The sink can be snapshotted and diffed, which is how per-query
     message costs are extracted from a shared network.
-
-    ``source`` names the sink for the stamped-delta protocol (see the
-    module docstring); per-shard worker sinks set it to their shard id.
     """
 
-    def __init__(self, source: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._by_kind: Counter[str] = Counter()
-        self.distributions: dict[str, SinkDistribution] = {}
-        self.timers: dict[str, SinkTimer] = {}
-        self.source = source
-        self._seq = 0
-        #: (source, seq) stamps already folded in — the idempotence set.
-        self._applied: set[tuple[str, int]] = set()
 
     def charge(self, kind: str, n: int = 1) -> None:
         """Record ``n`` messages of the given category."""
@@ -188,20 +49,6 @@ class MetricSink:
         """Total messages across all categories."""
         return sum(self._by_kind.values())
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the named distribution."""
-        dist = self.distributions.get(name)
-        if dist is None:
-            dist = self.distributions[name] = SinkDistribution()
-        dist.record(value)
-
-    def time(self, name: str) -> _SinkTiming:
-        """Context manager timing one region into the named timer."""
-        stat = self.timers.get(name)
-        if stat is None:
-            stat = self.timers[name] = SinkTimer()
-        return _SinkTiming(stat)
-
     def snapshot(self) -> dict[str, int]:
         """A copy of the per-category counts."""
         return dict(self._by_kind)
@@ -214,89 +61,6 @@ class MetricSink:
             if d:
                 out[kind] = d
         return out
-
-    def reset(self) -> None:
-        """Clear accumulated state (the idempotence stamp set survives)."""
-        self._by_kind.clear()
-        self.distributions.clear()
-        self.timers.clear()
-
-    def checkpoint(self) -> SinkDelta:
-        """Cut the accumulated state into a stamped delta and reset.
-
-        Consecutive checkpoints of one sink carry increasing ``seq``
-        numbers, so a receiver merging tick rounds can both order them
-        and drop re-deliveries."""
-        delta = SinkDelta(
-            source=self.source,
-            seq=self._seq,
-            counts=dict(self._by_kind),
-            distributions={k: d.copy() for k, d in self.distributions.items()},
-            timers={k: t.copy() for k, t in self.timers.items()},
-        )
-        self._seq += 1
-        self.reset()
-        return delta
-
-    def merge(self, other: Union["MetricSink", SinkDelta]) -> bool:
-        """Fold another sink's (or delta's) state into this one.
-
-        Counter, distribution and timer folding is associative, so
-        per-shard deltas aggregate identically regardless of merge
-        grouping.  A stamped :class:`SinkDelta` already merged here is
-        skipped (returns False) — idempotent across repeated tick
-        rounds.  Merging a live ``MetricSink`` is unstamped and always
-        folds, preserving the historical snapshot-merge semantics.
-        """
-        if isinstance(other, SinkDelta):
-            if other.source is not None:
-                stamp = (other.source, other.seq)
-                if stamp in self._applied:
-                    return False
-                self._applied.add(stamp)
-            self._by_kind.update(other.counts)
-            dists = other.distributions
-            timers = other.timers
-        else:
-            self._by_kind.update(other._by_kind)
-            dists = other.distributions
-            timers = other.timers
-        for k, d in dists.items():
-            mine = self.distributions.get(k)
-            if mine is None:
-                mine = self.distributions[k] = SinkDistribution()
-            mine.merge(d)
-        for k, t in timers.items():
-            mine_t = self.timers.get(k)
-            if mine_t is None:
-                mine_t = self.timers[k] = SinkTimer()
-            mine_t.merge(t)
-        return True
-
-
-@dataclass
-class QueryTrace:
-    """Record of one query's execution.
-
-    ``path`` holds node IDs in visit order (the routing path plus any
-    neighbor walk).  ``messages`` is the total message charge attributed
-    to the query; ``found`` the number of matching items returned.
-    """
-
-    origin: int
-    target_key: int
-    path: list[int] = field(default_factory=list)
-    messages: int = 0
-    found: int = 0
-    succeeded: bool = True
-
-    @property
-    def hops(self) -> int:
-        """Number of forwards — path length minus the origin."""
-        return max(0, len(self.path) - 1)
-
-    def visit(self, node_id: int) -> None:
-        self.path.append(node_id)
 
 
 class HopHistogram:
@@ -355,17 +119,3 @@ class HopHistogram:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self._counts)
-
-
-def percentile_summary(values: Iterable[float]) -> dict[str, float]:
-    """Mean / p50 / p95 / p99 / max of a sample, as a plain dict of floats."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    return {
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-    }

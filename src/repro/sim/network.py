@@ -194,8 +194,7 @@ class Network:
         The bulk twin of :meth:`send`'s accounting half, for engines
         that have already decided delivery themselves: the batch read
         path bills every query riding a shared walk per wave and replays
-        a duplicate's whole route + walk bill, the sharded simulator
-        bills a worker's sweep segment.  It checks no liveness and
+        a duplicate's whole route + walk bill.  It checks no liveness and
         consults neither admission control nor the fault plane, so the
         caller must know each destination is alive and that none of
         those is attached.  Counters are charged identically to ``n``

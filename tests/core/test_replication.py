@@ -169,3 +169,22 @@ class TestRepair:
         system = make_system(NODES, replication=2)
         with pytest.raises(RuntimeError):
             system.replication.schedule(1.0)
+
+    def test_schedule_returns_stoppable_task(self):
+        from repro.sim.engine import PeriodicTask, Simulator
+
+        system = make_system(NODES, replication=2)
+        sim = system.network.simulator = Simulator()
+        system.publish(NODES[0], 1, [3], [1.0])
+        task = system.replication.schedule(interval=5.0)
+        assert isinstance(task, PeriodicTask)
+        sim.run(until=6.0)
+        assert task.fire_count == 1
+        task.stop()
+        holders = [n.node_id for n in system.network.nodes() if n.has_item(1)]
+        system.network.fail_nodes(holders[:1])
+        system.overlay.stabilize()
+        sim.run(until=30.0)
+        # Stopped: no further repair pass fired, the lost copy stays lost.
+        assert task.fire_count == 1
+        assert system.replication.live_copies(1) == 1

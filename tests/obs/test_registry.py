@@ -54,45 +54,6 @@ class TestDistribution:
         assert len(d._samples) < _RESERVOIR_CAP
         assert d.quantile(0.5) == pytest.approx(n / 2, rel=0.05)
 
-    def test_merge(self):
-        a, b = Distribution(), Distribution()
-        for v in (1.0, 2.0):
-            a.record(v)
-        for v in (10.0, 20.0):
-            b.record(v)
-        a.merge(b)
-        assert a.count == 4
-        assert a.min == 1.0
-        assert a.max == 20.0
-        assert a.mean == pytest.approx(8.25)
-
-    def test_merge_unequal_strides_stays_bounded(self):
-        # One thinned reservoir (stride > 1), one dense: merge must
-        # equalize strides before concatenating, keep the result under
-        # the cap, and preserve the exact count/min/max stats.
-        a, b = Distribution(), Distribution()
-        n = _RESERVOIR_CAP * 2
-        for v in range(n):
-            a.record(float(v))
-        for v in range(100):
-            b.record(float(v))
-        assert a._stride > b._stride
-        a.merge(b)
-        assert a.count == n + 100
-        assert a.min == 0.0 and a.max == float(n - 1)
-        assert len(a._samples) < _RESERVOIR_CAP
-        assert a.quantile(0.5) < n / 2  # the dense samples pull left
-
-    def test_merge_repeated_respects_cap(self):
-        acc = Distribution()
-        for round_ in range(6):
-            other = Distribution()
-            for v in range(_RESERVOIR_CAP):
-                other.record(float(v + round_))
-            acc.merge(other)
-        assert acc.count == 6 * _RESERVOIR_CAP
-        assert len(acc._samples) < _RESERVOIR_CAP
-
     def test_as_dict_empty(self):
         assert Distribution().as_dict() == {"count": 0}
 
@@ -134,21 +95,6 @@ class TestMetricsRegistry:
         m.record_timing("k", 0.5, 0.25)
         assert m.timers["k"].wall.mean == pytest.approx(0.5)
         assert m.timers["k"].cpu.mean == pytest.approx(0.25)
-
-    def test_merge_folds_everything(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c", 1)
-        b.counter("c", 2)
-        b.gauge("g", 9)
-        b.observe("d", 1.0)
-        b.record_timing("t", 0.1)
-        b.bucket("bk", "x")
-        a.merge(b)
-        assert a.counters["c"] == 3
-        assert a.gauges["g"] == 9.0
-        assert a.distributions["d"].count == 1
-        assert a.timers["t"].wall.count == 1
-        assert a.buckets["bk"]["x"] == 1
 
     def test_snapshot_shape(self):
         m = MetricsRegistry()
@@ -210,7 +156,6 @@ class TestNullRegistry:
         with m.timer("t"):
             pass
         m.record_timing("t", 1.0)
-        m.merge(MetricsRegistry())
         assert m.counters == {}
         assert m.snapshot() == {}
         assert m.render_tables() == "(observability disabled)"

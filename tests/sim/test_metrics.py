@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.metrics import (
-    HopHistogram,
-    MetricSink,
-    QueryTrace,
-    SinkDistribution,
-    percentile_summary,
-)
+from repro.sim.metrics import HopHistogram, MetricSink
 
 
 class TestMetricSink:
@@ -48,29 +42,6 @@ class TestMetricSink:
         sink.charge("c", 1)
         assert sink.diff(before) == {"a": 3, "c": 1}
 
-    def test_reset(self):
-        sink = MetricSink()
-        sink.charge("x", 5)
-        sink.reset()
-        assert sink.total == 0
-
-    def test_merge(self):
-        a, b = MetricSink(), MetricSink()
-        a.charge("r", 1)
-        b.charge("r", 2)
-        b.charge("s", 3)
-        a.merge(b)
-        assert a.count("r") == 3
-        assert a.count("s") == 3
-
-    def test_merge_disjoint_categories(self):
-        a, b = MetricSink(), MetricSink()
-        a.charge("route", 2)
-        b.charge("flood", 5)
-        a.merge(b)
-        assert a.snapshot() == {"route": 2, "flood": 5}
-        assert b.snapshot() == {"flood": 5}  # the merged-from sink is untouched
-
     def test_diff_against_disjoint_snapshot(self):
         # A snapshot category the sink never charged must not appear in
         # the diff (and must not go negative).
@@ -78,17 +49,6 @@ class TestMetricSink:
         sink.charge("route", 2)
         before = {"publish": 4}
         assert sink.diff(before) == {"route": 2}
-
-
-class TestQueryTrace:
-    def test_hops_is_path_minus_origin(self):
-        t = QueryTrace(origin=1, target_key=10)
-        assert t.hops == 0
-        t.visit(1)
-        assert t.hops == 0
-        t.visit(2)
-        t.visit(3)
-        assert t.hops == 2
 
 
 class TestHopHistogram:
@@ -154,140 +114,3 @@ class TestHopHistogram:
         h = HopHistogram()
         h.extend([2, 2, 5])
         assert h.as_dict() == {2: 2, 5: 1}
-
-
-class TestPercentileSummary:
-    def test_fields(self):
-        s = percentile_summary(range(101))
-        assert s["mean"] == pytest.approx(50.0)
-        assert s["p50"] == pytest.approx(50.0)
-        assert s["p95"] == pytest.approx(95.0)
-        assert s["max"] == 100.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile_summary([])
-
-    def test_single_element(self):
-        s = percentile_summary([7.0])
-        assert s == {
-            "mean": 7.0,
-            "p50": 7.0,
-            "p95": 7.0,
-            "p99": 7.0,
-            "max": 7.0,
-        }
-
-
-class TestSinkDistribution:
-    def test_exact_moments(self):
-        d = SinkDistribution()
-        for v in (2.0, 4.0, 9.0):
-            d.record(v)
-        assert d.count == 3
-        assert d.total == pytest.approx(15.0)
-        assert d.sq_total == pytest.approx(4 + 16 + 81)
-        assert d.mean == pytest.approx(5.0)
-        assert (d.min, d.max) == (2.0, 9.0)
-
-    def test_merge_associative_and_commutative(self):
-        rng = np.random.default_rng(3)
-        samples = rng.uniform(-5, 5, 30)
-        parts = [SinkDistribution() for _ in range(3)]
-        for i, v in enumerate(samples):
-            parts[i % 3].record(float(v))
-
-        def fold(order):
-            acc = SinkDistribution()
-            for p in order:
-                acc.merge(p.copy())
-            return acc
-
-        left = fold(parts)
-        right = fold(parts[::-1])
-        one = SinkDistribution()
-        for v in samples:
-            one.record(float(v))
-        for d in (left, right):
-            assert d.count == one.count
-            assert d.total == pytest.approx(one.total)
-            assert d.sq_total == pytest.approx(one.sq_total)
-            assert (d.min, d.max) == (one.min, one.max)
-
-    def test_empty_as_dict(self):
-        assert SinkDistribution().as_dict() == {"count": 0}
-
-
-class TestSinkDeltaProtocol:
-    def test_checkpoint_cuts_and_resets(self):
-        sink = MetricSink(source="shard-0")
-        sink.charge("route", 4)
-        sink.observe("walk", 7.0)
-        delta = sink.checkpoint()
-        assert delta.source == "shard-0" and delta.seq == 0
-        assert delta.counts == {"route": 4}
-        assert delta.distributions["walk"].count == 1
-        assert sink.total == 0 and sink.distributions == {}
-        assert sink.checkpoint().seq == 1
-
-    def test_stamped_delta_merges_once(self):
-        worker = MetricSink(source="shard-1")
-        worker.charge("publish", 5)
-        worker.observe("items", 3.0)
-        delta = worker.checkpoint()
-        master = MetricSink()
-        assert master.merge(delta) is True
-        assert master.merge(delta) is False  # re-delivery: dropped
-        assert master.count("publish") == 5
-        assert master.distributions["items"].count == 1
-
-    def test_distinct_seqs_both_fold(self):
-        worker = MetricSink(source="shard-1")
-        worker.charge("route", 1)
-        d0 = worker.checkpoint()
-        worker.charge("route", 2)
-        d1 = worker.checkpoint()
-        master = MetricSink()
-        assert master.merge(d0) and master.merge(d1)
-        assert master.count("route") == 3
-
-    def test_unstamped_delta_always_folds(self):
-        sink = MetricSink()  # source=None -> unstamped snapshots
-        sink.charge("route", 1)
-        delta = sink.checkpoint()
-        master = MetricSink()
-        assert master.merge(delta) and master.merge(delta)
-        assert master.count("route") == 2
-
-    def test_merge_grouping_invariant(self):
-        """Pairwise vs flat merges of per-shard deltas agree exactly."""
-        deltas = []
-        for s in range(4):
-            w = MetricSink(source=f"shard-{s}")
-            w.charge("route", s + 1)
-            w.observe("walk", float(s))
-            deltas.append(w.checkpoint())
-        flat = MetricSink()
-        for d in deltas:
-            flat.merge(d)
-        grouped = MetricSink()
-        left, right = MetricSink(), MetricSink()
-        for d in deltas[:2]:
-            left.merge(d)
-        for d in deltas[2:]:
-            right.merge(d)
-        grouped.merge(left)
-        grouped.merge(right)
-        assert grouped.snapshot() == flat.snapshot()
-        assert (
-            grouped.distributions["walk"].as_dict()
-            == flat.distributions["walk"].as_dict()
-        )
-
-    def test_timer_context_manager(self):
-        sink = MetricSink()
-        with sink.time("region"):
-            sum(range(1000))
-        t = sink.timers["region"]
-        assert t.wall.count == 1 and t.cpu.count == 1
-        assert t.wall.total >= 0.0

@@ -354,29 +354,11 @@ class TestBenchAgainstKernelSets:
         assert rc == 0
 
 
-class TestScaleVerb:
-    def test_parses_with_defaults(self):
-        args = build_parser().parse_args(["scale"])
-        assert args.shards == "1,2,4,8"
-        assert not args.check
-
-    def test_tiny_scale_check_passes(self, capsys):
-        rc = main(
-            [
-                "scale",
-                "--nodes", "100",
-                "--items", "600",
-                "--queries", "20",
-                "--shards", "1,2",
-                "--check",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "sharded" in out
-        assert "scale --check OK" in out
-
-    @pytest.mark.parametrize("shards", ["1,x", "0", ","])
-    def test_malformed_shards_exit_2(self, capsys, shards):
-        assert main(["scale", "--shards", shards]) == 2
-        assert "bad --shards" in capsys.readouterr().err
+class TestScaleVerbRemoved:
+    def test_scale_is_not_a_verb_or_an_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scale"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'scale'" in capsys.readouterr().err
+        assert main(["list"]) == 0
+        assert "scale" not in capsys.readouterr().out.splitlines()

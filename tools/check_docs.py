@@ -17,14 +17,19 @@ the doc (the BENCH workflow section documents each kernel's workload),
 every ``lsh.*`` instrument the LSH subsystem emits must appear in the
 instrument table, and so must every ``linkfault.*`` /
 ``maint.antientropy.*`` instrument of the message-plane fault
-subsystem and every ``shard.*`` instrument of the sharded simulator.
+subsystem.
 
-Two reverse checks catch a doc that outlives what it names: every
+Three reverse checks catch a doc that outlives what it names: every
 kernel heading the BENCH workflow's bullet list must still be in
-``_LOOPS``, and every ``--flag`` a documented ``meteorograph <verb> …``
+``_LOOPS``; every ``--flag`` a documented ``meteorograph <verb> …``
 command passes (README, EXPERIMENTS, OBSERVABILITY, the verify skill)
 must be an option of that verb's subparser in
-``repro.cli.build_parser()``.
+``repro.cli.build_parser()``; and every module those docs and DESIGN.md
+name must still be a file — a dotted ``repro.<pkg>.<module>`` path
+walks ``src/repro/`` package by package and must end on a ``.py``
+module (a trailing ``.Class`` / ``._CONST`` / function after the module
+is not followed), and a ``<dir>/<file>.py`` path must exist under
+``src/repro/``, ``src/`` or the repo root.
 
 Run as ``python tools/check_docs.py`` from the repo root (CI does;
 ``repro`` must be importable — ``pip install -e .`` or
@@ -40,6 +45,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_PKG = ROOT / "src" / "repro"
 
 #: ``**X-BUILD (`buildscale`).**`` → ``buildscale``
 _ENTRY = re.compile(r"\*\*[^*\n]+\(`([a-z0-9_]+)`\)\.?\*\*")
@@ -52,6 +58,11 @@ _COMMAND_DOCS = (
     ".claude/skills/verify/SKILL.md",
 )
 _FLAG = re.compile(r"^(--[a-z][a-z0-9-]*)")
+
+#: Docs whose module references are checked against the tree.
+_MODULE_DOCS = _COMMAND_DOCS + ("DESIGN.md",)
+_DOTTED = re.compile(r"\brepro((?:\.\w+)+)")
+_PY_PATH = re.compile(r"[\w.*-]+(?:/[\w.*-]+)+\.py\b")
 
 
 def _documented_kernels(obs_text: str) -> list[str]:
@@ -105,6 +116,44 @@ def _cli_flag_errors(verbs: dict[str, set[str]]) -> list[str]:
                         f"{rel} shows `{tokens[0]} … {m.group(1)}` but the "
                         f"`{tokens[0]}` verb has no such option"
                     )
+    return failed
+
+
+def _dotted_resolves(segments: list[str]) -> bool:
+    """``["sim", "metrics", "MetricSink"]`` → is there a module file?"""
+    path = _PKG
+    for seg in segments:
+        if (path / seg).is_dir():
+            path = path / seg
+        elif (path / f"{seg}.py").is_file():
+            return True
+        else:
+            # An attribute of the package reached so far (class,
+            # constant) is fine; a lowercase name is a missing module.
+            return not seg[0].islower()
+    return True
+
+
+def _module_path_errors() -> list[str]:
+    failed = []
+    bases = (_PKG, ROOT / "src", ROOT)
+    for rel in _MODULE_DOCS:
+        path = ROOT / rel
+        if not path.exists():
+            continue
+        text = path.read_text()
+        for tail in sorted(set(_DOTTED.findall(text))):
+            if not _dotted_resolves(tail[1:].split(".")):
+                failed.append(
+                    f"{rel} names `repro{tail}` but no module under "
+                    "src/repro/ backs it"
+                )
+        for ref in sorted(set(_PY_PATH.findall(text))):
+            if not any(any(base.glob(ref)) for base in bases):
+                failed.append(
+                    f"{rel} names `{ref}` but no such file exists under "
+                    "src/repro/, src/ or the repo root"
+                )
     return failed
 
 
@@ -183,21 +232,6 @@ def main() -> int:
                 "fault subsystem but not documented in OBSERVABILITY.md"
             )
 
-    shard_instruments = (
-        "shard.publish",
-        "shard.publish.items",
-        "shard.publish.sweep_steps",
-        "shard.retrieve",
-        "shard.retrieve.queries",
-        "shard.retrieve.walk_worst",
-    )
-    for name in shard_instruments:
-        if name not in obs_text:
-            failed.append(
-                f"shard instrument `{name}` is emitted by repro.sim.shard "
-                "but not documented in OBSERVABILITY.md"
-            )
-
     from repro.cli import build_parser
 
     subparsers = next(
@@ -211,6 +245,8 @@ def main() -> int:
             }
         )
     )
+
+    failed.extend(_module_path_errors())
 
     manifest_path = ROOT / "results" / "manifest.json"
     if manifest_path.exists():
