@@ -169,8 +169,17 @@ class Overlay(abc.ABC):
         numerically closest nodes, the live home holds a replica
         whenever any replica survives.
         """
+        nodes = self.network._nodes  # noqa: SLF001 - liveness peek
+        if self.ring:
+            # The common case — the home itself is alive — without
+            # starting the preference walk it heads.
+            home = self.home(key)
+            node = nodes.get(home)
+            if node is not None and node.alive:
+                return home
         for nid in self._homes_by_preference(key):
-            if self.network.is_alive(nid):
+            node = nodes.get(nid)
+            if node is not None and node.alive:
                 return nid
         return None
 
@@ -179,7 +188,8 @@ class Overlay(abc.ABC):
 
         Default: increasing ring distance from the key (Tornado-style
         "numerically closest" semantics).  Chord overrides this with the
-        successor chain.
+        successor chain.  An override must yield ``home(key)`` first:
+        :meth:`live_home` answers from it alone when it is alive.
         """
         home = self.home(key)
         yield home

@@ -231,9 +231,12 @@ class SortedKeyRing:
         deterministic (the paper never specifies tie-breaks; determinism
         is what matters for reproducibility).
         """
-        self._require_nonempty()
-        succ = self.successor(key)
-        pred = self.predecessor(key)
+        keys = self._keys
+        if not keys:
+            raise LookupError("empty key ring")
+        i = bisect.bisect_left(keys, key)
+        succ = keys[i] if i < len(keys) else keys[0]
+        pred = keys[i - 1]  # i == 0 wraps to the last key
         ds, dp = self.space.ring_distance(succ, key), self.space.ring_distance(pred, key)
         if ds < dp:
             return succ

@@ -8,10 +8,12 @@ which shrinks the remaining numeric distance by a factor of ``2**b``
 per hop — the O(log N) bound the paper leans on.
 
 Rows are materialised lazily from the (possibly stale) membership ring
-and memoised; :meth:`PrefixRoutingTable.invalidate` drops the memo when
-membership changes or the overlay stabilizes.  Laziness matters at
-simulator scale: a full table build is O(N · rows · 2^b) binary
-searches, while queries only ever touch the rows on their paths.
+and memoised per table.  Laziness matters at simulator scale: a full
+table build is O(N · rows · 2^b) binary searches, while queries only
+ever touch the rows on their paths.  ``TornadoOverlay`` reads a row once
+per membership epoch, when it compiles the row with the owner's leaf set
+into the sorted candidate ring its route kernel bisects
+(:mod:`repro.overlay.tornado`), and keeps that ring instead of the table.
 """
 
 from __future__ import annotations
@@ -144,27 +146,6 @@ class PrefixRoutingTable:
 
     def entry(self, r: int, digit: int) -> Optional[int]:
         return self.row(r)[digit]
-
-    def next_hop_candidates(self, key: int) -> list[int]:
-        """Routing-table candidates for forwarding toward ``key``.
-
-        The primary candidate is the entry extending the shared prefix
-        by the key's next digit; the rest of that row is included as
-        fallback so routing can detour around dead primaries.
-        """
-        r = self.codec.shared_prefix_len(self.owner_id, key)
-        if r >= self.codec.num_digits:
-            return []  # owner's id equals the key: nowhere better to go
-        row = self.row(r)
-        want = self.codec.digit(key, r)
-        primary = row[want]
-        out: list[int] = []
-        if primary is not None and primary != self.owner_id:
-            out.append(primary)
-        for d, nid in enumerate(row):
-            if d != want and nid is not None and nid != self.owner_id:
-                out.append(nid)
-        return out
 
     def populated_rows(self) -> int:
         """How many rows have been materialised (introspection/tests)."""

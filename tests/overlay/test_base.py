@@ -1,8 +1,11 @@
 """Direct tests for the abstract overlay layer (RouteResult, shared helpers)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overlay.base import RouteResult
+from repro.overlay.chord import ChordOverlay
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
@@ -153,3 +156,50 @@ class TestWalkOrderMemo:
         assert ov.walk_order(100) == list(
             ov.closest_neighbors(100, alive_only=False)
         )
+
+
+class TestLiveHomeIsFirstLivePreference:
+    """``live_home`` answers from ``home(key)`` alone when it is alive and
+    walks the preference order otherwise; either way it is the first
+    live node of that order, for both overlays' orders."""
+
+    masks = st.lists(st.booleans(), min_size=5, max_size=5)
+    probes = st.integers(min_value=0, max_value=SPACE.modulus - 1)
+
+    @staticmethod
+    def kill(overlay, mask):
+        for nid, dead in zip(list(overlay.ring), mask):
+            if dead:
+                overlay.node(nid).fail()
+        return [nid for nid in overlay.ring if overlay.network.is_alive(nid)]
+
+    @given(masks, probes)
+    @settings(max_examples=200, deadline=None)
+    def test_tornado_nearest_live_ties_to_smaller_id(self, mask, key):
+        ov = make_overlay()
+        live = self.kill(ov, mask)
+        want = min(live, key=lambda n: (SPACE.ring_distance(n, key), n)) if live else None
+        assert ov.live_home(key) == want
+
+    @given(masks, probes)
+    @settings(max_examples=200, deadline=None)
+    def test_chord_first_live_successor(self, mask, key):
+        ov = ChordOverlay(SPACE, Network())
+        for nid in (100, 300, 500, 700, 900):
+            ov.add_node(nid)
+        live = self.kill(ov, mask)
+        # Successor chain: clockwise from the key, never the nearer predecessor.
+        want = min(live, key=lambda n: SPACE.clockwise_distance(key, n)) if live else None
+        assert ov.live_home(key) == want
+
+    def test_chord_home_dead_skips_to_next_successor(self):
+        ov = ChordOverlay(SPACE, Network())
+        for nid in (100, 300, 500):
+            ov.add_node(nid)
+        ov.node(300).fail()
+        assert ov.live_home(290) == 500  # not 100, though 100 is nearer than 500
+
+    def test_empty_rings_keep_their_contracts(self):
+        assert ChordOverlay(SPACE, Network()).live_home(5) is None
+        with pytest.raises(LookupError):
+            TornadoOverlay(SPACE, Network()).live_home(5)

@@ -192,3 +192,53 @@ class TestSortedKeyRing:
         for m in members:
             if m != succ:
                 assert not (probe <= m < succ) or succ < probe
+
+
+class TestClosestEdges:
+    """``SortedKeyRing.closest`` is one bisect; pin it to the brute-force
+    arg-min of ``(ring_distance, id)`` at the numeric edges."""
+
+    @staticmethod
+    def brute(space, members, probe):
+        return min(members, key=lambda k: (space.ring_distance(k, probe), k))
+
+    def test_singleton_answers_every_probe(self):
+        ring = SortedKeyRing(SPACE, [400])
+        assert [ring.closest(p) for p in (0, 399, 400, 401, 999)] == [400] * 5
+
+    def test_probe_below_first_and_above_last_wrap(self):
+        ring = SortedKeyRing(SPACE, [100, 500, 950])
+        assert ring.closest(0) == 950  # wrap 50 beats 100
+        assert ring.closest(30) == 100  # 70 beats wrap 80
+        assert ring.closest(999) == 950
+        assert ring.closest(980) == 950  # 30 beats wrap 120
+
+    def test_equidistant_pair_resolves_to_smaller_id(self):
+        ring = SortedKeyRing(SPACE, [100, 300, 900])
+        assert ring.closest(200) == 100
+        assert ring.closest(0) == 100  # 100 vs 900 across the wrap
+        assert SortedKeyRing(SPACE, [250, 750]).closest(0) == 250
+        assert SortedKeyRing(SPACE, [250, 750]).closest(500) == 250
+
+    def test_probe_equal_to_member(self):
+        ring = SortedKeyRing(SPACE, [0, 100, 999])
+        assert [ring.closest(p) for p in (0, 100, 999)] == [0, 100, 999]
+
+    @given(
+        st.sampled_from([2, 7, 1000, 1 << 16, 10**8]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closest_is_the_bruteforce_argmin(self, modulus, data):
+        space = KeySpace(modulus)
+        key_st = st.integers(min_value=0, max_value=modulus - 1)
+        members = sorted(data.draw(st.sets(key_st, min_size=1, max_size=12)))
+        ring = SortedKeyRing(space, members)
+        probes = {0, modulus - 1, data.draw(key_st)}
+        for a, b in zip(members, members[1:] + members[:1]):
+            gap = (b - a) % modulus
+            probes.update(
+                k % modulus for k in (a - 1, a, a + 1, a + gap // 2, a + -(-gap // 2))
+            )
+        for probe in probes:
+            assert ring.closest(probe) == self.brute(space, members, probe), probe

@@ -4,6 +4,8 @@ import pytest
 
 from repro.overlay.idspace import KeySpace, SortedKeyRing
 from repro.overlay.routing import DigitCodec, PrefixRoutingTable
+from repro.overlay.tornado import TornadoOverlay
+from repro.sim.network import Network
 
 SPACE = KeySpace(1 << 16)
 
@@ -87,22 +89,44 @@ class TestPrefixRoutingTable:
         table.rebind(SortedKeyRing(SPACE, [0x1000, 0x2800]))
         assert table.row(0)[0x2] == 0x2800
 
+    # The route kernel's candidate set is the *compiled ring* of a
+    # (node, row): the row's entries, the owner and its leaf set, sorted
+    # (the scan-order list it replaced is the oracle in
+    # test_route_oracle.py).
+
+    def overlay(self, members):
+        overlay = TornadoOverlay(SPACE, Network(), digit_bits=4, leaf_set_size=1)
+        overlay.add_nodes((nid, None) for nid in members)
+        return overlay
+
     def test_next_hop_primary_extends_prefix(self):
         members = [0x1000, 0x1200, 0x1250, 0x9000]
-        table, codec = self.make(members, owner=0x1000)
-        cands = table.next_hop_candidates(0x1234)
-        # Primary should share 2 digits (0x12..) with the key.
-        assert cands[0] in (0x1200, 0x1250)
-        assert codec.shared_prefix_len(cands[0], 0x1234) >= 2
+        ov = self.overlay(members)
+        row = ov.codec.shared_prefix_len(0x1000, 0x1234)
+        ring = ov._compile_ring(0x1000, row)
+        # The row's entry for the key's next digit is a member, and it
+        # shares 2 digits (0x12..) with the key.
+        primary = ov._table(0x1000).row(row)[ov.codec.digit(0x1234, row)]
+        assert primary in (0x1200, 0x1250) and primary in ring
+        assert ov.codec.shared_prefix_len(primary, 0x1234) >= 2
+        # ... and the first hop goes to a node that extends the prefix.
+        assert ov.codec.shared_prefix_len(ov.route(0x1000, 0x1234).path[1], 0x1234) >= 2
 
-    def test_next_hop_excludes_owner(self):
-        table, _ = self.make([0x1000, 0x9000], owner=0x1000)
-        cands = table.next_hop_candidates(0x1999)
-        assert 0x1000 not in cands
+    def test_compiled_ring_holds_owner_once(self):
+        ov = self.overlay([0x1000, 0x1800, 0x9000])
+        # Row 1 of 0x1000 holds the owner in its own digit block and
+        # 0x1800; the leaf set adds 0x9000 and 0x1800 again.
+        ring = ov._compile_ring(0x1000, 1)
+        assert ring == (0x1000, 0x1800, 0x9000)
+        # The owner is the arg-min baseline: a key it is closest to stops there.
+        assert ov.route(0x1000, 0x1001).path == [0x1000]
 
-    def test_next_hop_empty_when_owner_is_key(self):
-        table, _ = self.make([0x1000, 0x9000], owner=0x1000)
-        assert table.next_hop_candidates(0x1000) == []
+    def test_compiled_ring_is_leaf_set_and_self_when_owner_is_key(self):
+        ov = self.overlay([0x1000, 0x1800, 0x5000, 0x9000])
+        res = ov.route(0x1000, 0x1000)  # key == owner selects row num_digits
+        assert res.path == [0x1000] and res.succeeded
+        ring = ov._rings[ov.codec.num_digits][0x1000]
+        assert ring == tuple(sorted(ov.leaf_set(0x1000) + [0x1000])) == (0x1000, 0x1800, 0x9000)
 
 
 class TestEntrySelector:

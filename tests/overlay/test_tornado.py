@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Observability
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
@@ -179,6 +180,37 @@ class TestStabilize:
         assert ov._view is ov.ring
 
 
+    def test_join_after_stabilize_matches_fresh_build(self):
+        """Incremental change == overall change: after fail → stabilize →
+        recover → join, every row and compiled ring is what a freshly
+        built overlay over the same membership and liveness derives (a
+        table bound to the pre-join live-only view must not survive)."""
+        ov, rng = random_overlay(40, seed=12)
+        ids = list(ov.ring)
+        dead = ids[::3]
+        keys = [int(k) for k in rng.integers(0, ov.space.modulus, size=60)]
+        for key in keys:  # warm tables and rings over the full view
+            ov.route(ids[1], key)
+        ov.network.fail_nodes(dead)
+        ov.stabilize()
+        for key in keys:  # ... and over the live-only view
+            ov.route(ids[1], key)
+        ov.network.recover_node(dead[0])
+        joined = next(k for k in range(ov.space.modulus) if k not in ov.ring)
+        ov.add_node(joined)
+
+        fresh = make_overlay(sorted(ids + [joined]))
+        fresh.network.fail_nodes(dead[1:])
+        for nid in fresh.ring:
+            for r in range(ov.codec.num_digits):
+                assert ov._table(nid).row(r) == fresh._table(nid).row(r), (nid, r)
+            for r in range(ov.codec.num_digits + 1):
+                assert ov._compile_ring(nid, r) == fresh._compile_ring(nid, r), (nid, r)
+        for key in keys + [joined, dead[0]]:
+            got, want = ov.route(ids[1], key), fresh.route(ids[1], key)
+            assert (got.path, got.succeeded) == (want.path, want.succeeded)
+
+
 class TestEpochCache:
     """The membership epoch invalidates memoised leaf sets (ROADMAP's
     route-kernel target: leaf sets are built once per epoch, not per hop)."""
@@ -243,6 +275,45 @@ class TestEpochCache:
         # The new node must be routable-to immediately (no stale cache).
         res = ov.route(ov.ring.at(0), new_id)
         assert res.home == new_id
+
+
+class TestCompiledRingCounters:
+    """``routing.rings_compiled`` / ``routing.dead_argmin_scans`` (obs on):
+    a warm all-alive overlay compiles nothing and never leaves the fast
+    path; stale tables after ``fail()`` announce every scan they cost."""
+
+    def test_warm_pass_is_silent_and_stale_pass_announces_itself(self):
+        obs = Observability()
+        space = KeySpace(1 << 16)
+        ov = TornadoOverlay(space, Network(obs=obs))
+        rng = np.random.default_rng(13)
+        ov.add_nodes((int(k), None) for k in set(rng.integers(0, space.modulus, size=120)))
+        ids = list(ov.ring)
+        pairs = [
+            (ids[int(rng.integers(0, len(ids)))], int(rng.integers(0, space.modulus)))
+            for _ in range(200)
+        ]
+        counters = obs.metrics.counters
+
+        def run_pass():
+            return [ov.route(o, k).path for o, k in pairs if ov.network.is_alive(o)]
+
+        first = run_pass()
+        compiled = counters["routing.rings_compiled"]
+        assert compiled == sum(len(rows) for rows in ov._rings) > 0
+        assert "routing.dead_argmin_scans" not in counters
+        assert run_pass() == first
+        assert counters["routing.rings_compiled"] == compiled
+        assert "routing.dead_argmin_scans" not in counters
+
+        ov.network.fail_nodes(ids[::4])  # no stabilize(): tables go stale
+        run_pass()
+        assert counters["routing.dead_argmin_scans"] > 0
+        ov.stabilize()
+        scans = counters["routing.dead_argmin_scans"]
+        run_pass()  # a stabilized view holds no dead member to trip over
+        assert counters["routing.dead_argmin_scans"] == scans
+        assert counters["routing.rings_compiled"] > compiled
 
 
 class TestNeighborOrder:

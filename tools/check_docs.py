@@ -11,13 +11,16 @@ Also verifies that every committed ``results/<id>.csv`` whose id is in
 the registry is indexed by ``results/manifest.json``, so the artifact
 directory stays discoverable.
 
-Three taxonomy checks keep OBSERVABILITY.md honest the same way: every
+Four taxonomy checks keep OBSERVABILITY.md honest the same way: every
 bench kernel registered in ``repro.obs.bench._LOOPS`` must be named in
 the doc (the BENCH workflow section documents each kernel's workload),
 every ``lsh.*`` instrument the LSH subsystem emits must appear in the
-instrument table, and so must every ``linkfault.*`` /
+instrument table, so must every ``linkfault.*`` /
 ``maint.antientropy.*`` instrument of the message-plane fault
-subsystem.
+subsystem, and so must every ``routing.*`` instrument — these are not
+listed here but read off the code: each ``"routing.<name>"`` string
+literal under ``src/repro/overlay/`` needs a row of the table that
+starts with it.
 
 Three reverse checks catch a doc that outlives what it names: every
 kernel heading the BENCH workflow's bullet list must still be in
@@ -63,6 +66,9 @@ _FLAG = re.compile(r"^(--[a-z][a-z0-9-]*)")
 _MODULE_DOCS = _COMMAND_DOCS + ("DESIGN.md",)
 _DOTTED = re.compile(r"\brepro((?:\.\w+)+)")
 _PY_PATH = re.compile(r"[\w.*-]+(?:/[\w.*-]+)+\.py\b")
+
+#: ``"routing.rows_built"`` as a string literal in overlay source.
+_ROUTING_LITERAL = re.compile(r"""["'](routing\.[a-z0-9_.]+)["']""")
 
 
 def _documented_kernels(obs_text: str) -> list[str]:
@@ -157,6 +163,20 @@ def _module_path_errors() -> list[str]:
     return failed
 
 
+def _routing_instrument_errors(obs_text: str) -> list[str]:
+    """Every ``"routing.<name>"`` literal the overlay package emits must
+    head a row of OBSERVABILITY.md's instrument table."""
+    emitted: set[str] = set()
+    for path in (_PKG / "overlay").glob("*.py"):
+        emitted.update(_ROUTING_LITERAL.findall(path.read_text()))
+    return [
+        f"routing instrument `{name}` is emitted under src/repro/overlay/ "
+        "but has no row in OBSERVABILITY.md's instrument table"
+        for name in sorted(emitted)
+        if f"\n| `{name}` |" not in obs_text
+    ]
+
+
 def main() -> int:
     try:
         from repro.experiments import ALL_EXPERIMENTS
@@ -231,6 +251,8 @@ def main() -> int:
                 f"chaos instrument `{name}` is emitted by the message-plane "
                 "fault subsystem but not documented in OBSERVABILITY.md"
             )
+
+    failed.extend(_routing_instrument_errors(obs_text))
 
     from repro.cli import build_parser
 
