@@ -554,12 +554,6 @@ class Meteorograph:
         except KeyError:
             raise KeyError(f"item {item_id} was never published") from None
 
-    def published_angle_key_of(self, item_id: int) -> int:
-        try:
-            return self._published[item_id][0]
-        except KeyError:
-            raise KeyError(f"item {item_id} was never published") from None
-
     @property
     def published_count(self) -> int:
         return len(self._published)

@@ -242,58 +242,81 @@ def retrieve_columns(
                     degradation_level=degradation,
                 ), hits
         result = RetrieveResult(route_hops=route_hops, degradation_level=degradation)
-
-        def harvest(node_id: int, hops_here: int) -> int:
-            remaining = None if amount is None else amount - hits.found
-            ranking = system.state(node_id).index.query(
-                query, limit=remaining, require_all=require_all, min_score=min_score
-            )
-            fresh = hits.fold(ranking, node_id, hops_here, amount)
-            if fresh:
-                result.reply_messages += 1
-            return fresh
-
-        result.visited.append(home)
-        harvest(home, route_hops)
+        # One frame for the whole walk: a visit is one ``Network.send``,
+        # one ``LocalVsmIndex.query`` and — only when the node answered —
+        # one ``Harvest.fold``; everything else is local arithmetic.
+        send = system.network.send
+        nodes = system.network._nodes  # noqa: SLF001 - liveness peek
+        states = system._states  # noqa: SLF001 - system.state() minus the call
+        fold = hits.fold
+        visited = result.visited
+        tracer = obs.tracer
+        visited.append(home)
+        ranking = system.state(home).index.query(
+            query, limit=amount, require_all=require_all, min_score=min_score
+        )
+        found = fold(ranking, home, route_hops, amount) if ranking.ids.size else 0
+        replies = 1 if found else 0
         dry = 0
         walked = 0
         current = home
-        tracer = obs.tracer
         with obs.metrics.timer("kernel.walk"):
-            for neighbor in _walk_order(system, home, direction):
-                if amount is not None and hits.found >= amount:
+            # The frontier is liveness-unfiltered (``fail()`` does not
+            # invalidate membership caches): dead nodes are skipped here.
+            for neighbor in system.overlay.walk_order(home, direction):
+                node = nodes.get(neighbor)
+                if node is None or not node.alive:
+                    continue
+                if amount is not None and found >= amount:
                     break
                 if max_walk is not None and walked >= max_walk:
                     result.complete = amount is None
                     break
                 if amount is None and dry >= patience:
                     break
+                walked += 1
                 try:
-                    system.network.send(current, neighbor, kind="retrieve")
+                    send(current, neighbor, kind="retrieve")
                 except (BackpressureError, MessageLossError):
                     # A saturated neighbor shed its consult, or the link
                     # dropped it: the message was spent, the node
                     # contributed nothing — skip it and keep sweeping
                     # from the current position.
-                    walked += 1
-                    result.walk_hops += 1
                     dry += 1
                     continue
                 current = neighbor
-                walked += 1
-                result.walk_hops += 1
-                result.visited.append(neighbor)
-                fresh = harvest(neighbor, route_hops + walked)
+                visited.append(neighbor)
+                state = states.get(neighbor)
+                if state is None:
+                    state = system.state(neighbor)
+                ranking = state.index.query(
+                    query,
+                    limit=None if amount is None else amount - found,
+                    require_all=require_all,
+                    min_score=min_score,
+                )
+                fresh = (
+                    fold(ranking, neighbor, route_hops + walked, amount)
+                    if ranking.ids.size
+                    else 0
+                )
                 if tracer.enabled:
                     tracer.event("walk", node=neighbor, fresh=fresh)
-                dry = 0 if fresh else dry + 1
-        if amount is not None and hits.found < amount:
+                if fresh:
+                    found += fresh
+                    replies += 1
+                    dry = 0
+                else:
+                    dry += 1
+        result.walk_hops = walked
+        result.reply_messages = replies
+        if amount is not None and found < amount:
             result.complete = False
         sp.set(
             home=home,
             route_hops=route_hops,
-            walk_hops=result.walk_hops,
-            found=hits.found,
+            walk_hops=walked,
+            found=found,
             complete=result.complete,
         )
         if degradation:
@@ -451,6 +474,7 @@ def retrieve_with_pointers(
         result.visited.append(home)
 
         require = None if require_all is None else [int(k) for k in require_all]
+        qset = query.keyword_set()
 
         def matching_pointers(node_id: int) -> list:
             node = system.network.node(node_id)
@@ -460,12 +484,10 @@ def retrieve_with_pointers(
                     have = set(int(k) for k in p.keyword_ids)
                     if not all(k in have for k in require):
                         continue
-                else:
-                    # Without an exact filter, a pointer is a candidate when
-                    # it shares at least one query keyword.
-                    qset = set(int(i) for i in query.indices)
-                    if not qset.intersection(int(k) for k in p.keyword_ids):
-                        continue
+                # Without an exact filter, a pointer is a candidate when
+                # it shares at least one query keyword.
+                elif qset.isdisjoint(p.keyword_ids.tolist()):
+                    continue
                 out.append(p)
             return out
 

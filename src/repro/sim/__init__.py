@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: engine, nodes, network, metrics, churn."""
 
-from .engine import Simulator, ScheduledEvent, CancelledError
+from .engine import Simulator, ScheduledEvent
 from .metrics import MetricSink, HopHistogram
 from .node import PeerNode, StoredItem, DirectoryPointer, CapacityError
 from .network import Network, DeadNodeError
@@ -10,7 +10,6 @@ from .failures import fail_fraction, ChurnProcess, ChurnStats
 __all__ = [
     "Simulator",
     "ScheduledEvent",
-    "CancelledError",
     "MetricSink",
     "HopHistogram",
     "PeerNode",

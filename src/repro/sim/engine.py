@@ -21,17 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.profile import SimProfiler
 
-__all__ = ["Simulator", "ScheduledEvent", "PeriodicTask", "CancelledError"]
-
-
-class CancelledError(RuntimeError):
-    """Retained for API compatibility; cancellation no longer raises.
-
-    ``ScheduledEvent.cancel`` used to raise this on double-cancel, which
-    made teardown paths (stop a task, then cancel its handle, then tear
-    down the simulator) order-sensitive and brittle.  Cancel is now
-    idempotent; nothing in the engine raises this anymore.
-    """
+__all__ = ["Simulator", "ScheduledEvent", "PeriodicTask"]
 
 
 @dataclass(order=True)

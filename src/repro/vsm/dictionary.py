@@ -104,9 +104,6 @@ class Dictionary:
             self.generation += 1
         return new_id
 
-    def register_all(self, words: Iterable[str]) -> list[int]:
-        return [self.register(w) for w in words]
-
     # -- lookup ---------------------------------------------------------------------
 
     def id_of(self, word: str) -> int:

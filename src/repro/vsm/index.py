@@ -32,10 +32,20 @@ agreement with the reference per-candidate dot product) is documented
 once, in DESIGN.md under "Columnar node state".
 
 Derived views — the keyword→row postings (exact multi-keyword
-filtering) and the (angle key, item id) ladder (replacement extremes) —
-are built lazily from the columns and invalidated by mutation; the
-ladder is additionally maintained incrementally across scalar
-add/remove so displacement chains never pay a re-sort per hop.
+filtering), the scoring view and the (angle key, item id) ladder
+(replacement extremes) — are built lazily from the columns and
+invalidated by mutation; the ladder is additionally maintained
+incrementally across scalar add/remove so displacement chains never pay
+a re-sort per hop.
+
+Most visits of a neighbour walk are *dry* — the node shares no keyword
+with the query — so the scoring view can carry a keyword-presence
+summary (one byte per dictionary id) that answers those in O(|q|),
+before any numpy call.  It marks a superset of the scorable keywords,
+which is exact because the kernel stays the judge of everything it does
+not rule out; it is built at the first query the full kernel answers
+with no hit (an index that is never dry never pays for it) and lives
+inside the view tuple, so whatever invalidates the view invalidates it.
 """
 
 from __future__ import annotations
@@ -153,7 +163,8 @@ class LocalVsmIndex:
         #: Reusable dim-sized dense scratch for query scatter/gather.
         self._scratch: Optional[np.ndarray] = None
         # -- lazy derived views (None = rebuild on next use) --
-        #: (scorable slots, interleaved reduceat offsets).
+        #: (scorable slots, their ids, norms, reduceat offsets, contiguous
+        #: end, keyword-presence summary) — see :meth:`_scoring_view`.
         self._view: Optional[tuple] = None
         #: (keyword-sorted flat keywords, parallel row slots).
         self._postings: Optional[tuple] = None
@@ -461,7 +472,7 @@ class LocalVsmIndex:
     # -- scoring ------------------------------------------------------------
 
     def _scoring_view(self) -> tuple:
-        """(slots, ids, norms, offsets, contiguous end), cached.
+        """(slots, ids, norms, offsets, contiguous end, presence), cached.
 
         Scorable slots = alive with a positive norm and at least one
         keyword (anything else can never score > 0, and zero-length
@@ -472,7 +483,9 @@ class LocalVsmIndex:
         reduceat segment per row, ending at the contiguous end).  With
         garbage gaps, ``offsets`` interleaves each row's [start, end) so
         the gaps fall into discarded odd segments (``end`` is None to
-        mark the mode).
+        mark the mode).  ``presence`` is the keyword-presence summary,
+        None until :meth:`_ranked` attaches one to this very view — it
+        lives in the tuple so that it dies with it.
         """
         view = self._view
         if view is None:
@@ -484,19 +497,19 @@ class LocalVsmIndex:
             )
             sel = np.nonzero(m)[0]
             if sel.size == 0:
-                view = (None, None, None, None, None)
+                view = (None, None, None, None, None, None)
             else:
                 starts = self._starts[sel]
                 ends = starts + self._lengths[sel]
                 ids_sel = self._ids[sel]
                 norms_sel = self._norms[sel]
                 if bool((starts[1:] == ends[:-1]).all()):
-                    view = (sel, ids_sel, norms_sel, starts, int(ends[-1]))
+                    view = (sel, ids_sel, norms_sel, starts, int(ends[-1]), None)
                 else:
                     offsets = np.empty(2 * sel.size, dtype=np.int64)
                     offsets[0::2] = starts
                     offsets[1::2] = ends
-                    view = (sel, ids_sel, norms_sel, offsets, None)
+                    view = (sel, ids_sel, norms_sel, offsets, None, None)
             self._view = view
         return view
 
@@ -515,7 +528,7 @@ class LocalVsmIndex:
         mid-gather cannot leave the shared scratch dirty and corrupt
         every later score on this node.
         """
-        sel, _ids_sel, norms_sel, offsets, end = self._scoring_view()
+        sel, _ids_sel, norms_sel, offsets, end, _presence = self._scoring_view()
         if sel is None:
             return None, None
         scratch = self._scratch
@@ -545,13 +558,29 @@ class LocalVsmIndex:
         require_all: Optional[Sequence[int]],
         min_score: float,
     ) -> Ranking:
+        # A dry visit — the common case of a neighbour walk — is answered
+        # here in O(|q|), before any numpy call: nothing scorable, or a
+        # presence summary naming none of the query's keywords.
+        view = self._view
+        if view is not None:
+            if view[0] is None:
+                return _NO_HITS
+            present = view[5]
+            if present is not None:
+                for k in query.keyword_tuple:
+                    if present[k]:
+                        break
+                else:
+                    return _NO_HITS
         qnorm = query.norm()
         if qnorm == 0.0:
             return _NO_HITS
         sel, scores = self._kernel_scores(query, qnorm)
         if sel is None:
             return _NO_HITS
-        keep = (scores > 0.0) & (scores >= min_score)
+        keep = scores > 0.0
+        if min_score != 0.0:
+            keep &= scores >= min_score
         if require_all:
             hit = self._slots_with_all(require_all)
             if hit.size == 0:
@@ -561,12 +590,33 @@ class LocalVsmIndex:
             keep &= mask[sel]
         ksel = np.nonzero(keep)[0]
         if ksel.size == 0:
+            # The full kernel found nothing: this node is worth a summary
+            # (built here, not at the first query, so an index that is
+            # never dry never pays the scatter).
+            view = self._view
+            if view[5] is None:
+                self._view = (*view[:5], self._presence_summary())
             return _NO_HITS
         ids_sel = self._view[1]
-        ksel = ksel[np.lexsort((ids_sel[ksel], -scores[ksel]))]
+        if ksel.size > 1:
+            ksel = ksel[np.lexsort((ids_sel[ksel], -scores[ksel]))]
         if limit is not None:
             ksel = ksel[:limit]
         return Ranking(ids_sel[ksel], scores[ksel], sel[ksel], self._item_objs)
+
+    def _presence_summary(self) -> bytes:
+        """One byte per dictionary id: non-zero iff some stored row —
+        tombstoned and unscorable ones included — names the keyword.
+
+        A superset of the scorable keywords is exact for its one use: a
+        query naming no present keyword shares none with any scorable
+        row, so the kernel would score every row 0; anything else still
+        goes to the kernel.  One O(nnz) scatter over the flat keyword
+        column, no sort.
+        """
+        mask = np.zeros(self.dim, dtype=np.bool_)
+        mask[self._kw_flat[: self._nnz]] = True
+        return mask.tobytes()
 
     def query(
         self,

@@ -16,6 +16,7 @@ Two granularities:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -89,12 +90,26 @@ class SparseVector:
     def is_zero(self) -> bool:
         return self.indices.size == 0
 
-    def norm(self) -> float:
-        """Euclidean norm |d|."""
+    # The vector is immutable, so its norm and its keyword ids as Python
+    # ints are computed once: a walk asks every visited node's index for
+    # both (``cached_property`` writes the instance ``__dict__`` directly,
+    # which the frozen dataclass allows).
+
+    @cached_property
+    def _norm(self) -> float:
         return float(np.sqrt(np.dot(self.values, self.values)))
 
+    @cached_property
+    def keyword_tuple(self) -> tuple[int, ...]:
+        """The keyword ids as a tuple of Python ints, ascending."""
+        return tuple(self.indices.tolist())
+
+    def norm(self) -> float:
+        """Euclidean norm |d|."""
+        return self._norm
+
     def keyword_set(self) -> frozenset[int]:
-        return frozenset(int(i) for i in self.indices)
+        return frozenset(self.keyword_tuple)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)

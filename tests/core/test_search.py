@@ -13,9 +13,16 @@ from repro.core.search import (
     retrieve_with_pointers,
 )
 from repro.obs import Observability
+from repro.overload.admission import (
+    AdmissionController,
+    BackpressureError,
+    OverloadPolicy,
+)
+from repro.overload.degrade import divert_home
 from repro.overlay.base import RoutingError
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
+from repro.sim.linkfaults import LinkFaultPlane, MessageLossError
 from repro.sim.network import Network
 from repro.sim.node import StoredItem
 from repro.vsm.sparse import SparseVector
@@ -151,13 +158,27 @@ class TestRetrieve:
 def reference_retrieve(
     system, origin, query, amount, *, patience=8, max_walk=None, direction="both"
 ):
-    """The pre-columnar ``retrieve``, kept as the oracle: one
-    ``ScoredItem`` per hit, a ``Discovery`` built inside the seen-set
-    loop.  (Benign network only: no shedding, no lost messages.)"""
-    route = system.deliver_home(origin, system.query_key(query), kind="retrieve")
-    home, route_hops = route.home, route.hops
-    result = RetrieveResult(route_hops=route_hops)
+    """The pre-columnar, closure-and-generator ``retrieve``, kept as the
+    oracle: one ``ScoredItem`` per hit, a ``Discovery`` built inside the
+    seen-set loop, liveness through ``_walk_order``.  Handles the same
+    hostile fabric as the loop it mirrors: a shed home diverts, a shed
+    or lost walk consult is billed and skipped."""
+    degradation = 0
+    try:
+        route = system.deliver_home(origin, system.query_key(query), kind="retrieve")
+        home, route_hops = route.home, route.hops
+    except BackpressureError as exc:
+        home, route_hops, degradation = divert_home(
+            system, system.query_key(query), kind="retrieve", origin=origin,
+            exclude=(exc.node_id,),
+        )
+        if home is None:
+            return RetrieveResult(
+                route_hops=route_hops, complete=False, degradation_level=degradation
+            )
+    result = RetrieveResult(route_hops=route_hops, degradation_level=degradation)
     seen_items = set()
+    tracer = system.network.obs.tracer
 
     def harvest(node_id, hops_here):
         remaining = None if amount is None else amount - len(result.discoveries)
@@ -187,12 +208,20 @@ def reference_retrieve(
             break
         if amount is None and dry >= patience:
             break
-        system.network.send(current, neighbor, kind="retrieve")
+        try:
+            system.network.send(current, neighbor, kind="retrieve")
+        except (BackpressureError, MessageLossError):
+            walked += 1
+            result.walk_hops += 1
+            dry += 1
+            continue
         current = neighbor
         walked += 1
         result.walk_hops += 1
         result.visited.append(neighbor)
         fresh = harvest(neighbor, route_hops + walked)
+        if tracer.enabled:
+            tracer.event("walk", node=neighbor, fresh=fresh)
         dry = 0 if fresh else dry + 1
     if amount is not None and len(result.discoveries) < amount:
         result.complete = False
@@ -283,6 +312,109 @@ class TestHarvestFoldAgainstReference:
         assert res.discoveries == [] and res.reply_messages == 0
         assert res.walk_hops == 2 and len(res.visited) == 3
         assert res.messages == res.route_hops + 2
+
+
+class TestFlatWalkUnderHostileFabric:
+    """``retrieve_columns``' one-frame walk ≡ the closure-and-generator
+    loop it replaced when the fabric fights back: twin rings with dead
+    nodes on the frontier, under a seeded 15 % link loss and under an
+    admission controller tight enough to shed.  Both run the *same*
+    loop (one ``Network.send`` per message), so every result field, the
+    message bill and the fabric's own counters must agree."""
+
+    KW_POOL = 10
+    FABRICS = ["lossy", "shedding"]
+
+    def twins(self, seed, fabric, observed=False):
+        rng = np.random.default_rng(seed)
+        node_ids = sorted(rng.choice(10_000, size=30, replace=False).tolist())
+        systems = [
+            make_system(
+                node_ids, replication_factor=3,
+                obs=Observability() if observed else None,
+            )
+            for _ in range(2)
+        ]
+        for item_id in range(80):
+            k = int(rng.integers(1, 4))
+            kws = sorted(rng.choice(self.KW_POOL, size=k, replace=False).tolist())
+            ws = np.round(rng.uniform(0.5, 2.0, size=k), 3).tolist()
+            for s in systems:
+                s.publish(s.overlay.ring.at(0), item_id, kws, ws)
+        # Dead nodes the membership caches still list: the walk frontier
+        # must skip them at consumption time.
+        dead = rng.choice(node_ids, size=5, replace=False).tolist()
+        for s in systems:
+            for nid in dead:
+                s.network.fail_node(nid)
+            if fabric == "lossy":
+                s.network.attach_link_faults(LinkFaultPlane(seed, drop_prob=0.15))
+            else:
+                s.network.attach_admission(AdmissionController(
+                    # A late breaker keeps homes admitting long enough for
+                    # the *walk's* consults to be the ones that shed.
+                    OverloadPolicy(service_rate=0.02, queue_cap=2, breaker_threshold=64),
+                    s.network.obs,
+                ))
+        return rng, systems[0], systems[1]
+
+    @staticmethod
+    def fabric_snapshot(system):
+        net = system.network
+        if net.link_faults is not None:
+            return net.link_faults.snapshot()
+        adm = net.admission
+        return {"clock": adm.clock, "admitted": adm.admitted, "sheds": adm.sheds}
+
+    def rand_query(self, rng):
+        k = int(rng.integers(1, 4))
+        kws = rng.choice(self.KW_POOL, size=k, replace=False).tolist()
+        return query(dict(zip(kws, rng.uniform(0.5, 2.0, size=k).tolist())))
+
+    def drive(self, rng, a, b, direction, rounds=5):
+        """Same calls on both twins; returns how many walk consults were
+        shed or lost (billed hops that visited nobody)."""
+        skipped = 0
+        for _ in range(rounds):
+            q = self.rand_query(rng)
+            origin = a.random_origin(rng)
+            for amount in (None, 1, 3, 10):
+                for max_walk in (None, 1, 3):
+                    kwargs = dict(max_walk=max_walk, direction=direction)
+                    want = reference_retrieve(a, origin, q, amount, **kwargs)
+                    got = retrieve(b, origin, q, amount, **kwargs)
+                    assert vars(got) == vars(want)
+                    alive = b.network.is_alive
+                    assert all(alive(n) for n in got.visited)
+                    skipped += got.walk_hops - max(0, len(got.visited) - 1)
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        assert self.fabric_snapshot(a) == self.fabric_snapshot(b)
+        return skipped
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("direction", ["both", "up", "down"])
+    def test_every_field_and_the_bill_match(self, fabric, seed, direction):
+        rng, a, b = self.twins(seed, fabric)
+        skipped = self.drive(rng, a, b, direction)
+        snap = self.fabric_snapshot(b)
+        assert snap.get("dropped", snap.get("sheds")) > 0
+        # The except branch of the walk really ran.
+        assert skipped
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    def test_observability_sees_the_same_walk(self, fabric):
+        rng, a, b = self.twins(7, fabric, observed=True)
+        self.drive(rng, a, b, "both", rounds=3)
+        ma, mb = a.network.obs.metrics, b.network.obs.metrics
+        assert mb.counters["net.sent.retrieve"] == ma.counters["net.sent.retrieve"]
+        assert mb.counters["net.sent.retrieve"] == b.network.sink.snapshot()["retrieve"]
+        assert mb.buckets["net.node_inbox"] == ma.buckets["net.node_inbox"]
+        walks = [
+            [(e.attrs["node"], e.attrs["fresh"]) for e in s.network.obs.tracer.find("walk")]
+            for s in (a, b)
+        ]
+        assert walks[0] == walks[1] and walks[0]
 
 
 class TestFindItem:
