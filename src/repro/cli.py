@@ -431,39 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="with --check: also fail if the run took longer than this",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the micro-kernels; write or compare BENCH_*.json snapshots",
-    )
-    bench.add_argument(
-        "--scale", type=float, default=1.0, help="kernel workload size factor"
-    )
-    bench.add_argument("--repeats", type=int, default=5, help="timing repeats")
-    bench.add_argument(
-        "--kernels",
-        default=None,
-        metavar="NAME[,NAME...]",
-        help="comma-separated subset of kernels to run (default: all)",
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="FILE", help="write the snapshot JSON to FILE"
-    )
-    bench.add_argument(
-        "--against",
-        default=None,
-        metavar="FILE",
-        help="compare against a snapshot (e.g. BENCH_baseline.json); "
-        "exit non-zero on a best-of regression past --threshold, or when a "
-        "full run (no --kernels) and the snapshot name different kernels",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="fractional regression tolerance for --against (default 0.05; "
-        "widen on noisy machines — sub-ms kernels jitter ~10%%)",
-    )
     return parser
 
 
@@ -512,8 +479,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_qps(args)
     if args.command == "lsh":
         return _cmd_lsh(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -1116,51 +1081,6 @@ def _cmd_lsh(args) -> int:
             print("lsh --check FAILED: " + "; ".join(failed), file=sys.stderr)
             return 1
         print("lsh --check OK")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from .obs import bench
-
-    kernels = None
-    if args.kernels is not None:
-        kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
-    try:
-        results = bench.run_benchmarks(
-            scale=args.scale, repeats=args.repeats, kernels=kernels
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(bench.format_results(results))
-    if args.out is not None:
-        path = bench.write_results(results, args.out)
-        print(f"\nsnapshot written to {path}")
-    if args.against is not None:
-        try:
-            baseline = bench.load_results(args.against)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.against}: {exc}", file=sys.stderr)
-            return 2
-        rows = bench.compare_results(baseline, results)
-        print(f"\nvs {args.against}:")
-        print(bench.format_comparison(rows, threshold=args.threshold))
-        if any(r["delta"] is not None and r["delta"] > args.threshold for r in rows):
-            return 1
-        if kernels is None:
-            # A full run must time exactly the baseline's kernels: one
-            # that was deleted, renamed or silently not built has no
-            # delta to regress and would otherwise pass the gate.
-            gone = [r["kernel"] for r in rows if r["current_us"] is None]
-            new = [r["kernel"] for r in rows if r["baseline_us"] is None]
-            if gone or new:
-                print(
-                    "bench --against FAILED: kernel sets differ"
-                    + (f"; only in {args.against}: {', '.join(gone)}" if gone else "")
-                    + (f"; only in this run: {', '.join(new)}" if new else ""),
-                    file=sys.stderr,
-                )
-                return 1
     return 0
 
 

@@ -774,6 +774,38 @@ class Meteorograph:
                     "(MeteorographConfig.lsh_probe_width)"
                 )
 
+    def _first_hop_kwargs(
+        self, queries: Sequence[SparseVector], kwargs: dict
+    ) -> list[dict]:
+        """Per query, ``kwargs`` with the §3.5.1 ``start_key`` and sweep
+        ``direction`` filled in where the caller left them unset."""
+        if self.first_hop is None:
+            raise RuntimeError("no first-hop selector (no sample at build time)")
+        angle_space = self.config.directory_pointers
+        out = []
+        for query in queries:
+            kw = dict(kwargs)
+            kws = [int(i) for i in query.indices]
+            start = self.first_hop.start_key(kws, angle_space=angle_space)
+            if start is not None:
+                kw.setdefault("start_key", start)
+                # Walk mode lands at the bottom of the (Eq.-6-stretched)
+                # band and sweeps upward, per §3.5.1.  Pointer mode's
+                # band is the compact raw-angle cluster and the sample
+                # minimum is only a lower *estimate* — sweep both ways
+                # so matchers below the sample's min key are not lost.
+                kw.setdefault("direction", "both" if angle_space else "up")
+            else:
+                # No full match in the sample (rare conjunction): start
+                # at the best partial match and sweep both ways, since
+                # the position is only approximate.
+                relaxed = self.first_hop.relaxed_start_key(kws, angle_space=angle_space)
+                if relaxed is not None:
+                    kw.setdefault("start_key", relaxed[0])
+                    kw.setdefault("direction", "both")
+            out.append(kw)
+        return out
+
     def retrieve(
         self,
         origin: int,
@@ -801,27 +833,7 @@ class Meteorograph:
 
             return multi_probe_retrieve(self, origin, query, amount, **kwargs)
         if use_first_hop:
-            if self.first_hop is None:
-                raise RuntimeError("no first-hop selector (no sample at build time)")
-            kws = [int(i) for i in query.indices]
-            angle_space = self.config.directory_pointers
-            start = self.first_hop.start_key(kws, angle_space=angle_space)
-            if start is not None:
-                kwargs.setdefault("start_key", start)
-                # Walk mode lands at the bottom of the (Eq.-6-stretched)
-                # band and sweeps upward, per §3.5.1.  Pointer mode's
-                # band is the compact raw-angle cluster and the sample
-                # minimum is only a lower *estimate* — sweep both ways
-                # so matchers below the sample's min key are not lost.
-                kwargs.setdefault("direction", "both" if angle_space else "up")
-            else:
-                # No full match in the sample (rare conjunction): start
-                # at the best partial match and sweep both ways, since
-                # the position is only approximate.
-                relaxed = self.first_hop.relaxed_start_key(kws, angle_space=angle_space)
-                if relaxed is not None:
-                    kwargs.setdefault("start_key", relaxed[0])
-                    kwargs.setdefault("direction", "both")
+            kwargs = self._first_hop_kwargs([query], kwargs)[0]
         if self.config.directory_pointers:
             return retrieve_with_pointers(self, origin, query, amount, **kwargs)
         return retrieve(self, origin, query, amount, **kwargs)
@@ -869,22 +881,8 @@ class Meteorograph:
             return multi_probe_retrieve_many(self, origins, queries, amount, **kwargs)
         if not use_first_hop:
             return retrieve_many(self, origins, queries, amount, **kwargs)
-        if self.first_hop is None:
-            raise RuntimeError("no first-hop selector (no sample at build time)")
-        angle_space = self.config.directory_pointers
         buckets: dict[tuple, list[int]] = {}
-        for i, q in enumerate(queries):
-            kw = dict(kwargs)
-            kws = [int(j) for j in q.indices]
-            start = self.first_hop.start_key(kws, angle_space=angle_space)
-            if start is not None:
-                kw.setdefault("start_key", start)
-                kw.setdefault("direction", "both" if angle_space else "up")
-            else:
-                relaxed = self.first_hop.relaxed_start_key(kws, angle_space=angle_space)
-                if relaxed is not None:
-                    kw.setdefault("start_key", relaxed[0])
-                    kw.setdefault("direction", "both")
+        for i, kw in enumerate(self._first_hop_kwargs(queries, kwargs)):
             buckets.setdefault(
                 (kw.get("start_key"), kw.get("direction", "both")), []
             ).append(i)

@@ -20,7 +20,7 @@ wave, that both paths leave **identical holder sets** (the
 placement-equivalence property the unit tests pin at small scale).
 
 The cyclic GC is paused around the timed regions (the ``timeit``
-convention, as in :mod:`repro.obs.bench`): two 10⁴-item systems keep
+convention): two 10⁴-item systems keep
 enough containers alive that a collection landing inside one path but
 not the other would swamp the signal.
 

@@ -16,9 +16,9 @@ the most traffic.  Three pieces:
 :class:`Observability` bundles a tracer and a registry; ``NULL_OBS`` is
 the shared disabled instance every un-instrumented system uses.  The
 contract is **zero cost when off**: hot paths check one ``enabled``
-attribute before emitting, so tier-1 benchmarks are unaffected (see
-OBSERVABILITY.md for the measured overhead and the ``BENCH_*.json``
-baseline workflow in :mod:`repro.obs.bench`).
+attribute before emitting, so an operation calls the null twins the
+same number of times however many hops it takes (see
+OBSERVABILITY.md, "The zero-cost contract").
 
 Enable per system::
 

@@ -2,7 +2,7 @@
 
 from .idspace import KeySpace, SortedKeyRing, PAPER_MODULUS, DEFAULT_BITS
 from .base import Overlay, RouteResult, RoutingError
-from .routing import DigitCodec, PrefixRoutingTable
+from .routing import DigitCodec, prefix_row
 from .tornado import TornadoOverlay
 from .chord import ChordOverlay
 from .membership import Bootstrap, JoinResult, graceful_leave
@@ -16,7 +16,7 @@ __all__ = [
     "RouteResult",
     "RoutingError",
     "DigitCodec",
-    "PrefixRoutingTable",
+    "prefix_row",
     "TornadoOverlay",
     "ChordOverlay",
     "Bootstrap",

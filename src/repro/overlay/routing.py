@@ -7,13 +7,14 @@ the owner and whose next digit is ``d``.  Forwarding a key to the row-
 which shrinks the remaining numeric distance by a factor of ``2**b``
 per hop — the O(log N) bound the paper leans on.
 
-Rows are materialised lazily from the (possibly stale) membership ring
-and memoised per table.  Laziness matters at simulator scale: a full
-table build is O(N · rows · 2^b) binary searches, while queries only
-ever touch the rows on their paths.  ``TornadoOverlay`` reads a row once
-per membership epoch, when it compiles the row with the owner's leaf set
-into the sorted candidate ring its route kernel bisects
-(:mod:`repro.overlay.tornado`), and keeps that ring instead of the table.
+No table is ever held: :func:`prefix_row` materialises one row from the
+(possibly stale) membership ring on demand.  Laziness matters at
+simulator scale: a full table build is O(N · rows · 2^b) binary
+searches, while queries only ever touch the rows on their paths.
+``TornadoOverlay`` builds a row once per membership epoch, when it
+compiles the row with the owner's leaf set into the sorted candidate
+ring its route kernel bisects (:mod:`repro.overlay.tornado`), and keeps
+that ring instead of the row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .idspace import KeySpace, SortedKeyRing
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
 
-__all__ = ["DigitCodec", "PrefixRoutingTable"]
+__all__ = ["DigitCodec", "prefix_row"]
 
 #: Chooses a table entry among a block's candidate node ids (for the
 #: owner given first).  Default: the first candidate in key order;
@@ -84,69 +85,41 @@ class DigitCodec:
         return lo, hi
 
 
-class PrefixRoutingTable:
-    """Lazy per-node routing table over a membership ring.
+#: Candidates enumerated per block when a selector is installed —
+#: Pastry-style "pick the proximally best of a few", not a scan.
+CANDIDATE_LIMIT = 8
 
-    The entry for (row, digit) is the *first node in key order* inside
+
+def prefix_row(
+    owner: int,
+    r: int,
+    codec: DigitCodec,
+    view: SortedKeyRing,
+    selector: Optional[EntrySelector] = None,
+    obs: Optional["Observability"] = None,
+) -> list[Optional[int]]:
+    """Row ``r`` of ``owner``'s routing table over the membership ``view``.
+
+    The entry for digit ``d`` is the *first node in key order* inside
     the digit's key block — deterministic, so two runs with the same
-    seed route identically.  Entries may reference dead nodes; liveness
-    is the forwarding loop's concern (stale-table semantics, needed for
-    the §4.3 failure study).
+    seed route identically — or, with a ``selector``, its pick among the
+    block's first :data:`CANDIDATE_LIMIT` nodes; ``None`` marks an empty
+    block.  Entries may reference dead nodes; liveness is the forwarding
+    loop's concern (stale-table semantics, needed for the §4.3 failure
+    study).
     """
-
-    #: Candidates enumerated per block when a selector is installed —
-    #: Pastry-style "pick the proximally best of a few", not a scan.
-    CANDIDATE_LIMIT = 8
-
-    def __init__(
-        self,
-        owner_id: int,
-        codec: DigitCodec,
-        ring: SortedKeyRing,
-        selector: Optional[EntrySelector] = None,
-        *,
-        obs: Optional["Observability"] = None,
-    ) -> None:
-        self.owner_id = owner_id
-        self.codec = codec
-        self._ring = ring
-        self._selector = selector
-        self._obs = obs
-        self._rows: dict[int, list[Optional[int]]] = {}
-
-    def rebind(self, ring: SortedKeyRing) -> None:
-        """Point the table at a different membership view and forget memos."""
-        self._ring = ring
-        self._rows.clear()
-
-    def invalidate(self) -> None:
-        self._rows.clear()
-
-    def row(self, r: int) -> list[Optional[int]]:
-        """Materialise (or fetch memoised) row ``r``."""
-        cached = self._rows.get(r)
-        if cached is not None:
-            return cached
-        entries: list[Optional[int]] = []
-        for d in range(self.codec.radix):
-            lo, hi = self.codec.prefix_interval(self.owner_id, r, d)
-            if self._ring.range_count(lo, hi) == 0:
-                entries.append(None)
-            elif self._selector is None:
-                entries.append(self._ring.successor(lo))
-            else:
-                cands = self._ring.range_keys(lo, hi, limit=self.CANDIDATE_LIMIT)
-                entries.append(self._selector(self.owner_id, cands))
-        self._rows[r] = entries
-        if self._obs is not None and self._obs.enabled:
-            # Lazy materialisation is the table's core cost trade; count
-            # it so `stats` can show how much of the table queries touch.
-            self._obs.metrics.counter("routing.rows_built")
-        return entries
-
-    def entry(self, r: int, digit: int) -> Optional[int]:
-        return self.row(r)[digit]
-
-    def populated_rows(self) -> int:
-        """How many rows have been materialised (introspection/tests)."""
-        return len(self._rows)
+    entries: list[Optional[int]] = []
+    for d in range(codec.radix):
+        lo, hi = codec.prefix_interval(owner, r, d)
+        if view.range_count(lo, hi) == 0:
+            entries.append(None)
+        elif selector is None:
+            entries.append(view.successor(lo))
+        else:
+            cands = view.range_keys(lo, hi, limit=CANDIDATE_LIMIT)
+            entries.append(selector(owner, cands))
+    if obs is not None and obs.enabled:
+        # Lazy materialisation is the table's core cost trade; count it
+        # so `stats` can show how much of the table queries touch.
+        obs.metrics.counter("routing.rows_built")
+    return entries

@@ -41,7 +41,7 @@ from ..sim.linkfaults import MessageLossError
 from ..sim.network import Network
 from .base import Overlay, RouteResult, RoutingError
 from .idspace import KeySpace, SortedKeyRing
-from .routing import DigitCodec, PrefixRoutingTable
+from .routing import DigitCodec, prefix_row
 
 __all__ = ["TornadoOverlay"]
 
@@ -129,19 +129,20 @@ class TornadoOverlay(Overlay):
 
     # -- routing state ------------------------------------------------------
 
-    def _table(self, node_id: int) -> PrefixRoutingTable:
-        """``node_id``'s routing table over the current view.
+    def _row(self, node_id: int, r: int) -> list[Optional[int]]:
+        """``node_id``'s routing-table row ``r`` over the current view.
 
         Built on demand and not retained: the compiled ring is the one
-        memo of a row, so no table can outlive the view it was bound to.
+        memo of a row, so no row can outlive the view it was built from.
         """
         lmap = self.latency_map
-        return PrefixRoutingTable(
+        return prefix_row(
             node_id,
+            r,
             self.codec,
             self._view,
             None if lmap is None else lmap.nearest,
-            obs=self.network.obs,
+            self.network.obs,
         )
 
     def leaf_set(self, node_id: int) -> list[int]:
@@ -180,7 +181,7 @@ class TornadoOverlay(Overlay):
         """Build and memoise the compiled ring of ``(node_id, r)``."""
         members = {node_id, *self.leaf_set(node_id)}
         if r < self.codec.num_digits:
-            members.update(self._table(node_id).row(r))
+            members.update(self._row(node_id, r))
             members.discard(None)
         ring = tuple(sorted(members))
         self._rings[r][node_id] = ring

@@ -30,12 +30,11 @@ def reference_candidates(overlay: TornadoOverlay, node_id: int, key: int) -> lis
     extending the shared prefix by the key's next digit first, then the
     rest of that row as detours around a dead primary; the owner itself
     is never a candidate, and a key equal to the owner has none."""
-    table = overlay._table(node_id)
     codec = overlay.codec
     r = codec.shared_prefix_len(node_id, key)
     if r >= codec.num_digits:
         return []
-    row = table.row(r)
+    row = overlay._row(node_id, r)
     want = codec.digit(key, r)
     primary = row[want]
     out = []

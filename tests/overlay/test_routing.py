@@ -1,9 +1,9 @@
-"""Unit tests for digit codecs and prefix routing tables."""
+"""Unit tests for digit codecs and prefix routing rows."""
 
 import pytest
 
 from repro.overlay.idspace import KeySpace, SortedKeyRing
-from repro.overlay.routing import DigitCodec, PrefixRoutingTable
+from repro.overlay.routing import CANDIDATE_LIMIT, DigitCodec, prefix_row
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
 
@@ -56,38 +56,13 @@ class TestDigitCodec:
 
 
 class TestPrefixRoutingTable:
-    def make(self, members, owner=0x1000, bits=4):
-        codec = DigitCodec(SPACE, bits)
-        ring = SortedKeyRing(SPACE, members)
-        return PrefixRoutingTable(owner, codec, ring), codec
-
     def test_entry_shares_prefix(self):
-        members = [0x1000, 0x1F00, 0x2400, 0x9999]
-        table, codec = self.make(members)
-        row0 = table.row(0)
+        ring = SortedKeyRing(SPACE, [0x1000, 0x1F00, 0x2400, 0x9999])
+        row0 = prefix_row(0x1000, 0, DigitCodec(SPACE, 4), ring)
         # digit 2 at row 0 -> some member starting with 0x2
         assert row0[0x2] == 0x2400
         assert row0[0x9] == 0x9999
         assert row0[0x3] is None
-
-    def test_row_memoised(self):
-        table, _ = self.make([0x1000, 0x2400])
-        assert table.populated_rows() == 0
-        r1 = table.row(0)
-        assert table.populated_rows() == 1
-        assert table.row(0) is r1
-
-    def test_invalidate_clears_memo(self):
-        table, _ = self.make([0x1000, 0x2400])
-        table.row(0)
-        table.invalidate()
-        assert table.populated_rows() == 0
-
-    def test_rebind_uses_new_ring(self):
-        table, _ = self.make([0x1000, 0x2400])
-        assert table.row(0)[0x2] == 0x2400
-        table.rebind(SortedKeyRing(SPACE, [0x1000, 0x2800]))
-        assert table.row(0)[0x2] == 0x2800
 
     # The route kernel's candidate set is the *compiled ring* of a
     # (node, row): the row's entries, the owner and its leaf set, sorted
@@ -106,7 +81,7 @@ class TestPrefixRoutingTable:
         ring = ov._compile_ring(0x1000, row)
         # The row's entry for the key's next digit is a member, and it
         # shares 2 digits (0x12..) with the key.
-        primary = ov._table(0x1000).row(row)[ov.codec.digit(0x1234, row)]
+        primary = ov._row(0x1000, row)[ov.codec.digit(0x1234, row)]
         assert primary in (0x1200, 0x1250) and primary in ring
         assert ov.codec.shared_prefix_len(primary, 0x1234) >= 2
         # ... and the first hop goes to a node that extends the prefix.
@@ -139,8 +114,7 @@ class TestEntrySelector:
             picked.append((owner, list(candidates)))
             return candidates[-1]  # deliberately not the first
 
-        table = PrefixRoutingTable(0x1000, codec, ring, selector)
-        row = table.row(0)
+        row = prefix_row(0x1000, 0, codec, ring, selector)
         assert row[0x2] == 0x2300  # selector's choice, not successor(lo)
         owner, cands = picked[[p[1] for p in picked].index([0x2100, 0x2200, 0x2300])]
         assert owner == 0x1000
@@ -155,12 +129,10 @@ class TestEntrySelector:
             sizes.append(len(candidates))
             return candidates[0]
 
-        table = PrefixRoutingTable(0x1000, codec, ring, selector)
-        table.row(0)
-        assert max(sizes) <= PrefixRoutingTable.CANDIDATE_LIMIT
+        prefix_row(0x1000, 0, codec, ring, selector)
+        assert max(sizes) <= CANDIDATE_LIMIT
 
     def test_without_selector_first_in_block(self):
         codec = DigitCodec(SPACE, 4)
         ring = SortedKeyRing(SPACE, [0x1000, 0x2100, 0x2900])
-        table = PrefixRoutingTable(0x1000, codec, ring)
-        assert table.row(0)[0x2] == 0x2100
+        assert prefix_row(0x1000, 0, codec, ring)[0x2] == 0x2100

@@ -203,7 +203,7 @@ class TestStabilize:
         fresh.network.fail_nodes(dead[1:])
         for nid in fresh.ring:
             for r in range(ov.codec.num_digits):
-                assert ov._table(nid).row(r) == fresh._table(nid).row(r), (nid, r)
+                assert ov._row(nid, r) == fresh._row(nid, r), (nid, r)
             for r in range(ov.codec.num_digits + 1):
                 assert ov._compile_ring(nid, r) == fresh._compile_ring(nid, r), (nid, r)
         for key in keys + [joined, dead[0]]:

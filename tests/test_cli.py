@@ -65,25 +65,6 @@ class TestObservabilityVerbs:
         assert (out_dir / "metrics.json").exists()
         assert (out_dir / "metrics.csv").exists()
 
-    def test_bench_writes_and_compares(self, capsys, tmp_path):
-        snap = tmp_path / "BENCH_test.json"
-        assert main(["bench", "--scale", "0.02", "--repeats", "1",
-                     "--out", str(snap)]) == 0
-        assert snap.exists()
-        out = capsys.readouterr().out
-        assert "tornado_route" in out
-        # Comparing a run against an impossibly fast baseline must fail.
-        import json
-
-        doctored = json.loads(snap.read_text())
-        for kernel in doctored["kernels"].values():
-            kernel["best_us"] = 1e-6
-        fast = tmp_path / "BENCH_fast.json"
-        fast.write_text(json.dumps(doctored))
-        assert main(["bench", "--scale", "0.02", "--repeats", "1",
-                     "--against", str(fast)]) == 1
-        assert "regression" in capsys.readouterr().out
-
 
 class TestFaultsVerb:
     def test_parses_with_defaults(self):
@@ -301,59 +282,6 @@ class TestLshVerb:
         assert "more than k=10 discoveries" in captured.err
 
 
-class TestBenchAgainstKernelSets:
-    """``bench --against`` must not pass a kernel it never timed."""
-
-    @pytest.fixture
-    def two_kernels(self, monkeypatch):
-        # Two trivial stand-ins under real kernel names: the gate logic
-        # is what is under test, not the kernels.
-        from repro.obs import bench
-
-        monkeypatch.setattr(
-            bench,
-            "build_kernels",
-            lambda scale=1.0: {
-                "absolute_angles": lambda: 1,
-                "corpus_to_keys": lambda: 2,
-            },
-        )
-
-    @staticmethod
-    def _baseline(tmp_path, names):
-        import json
-
-        slow = {"best_us": 1e12, "mean_us": 1e12, "loops": 1, "repeats": 1}
-        path = tmp_path / "BENCH_base.json"
-        path.write_text(json.dumps({"meta": {}, "kernels": {n: slow for n in names}}))
-        return str(path)
-
-    def test_matching_sets_pass(self, two_kernels, tmp_path):
-        base = self._baseline(tmp_path, ["absolute_angles", "corpus_to_keys"])
-        assert main(["bench", "--repeats", "1", "--against", base]) == 0
-
-    def test_kernel_missing_from_full_run_fails(self, two_kernels, tmp_path, capsys):
-        base = self._baseline(
-            tmp_path, ["absolute_angles", "corpus_to_keys", "angles_chunked_pool"]
-        )
-        assert main(["bench", "--repeats", "1", "--against", base]) == 1
-        err = capsys.readouterr().err
-        assert "kernel sets differ" in err
-        assert "angles_chunked_pool" in err
-
-    def test_kernel_missing_from_baseline_fails(self, two_kernels, tmp_path, capsys):
-        base = self._baseline(tmp_path, ["absolute_angles"])
-        assert main(["bench", "--repeats", "1", "--against", base]) == 1
-        assert "only in this run: corpus_to_keys" in capsys.readouterr().err
-
-    def test_kernels_subset_is_not_a_false_alarm(self, two_kernels, tmp_path):
-        base = self._baseline(tmp_path, ["absolute_angles", "corpus_to_keys"])
-        rc = main(
-            ["bench", "--repeats", "1", "--kernels", "absolute_angles", "--against", base]
-        )
-        assert rc == 0
-
-
 class TestScaleVerbRemoved:
     def test_scale_is_not_a_verb_or_an_experiment(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -362,3 +290,15 @@ class TestScaleVerbRemoved:
         assert "invalid choice: 'scale'" in capsys.readouterr().err
         assert main(["list"]) == 0
         assert "scale" not in capsys.readouterr().out.splitlines()
+
+
+class TestBenchVerbRemoved:
+    """Host-time benchmarking lives in ``bench/run.py`` alone."""
+
+    def test_bench_is_not_a_verb_or_an_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert main(["list"]) == 0
+        assert "bench" not in capsys.readouterr().out.splitlines()

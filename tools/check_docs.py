@@ -11,10 +11,8 @@ Also verifies that every committed ``results/<id>.csv`` whose id is in
 the registry is indexed by ``results/manifest.json``, so the artifact
 directory stays discoverable.
 
-Four taxonomy checks keep OBSERVABILITY.md honest the same way: every
-bench kernel registered in ``repro.obs.bench._LOOPS`` must be named in
-the doc (the BENCH workflow section documents each kernel's workload),
-every ``lsh.*`` instrument the LSH subsystem emits must appear in the
+Three taxonomy checks keep OBSERVABILITY.md honest the same way: every
+``lsh.*`` instrument the LSH subsystem emits must appear in the
 instrument table, so must every ``linkfault.*`` /
 ``maint.antientropy.*`` instrument of the message-plane fault
 subsystem, and so must every ``routing.*`` instrument — these are not
@@ -22,9 +20,8 @@ listed here but read off the code: each ``"routing.<name>"`` string
 literal under ``src/repro/overlay/`` needs a row of the table that
 starts with it.
 
-Three reverse checks catch a doc that outlives what it names: every
-kernel heading the BENCH workflow's bullet list must still be in
-``_LOOPS``; every ``--flag`` a documented ``meteorograph <verb> …``
+Two reverse checks catch a doc that outlives what it names: every
+``--flag`` a documented ``meteorograph <verb> …``
 command passes (README, EXPERIMENTS, OBSERVABILITY, the verify skill)
 must be an option of that verb's subparser in
 ``repro.cli.build_parser()``; and every module those docs and DESIGN.md
@@ -69,17 +66,6 @@ _PY_PATH = re.compile(r"[\w.*-]+(?:/[\w.*-]+)+\.py\b")
 
 #: ``"routing.rows_built"`` as a string literal in overlay source.
 _ROUTING_LITERAL = re.compile(r"""["'](routing\.[a-z0-9_.]+)["']""")
-
-
-def _documented_kernels(obs_text: str) -> list[str]:
-    """Kernel names heading the bullets of the BENCH workflow section
-    (``* `a` / `b` — what it times``)."""
-    section = obs_text.split("## BENCH_*.json workflow", 1)[-1].split("\n## ", 1)[0]
-    names: list[str] = []
-    for line in section.splitlines():
-        if line.startswith("* `"):
-            names.extend(re.findall(r"`([a-z0-9_]+)`", line.split(" — ", 1)[0]))
-    return names
 
 
 def _documented_commands(text: str) -> list[list[str]]:
@@ -197,21 +183,7 @@ def main() -> int:
                 "repro.experiments.ALL_EXPERIMENTS"
             )
 
-    from repro.obs.bench import _LOOPS
-
     obs_text = (ROOT / "OBSERVABILITY.md").read_text()
-    for kernel in sorted(_LOOPS):
-        if kernel not in obs_text:
-            failed.append(
-                f"bench kernel `{kernel}` is registered in repro.obs.bench "
-                "but not documented in OBSERVABILITY.md"
-            )
-    for kernel in _documented_kernels(obs_text):
-        if kernel not in _LOOPS:
-            failed.append(
-                f"OBSERVABILITY.md's kernel list documents `{kernel}` but it "
-                "is not registered in repro.obs.bench._LOOPS"
-            )
     # The instrument names the LSH subsystem emits (grep the package for
     # the literals): drift here means the taxonomy table went stale.
     lsh_instruments = (
