@@ -55,7 +55,7 @@ from .search import (
     retrieve,
     retrieve_with_pointers,
 )
-from .search_batch import retrieve_many
+from .search_batch import origins_of, retrieve_many
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..maint.retry import RetryPolicy
@@ -774,37 +774,45 @@ class Meteorograph:
                     "(MeteorographConfig.lsh_probe_width)"
                 )
 
-    def _first_hop_kwargs(
-        self, queries: Sequence[SparseVector], kwargs: dict
-    ) -> list[dict]:
-        """Per query, ``kwargs`` with the §3.5.1 ``start_key`` and sweep
-        ``direction`` filled in where the caller left them unset."""
+    def _start_columns(
+        self, queries: Sequence[SparseVector], kwargs: dict, use_first_hop: bool
+    ) -> tuple[list[Optional[int]], list[str]]:
+        """Per query, the walk's start key (``None`` = the query's own
+        key) and sweep direction: the caller's ``start_key`` /
+        ``direction`` (popped from ``kwargs``) where given, else the
+        §3.5.1 first-hop choice with ``use_first_hop``."""
+        start_key = kwargs.pop("start_key", None)
+        direction = kwargs.pop("direction", None)
+        keys = [start_key] * len(queries)
+        directions = [direction or "both"] * len(queries)
+        if not use_first_hop:
+            return keys, directions
         if self.first_hop is None:
             raise RuntimeError("no first-hop selector (no sample at build time)")
         angle_space = self.config.directory_pointers
-        out = []
-        for query in queries:
-            kw = dict(kwargs)
-            kws = [int(i) for i in query.indices]
+        for i, query in enumerate(queries):
+            kws = [int(k) for k in query.indices]
             start = self.first_hop.start_key(kws, angle_space=angle_space)
             if start is not None:
-                kw.setdefault("start_key", start)
                 # Walk mode lands at the bottom of the (Eq.-6-stretched)
                 # band and sweeps upward, per §3.5.1.  Pointer mode's
                 # band is the compact raw-angle cluster and the sample
                 # minimum is only a lower *estimate* — sweep both ways
                 # so matchers below the sample's min key are not lost.
-                kw.setdefault("direction", "both" if angle_space else "up")
+                found, sweep = start, "both" if angle_space else "up"
             else:
                 # No full match in the sample (rare conjunction): start
                 # at the best partial match and sweep both ways, since
                 # the position is only approximate.
                 relaxed = self.first_hop.relaxed_start_key(kws, angle_space=angle_space)
-                if relaxed is not None:
-                    kw.setdefault("start_key", relaxed[0])
-                    kw.setdefault("direction", "both")
-            out.append(kw)
-        return out
+                if relaxed is None:
+                    continue
+                found, sweep = relaxed[0], "both"
+            if start_key is None:
+                keys[i] = found
+            if direction is None:
+                directions[i] = sweep
+        return keys, directions
 
     def retrieve(
         self,
@@ -833,10 +841,10 @@ class Meteorograph:
 
             return multi_probe_retrieve(self, origin, query, amount, **kwargs)
         if use_first_hop:
-            kwargs = self._first_hop_kwargs([query], kwargs)[0]
-        if self.config.directory_pointers:
-            return retrieve_with_pointers(self, origin, query, amount, **kwargs)
-        return retrieve(self, origin, query, amount, **kwargs)
+            (key,), (direction,) = self._start_columns([query], kwargs, True)
+            kwargs.update(start_key=key, direction=direction)
+        fn = retrieve_with_pointers if self.config.directory_pointers else retrieve
+        return fn(self, origin, query, amount, **kwargs)
 
     def retrieve_many(
         self,
@@ -851,14 +859,13 @@ class Meteorograph:
         queries[i], amount, ...)`` at a fraction of the cost.
 
         ``origin`` is one node id for the whole batch or one per query.
-        With ``use_first_hop``, the §3.5.1 start key and sweep direction
-        are resolved per query exactly as :meth:`retrieve` does; queries
-        sharing a resolved (start key, direction) are batched together,
-        the rest of the sharing happens inside
-        :func:`repro.core.search_batch.retrieve_many` (which falls back
-        to the sequential protocols under directory pointers, admission
-        control, link faults, replication, or retries, counting each
-        fallback under ``retrieve.batch.fallback.<reason>``).
+        The start key and sweep direction are resolved per query exactly
+        as :meth:`retrieve` does (§3.5.1 first-hop included) and passed
+        as columns to :func:`repro.core.search_batch.retrieve_many`,
+        which shares routes and walks where the configuration is
+        replayable (see its module docstring).  Under directory pointers
+        each query runs the §3.5.2 protocol in turn, counted under
+        ``retrieve.batch.fallback.pointers``.
 
         Under a multi-key naming scheme the batch multi-probes and
         accepts ``probe_width``, ``require_all``, ``min_score`` and
@@ -866,39 +873,22 @@ class Meteorograph:
         ``max_walk`` and ``start_key[s]`` are rejected as in :meth:`retrieve`.
         """
         queries = list(queries)
-        if isinstance(origin, (int, np.integer)):
-            origins = [int(origin)] * len(queries)
-        else:
-            origins = [int(o) for o in origin]
-            if len(origins) != len(queries):
-                raise ValueError(
-                    f"{len(origins)} origins for {len(queries)} queries"
-                )
+        origins = origins_of(origin, len(queries))
         if self.naming.n_keys > 1:
             self._check_multi_probe_options(use_first_hop, kwargs)
             from ..lsh.probe import multi_probe_retrieve_many
 
             return multi_probe_retrieve_many(self, origins, queries, amount, **kwargs)
-        if not use_first_hop:
-            return retrieve_many(self, origins, queries, amount, **kwargs)
-        buckets: dict[tuple, list[int]] = {}
-        for i, kw in enumerate(self._first_hop_kwargs(queries, kwargs)):
-            buckets.setdefault(
-                (kw.get("start_key"), kw.get("direction", "both")), []
-            ).append(i)
-        results: list[Optional[RetrieveResult]] = [None] * len(queries)
-        for (start_key, direction), members in buckets.items():
-            call_kwargs = dict(kwargs, start_key=start_key, direction=direction)
-            out = retrieve_many(
-                self,
-                [origins[i] for i in members],
-                [queries[i] for i in members],
-                amount,
-                **call_kwargs,
-            )
-            for i, res in zip(members, out):
-                results[i] = res
-        return results
+        keys, directions = self._start_columns(queries, kwargs, use_first_hop)
+        if self.config.directory_pointers:
+            self.obs.metrics.counter("retrieve.batch.fallback.pointers", len(queries))
+            return [
+                retrieve_with_pointers(self, o, q, amount, start_key=k, direction=d, **kwargs)
+                for o, q, k, d in zip(origins, queries, keys, directions)
+            ]
+        return retrieve_many(
+            self, origins, queries, amount, start_keys=keys, directions=directions, **kwargs
+        )
 
     def find(self, origin: int, item_id: int, **kwargs) -> FindResult:
         """Exact-item lookup by its published key (Fig. 9 metric pair)."""

@@ -8,12 +8,14 @@ terminates after ~k/c nodes for a k-item request.
 
 Entry points:
 
-* :func:`retrieve` — the plain Fig. 2 ``_retrieve`` (+ neighbor walk);
-  :func:`retrieve_columns` is the same walk with the hits left as
-  :class:`Harvest` columns, for callers that merge before materialising.
-  Under back-pressure the home may shed the query; the result is then
-  harvested from the nearest admitting key-neighbor and tagged with a
-  ``degradation_level`` (the overload-protection contract).
+* :func:`retrieve` — the plain Fig. 2 ``_retrieve`` (+ neighbor walk),
+  under every configuration.  It is the read engine of
+  :mod:`repro.core.search_batch` on a batch of one, the engine
+  :func:`~repro.core.search_batch.retrieve_many` runs on a storm (see
+  DESIGN.md, "Read path").  Under back-pressure the home may shed the
+  query; the result is then harvested from the nearest admitting
+  key-neighbor and tagged with a ``degradation_level`` (the
+  overload-protection contract).
 * :func:`find_item` — exact-item lookup used by the Fig. 9 experiment,
   reporting both the "Closest" hop count (route) and the "Neighbors"
   hop count (walk to wherever displacement actually left the item).
@@ -21,14 +23,10 @@ Entry points:
   directory pointers (pointer home first, then sequential body
   fetches), giving the paper's ``(1 + k/c)·O(log N)`` message bound
   while item bodies stay uniformly spread.
-* :func:`repro.core.search_batch.retrieve_many` — the batch engine:
-  many queries in one call, sharing route resolution, walk orders, and
-  bulk index scoring while keeping per-query accounting identical to a
-  sequential loop over :func:`retrieve` (see DESIGN.md, "Read path").
 
 Walk frontiers come from the overlay's memoised
 :meth:`~repro.overlay.base.Overlay.walk_order` (epoch-cached like leaf
-sets); this module filters liveness at consumption time.
+sets); liveness is filtered at consumption time.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "Discovery", "RetrieveResult", "FindResult", "Harvest", "retrieve",
-    "retrieve_columns", "find_item", "retrieve_with_pointers",
+    "find_item", "retrieve_with_pointers",
 ]
 
 Direction = Literal["both", "up", "down"]
@@ -115,9 +113,10 @@ class FindResult:
 
 class Harvest:
     """One walk's fresh hits as parallel ``(item_ids, node_ids, scores,
-    hops)`` columns, in discovery order.  Every read path folds node
-    rankings in here and builds :class:`Discovery` objects once, for
-    what it returns."""
+    hops)`` columns, in discovery order, ``hops`` relative to a base the
+    caller adds (the read engine's walk depth, the pointer fetch's
+    route).  Every read path folds node rankings in here and builds
+    :class:`Discovery` objects once, for what it returns."""
 
     __slots__ = ("columns", "seen")
 
@@ -175,153 +174,30 @@ def _walk_order(
 
 
 def retrieve(
-    system: "Meteorograph", origin: int, query: SparseVector, amount: Optional[int], **options
-) -> RetrieveResult:
-    """Fig. 2 ``_retrieve`` with the closest-neighbor walk:
-    :func:`retrieve_columns` (same options) with the hits materialised."""
-    result, hits = retrieve_columns(system, origin, query, amount, **options)
-    result.discoveries = hits.discoveries()
-    return result
-
-
-def retrieve_columns(
     system: "Meteorograph",
     origin: int,
     query: SparseVector,
     amount: Optional[int],
     *,
-    require_all: Optional[Sequence[int]] = None,
-    min_score: float = 0.0,
-    patience: int = 8,
-    max_walk: Optional[int] = None,
     start_key: Optional[int] = None,
     direction: Direction = "both",
-) -> tuple[RetrieveResult, Harvest]:
-    """The Fig. 2 walk with its hits left as columns: the result carries
-    every counter but an empty ``discoveries``, the :class:`Harvest`
-    holds the hits (``hops`` absolute).
-
-    ``amount=None`` means "find everything": the walk continues until
-    ``patience`` consecutive nodes contribute nothing (the clustering
-    property makes a gap of that size strong evidence the band is
-    exhausted) or ``max_walk`` nodes were consulted.
+    **options,
+) -> RetrieveResult:
+    """Fig. 2 ``_retrieve`` with the closest-neighbor walk: the read
+    engine (:func:`repro.core.search_batch.run`) on a batch of one.
 
     ``start_key`` overrides the query's own key — this is how the
     §3.5.1 first-hop optimization plugs in (see
     :mod:`repro.core.firsthop`), and ``direction="up"`` starts the walk
-    at the low end of a keyword band and sweeps through it.
+    at the low end of a keyword band and sweeps through it.  ``options``
+    are the walk's ``require_all``, ``min_score``, ``patience`` and
+    ``max_walk``.
     """
-    if amount is not None and amount < 1:
-        raise ValueError(f"amount must be >= 1 or None, got {amount}")
-    if patience < 1:
-        raise ValueError(f"patience must be >= 1, got {patience}")
-    key = start_key if start_key is not None else system.query_key(query)
-    obs = system.network.obs
-    hits = Harvest()
-    # Context-managed span: an exception in routing or harvest must
-    # close the span on the way out, or the trace tree is left with an
-    # unfinished frame (matching publish_item / find_item).
-    with obs.tracer.span("retrieve", key=key, origin=origin, amount=amount) as sp:
-        degradation = 0
-        try:
-            route = system.deliver_home(origin, key, kind="retrieve")
-            assert route.home is not None
-            home, route_hops = route.home, route.hops
-        except BackpressureError as exc:
-            # The home (or its breaker) shed the query: degrade to the
-            # nearest admitting key-neighbor, which by §3.3 clustering
-            # holds the next-most-similar band.
-            home, route_hops, degradation = divert_home(
-                system, key, kind="retrieve", origin=origin, exclude=(exc.node_id,)
-            )
-            if home is None:
-                sp.set(found=0, shed=True)
-                return RetrieveResult(
-                    route_hops=route_hops,
-                    complete=False,
-                    degradation_level=degradation,
-                ), hits
-        result = RetrieveResult(route_hops=route_hops, degradation_level=degradation)
-        # One frame for the whole walk: a visit is one ``Network.send``,
-        # one ``LocalVsmIndex.query`` and — only when the node answered —
-        # one ``Harvest.fold``; everything else is local arithmetic.
-        send = system.network.send
-        nodes = system.network._nodes  # noqa: SLF001 - liveness peek
-        states = system._states  # noqa: SLF001 - system.state() minus the call
-        fold = hits.fold
-        visited = result.visited
-        tracer = obs.tracer
-        visited.append(home)
-        ranking = system.state(home).index.query(
-            query, limit=amount, require_all=require_all, min_score=min_score
-        )
-        found = fold(ranking, home, route_hops, amount) if ranking.ids.size else 0
-        replies = 1 if found else 0
-        dry = 0
-        walked = 0
-        current = home
-        with obs.metrics.timer("kernel.walk"):
-            # The frontier is liveness-unfiltered (``fail()`` does not
-            # invalidate membership caches): dead nodes are skipped here.
-            for neighbor in system.overlay.walk_order(home, direction):
-                node = nodes.get(neighbor)
-                if node is None or not node.alive:
-                    continue
-                if amount is not None and found >= amount:
-                    break
-                if max_walk is not None and walked >= max_walk:
-                    result.complete = amount is None
-                    break
-                if amount is None and dry >= patience:
-                    break
-                walked += 1
-                try:
-                    send(current, neighbor, kind="retrieve")
-                except (BackpressureError, MessageLossError):
-                    # A saturated neighbor shed its consult, or the link
-                    # dropped it: the message was spent, the node
-                    # contributed nothing — skip it and keep sweeping
-                    # from the current position.
-                    dry += 1
-                    continue
-                current = neighbor
-                visited.append(neighbor)
-                state = states.get(neighbor)
-                if state is None:
-                    state = system.state(neighbor)
-                ranking = state.index.query(
-                    query,
-                    limit=None if amount is None else amount - found,
-                    require_all=require_all,
-                    min_score=min_score,
-                )
-                fresh = (
-                    fold(ranking, neighbor, route_hops + walked, amount)
-                    if ranking.ids.size
-                    else 0
-                )
-                if tracer.enabled:
-                    tracer.event("walk", node=neighbor, fresh=fresh)
-                if fresh:
-                    found += fresh
-                    replies += 1
-                    dry = 0
-                else:
-                    dry += 1
-        result.walk_hops = walked
-        result.reply_messages = replies
-        if amount is not None and found < amount:
-            result.complete = False
-        sp.set(
-            home=home,
-            route_hops=route_hops,
-            walk_hops=walked,
-            found=found,
-            complete=result.complete,
-        )
-        if degradation:
-            sp.set(degraded=degradation)
-    return result, hits
+    ((result, hits),) = _run(
+        system, (origin,), (query,), (start_key,), (direction,), amount, **options
+    )
+    result.discoveries = hits.discoveries(result.route_hops)
+    return result
 
 
 def find_item(
@@ -440,6 +316,8 @@ def retrieve_with_pointers(
     """
     if not system.config.directory_pointers:
         raise RuntimeError("directory pointers are disabled in this configuration")
+    if amount is not None and amount < 1:
+        raise ValueError(f"amount must be >= 1 or None, got {amount}")
     if patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
     key = start_key if start_key is not None else system.query_angle_key(query)
@@ -614,3 +492,7 @@ def retrieve_with_pointers(
         if result.degradation_level:
             sp.set(degraded=result.degradation_level)
     return result
+
+
+# The read engine builds on this module's types, so it is bound last.
+from .search_batch import run as _run  # noqa: E402

@@ -1,44 +1,36 @@
-"""Batch retrieval: many similarity queries in one shared sweep.
+"""The read engine: Fig. 2 ``_retrieve`` for one query or a whole storm.
 
-The write path does one route + one sorted ring sweep for a whole
-corpus (``batch_publish``, the cascade engine); this module is the read
-counterpart.  A Zipf query storm concentrates thousands of queries on a
-handful of hot keys, and the sequential loop pays a full route, walk,
-and per-node index query for every one of them.  :func:`retrieve_many`
-shares the work three ways:
+Every plain similarity read runs :func:`run` — :func:`retrieve_many`,
+:func:`repro.core.search.retrieve` (a batch of one) and the band walks
+of :mod:`repro.lsh.probe`.  Per query it routes to the home of the start
+key through :meth:`~repro.core.meteorograph.Meteorograph.deliver_home`
+(a home that sheds the query under back-pressure diverts through
+:func:`~repro.overload.degrade.divert_home`), then walks closest
+neighbours in key order (:func:`_walk`, the one walk loop) until
+``amount`` hits, ``patience`` dry nodes or ``max_walk`` hops.
 
-1. **route resolution** — queries are grouped by content and sorted by
-   key; each distinct (origin, key) pair is routed once through the
-   epoch-cached route kernel and its path is *replayed* (same message
-   charges, no recomputation) for every duplicate;
-2. **one walk per (home, content)** — past the home nothing depends on
-   the origin, so every group that reaches a home with the same content
-   rides one walk (one seen set, one set of dry/walked counters, one
-   hit list) through the memoised
-   :meth:`~repro.overlay.base.Overlay.walk_order`, advanced wave by
-   wave; each wave bills the riders' sends in one
-   :meth:`~repro.sim.network.Network.charge_bulk`, and each group's
-   result is materialised from the walk with its own ``route_hops``
-   as the ``hops`` offset;
-3. **index scoring** — each consulted node ranks the distinct active
-   contents in one vectorised
-   :meth:`~repro.vsm.index.LocalVsmIndex.query_many` pass instead of
-   one ``local_index_query`` per query.
+**Sharing.**  In a *replayable* configuration — no admission control,
+link faults, replication or retry policy — routing is deterministic and
+the walk is read-only, so a storm's duplicates are replays, not
+approximations: the route is memoised per ``(key, origin)`` and the
+walk per ``(home, content, direction)``, and a memo hit bills its
+messages with one :meth:`~repro.sim.network.Network.charge_bulk`
+instead of running again.  Any other configuration runs every query
+unshared, in input order — :func:`retrieve_many` as one ``retrieve``
+(a batch of one) per query — and counts it under
+``retrieve.batch.fallback.<reason>`` (the first matching reason).
 
-**Equivalence contract** (DESIGN.md, "Read path"): every returned
-:class:`~repro.core.search.RetrieveResult` — discoveries, scores,
-per-item hops, route/walk hops, reply messages, visited lists,
-completeness — and every message charged on the network sink is
-identical to what N sequential :func:`~repro.core.search.retrieve`
-calls would produce.  This holds because, absent back-pressure and
-retries, routing is deterministic and walks/harvests are read-only:
-duplicate queries are *replays*, not approximations.
+**Equivalence contract** (DESIGN.md, "Read path"): either way every
+:class:`~repro.core.search.RetrieveResult` field and every message
+charged is what a sequential loop of single retrieves produces.
 
-**Fallback**: under directory pointers, admission control, link faults,
-replication, or a retry policy the per-query protocols have side
-effects or non-replayable message charges, so the engine degrades to
-the exact sequential loop — mirroring ``batch_publish``'s guard — and
-counts the queries under ``retrieve.batch.fallback.<reason>``.
+**Columns.**  A walk's hits stay a :class:`~repro.core.search.Harvest`
+whose ``hops`` are walk depths; each result adds its own
+``route_hops``.  :func:`retrieve_many` builds :class:`Discovery`
+objects once per (walk, ``route_hops``); the multi-probe merge reads
+the columns directly.  Directory pointers are a different protocol
+(:func:`~repro.core.search.retrieve_with_pointers`), which only the
+facade dispatches to.
 """
 
 from __future__ import annotations
@@ -47,60 +39,253 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
+from ..overload.admission import BackpressureError
+from ..overload.degrade import divert_home
+from ..sim.linkfaults import MessageLossError
 from ..vsm.sparse import SparseVector
-from .search import (
-    Direction, Discovery, Harvest, RetrieveResult, retrieve, retrieve_with_pointers,
-)
+from .search import Direction, Discovery, Harvest, RetrieveResult, retrieve
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..vsm.index import Ranking
     from .meteorograph import Meteorograph
 
-__all__ = ["retrieve_many"]
+__all__ = ["origins_of", "retrieve_many", "run"]
+
+#: One walk: its hits (``hops`` = walk depth), the visited nodes, the
+#: walk hops billed, the replies sent, and whether it completed.
+Walk = tuple[Harvest, list[int], int, int, bool]
 
 
-class _Walk(Harvest):
-    """One ``(home, query content)`` walk: the harvest (each hit's
-    ``hops`` is the walk depth it was met at; a group adds its own
-    ``route_hops``) and every counter past the home, shared by all
-    groups that reach it."""
-
-    __slots__ = ("query", "riders", "dry", "walked", "visited", "replies", "complete")
-
-    def __init__(self, query: SparseVector, home: int) -> None:
-        super().__init__()
-        self.query = query
-        #: Groups riding this walk — one send each per wave.
-        self.riders = 0
-        self.dry = 0
-        self.walked = 0
-        self.visited = [home]
-        self.replies = 0
-        self.complete = True
-
-    def harvest(self, ranking: "Ranking", node_id: int, amount: Optional[int]) -> int:
-        """Fold one node's full ranking in at the current depth."""
-        fresh = self.fold(ranking, node_id, self.walked, amount)
-        if fresh:
-            self.replies += 1
-        return fresh
-
-
-def _sequential(
+def _walk(
     system: "Meteorograph",
-    origins: list[int],
-    queries: Sequence[SparseVector],
+    query: SparseVector,
+    home: int,
     amount: Optional[int],
-    kwargs: dict,
-    start_keys: Optional[Sequence[int]] = None,
-) -> list[RetrieveResult]:
-    fn = retrieve_with_pointers if system.config.directory_pointers else retrieve
-    if start_keys is None:
-        return [fn(system, o, q, amount, **kwargs) for o, q in zip(origins, queries)]
-    return [
-        fn(system, o, q, amount, **{**kwargs, "start_key": int(k)})
-        for o, q, k in zip(origins, queries, start_keys)
-    ]
+    direction: Direction,
+    require_all: Optional[Sequence[int]],
+    min_score: float,
+    patience: int,
+    max_walk: Optional[int],
+) -> Walk:
+    """Harvest ``home``, then consult its closest neighbours in one
+    frame: a visit is one ``Network.send``, one ``LocalVsmIndex.query``
+    and — only when the node answered — one ``Harvest.fold``."""
+    network = system.network
+    send = network.send
+    nodes = network._nodes  # noqa: SLF001 - liveness peek
+    states = system._states  # noqa: SLF001 - system.state() minus the call
+    obs = network.obs
+    tracer = obs.tracer
+    hits = Harvest()
+    fold = hits.fold
+    visited = [home]
+    ranking = system.state(home).index.query(
+        query, limit=amount, require_all=require_all, min_score=min_score
+    )
+    found = fold(ranking, home, 0, amount) if ranking.ids.size else 0
+    replies = 1 if found else 0
+    complete = True
+    dry = 0
+    walked = 0
+    current = home
+    # The three stop rules as plain thresholds: ``amount`` hits,
+    # ``max_walk`` hops, and — for an unbounded request only —
+    # ``patience`` consecutive dry nodes.
+    unbounded = float("inf")
+    want = unbounded if amount is None else amount
+    hop_cap = unbounded if max_walk is None else max_walk
+    dry_cap = patience if amount is None else unbounded
+    tracing = tracer.enabled
+    with obs.metrics.timer("kernel.walk"):
+        # The frontier is liveness-unfiltered (``fail()`` does not
+        # invalidate membership caches): dead nodes are skipped here.
+        for neighbor in system.overlay.walk_order(home, direction):
+            node = nodes.get(neighbor)
+            if node is None or not node.alive:
+                continue
+            if found >= want:
+                break
+            if walked >= hop_cap:
+                complete = amount is None
+                break
+            if dry >= dry_cap:
+                break
+            walked += 1
+            try:
+                send(current, neighbor, "retrieve")
+            except (BackpressureError, MessageLossError):
+                # A saturated neighbor shed its consult, or the link
+                # dropped it: the message was spent, the node
+                # contributed nothing — skip it and keep sweeping from
+                # the current position.
+                dry += 1
+                continue
+            current = neighbor
+            visited.append(neighbor)
+            state = states.get(neighbor)
+            if state is None:
+                state = system.state(neighbor)
+            ranking = state.index.query(
+                query,
+                limit=None if amount is None else amount - found,
+                require_all=require_all,
+                min_score=min_score,
+            )
+            fresh = fold(ranking, neighbor, walked, amount) if ranking.ids.size else 0
+            if tracing:
+                tracer.event("walk", node=neighbor, fresh=fresh)
+            if fresh:
+                found += fresh
+                replies += 1
+                dry = 0
+            else:
+                dry += 1
+    if amount is not None and found < amount:
+        complete = False
+    return hits, visited, walked, replies, complete
+
+
+def _unshared_reason(system: "Meteorograph") -> Optional[str]:
+    """Why routes and walks cannot be replayed here, or ``None`` when the
+    configuration is replayable (the first matching reason)."""
+    network = system.network
+    return (
+        "admission" if network.admission is not None
+        else "link_faults" if network.link_faults is not None
+        else "replication" if system.replication is not None
+        else "retry" if system.config.retry_policy is not None
+        else None
+    )
+
+
+def run(
+    system: "Meteorograph",
+    origins: Sequence[int],
+    queries: Sequence[SparseVector],
+    start_keys: Sequence[Optional[int]],
+    directions: Sequence[Direction],
+    amount: Optional[int],
+    *,
+    require_all: Optional[Sequence[int]] = None,
+    min_score: float = 0.0,
+    patience: int = 8,
+    max_walk: Optional[int] = None,
+) -> list[tuple[RetrieveResult, Harvest]]:
+    """Retrieve ``queries[i]`` from ``origins[i]``, walking from
+    ``start_keys[i]`` (``None`` = the query's own key) in
+    ``directions[i]``; per query, its result with an empty
+    ``discoveries`` and the walk's hits (``hops`` = walk depth, so a
+    hit's Fig. 10(a) hop count is ``route_hops`` plus it).
+
+    ``amount=None`` means "find everything": the walk continues until
+    ``patience`` consecutive nodes contribute nothing (the clustering
+    property makes a gap of that size strong evidence the band is
+    exhausted) or ``max_walk`` nodes were consulted.
+    """
+    if amount is not None and amount < 1:
+        raise ValueError(f"amount must be >= 1 or None, got {amount}")
+    if patience < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
+    network = system.network
+    obs = network.obs
+    metrics = obs.metrics
+    span = obs.tracer.span
+    reason = _unshared_reason(system)
+    if reason is not None:
+        metrics.counter(f"retrieve.batch.fallback.{reason}", len(queries))
+    # A batch of one has nothing to share.
+    shared = reason is None and len(queries) > 1
+    # Destination lists only feed the net.node_inbox bucket.
+    obs_on = network._obs_on  # noqa: SLF001
+    charge = network.charge_bulk
+    contents: dict[int, tuple] = {}
+    query_keys: dict[tuple, int] = {}
+    routes: dict[tuple, object] = {}
+    walks: dict[tuple, Walk] = {}
+    routes_run = walks_run = replayed = 0
+    out: list[tuple[RetrieveResult, Harvest]] = []
+    for origin, query, key, direction in zip(origins, queries, start_keys, directions):
+        content = None
+        if shared:
+            content = contents.get(id(query))
+            if content is None:
+                content = contents[id(query)] = (
+                    query.indices.tobytes(), query.values.tobytes()
+                )
+        if key is None:
+            key = query_keys.get(content)
+            if key is None:
+                key = system.query_key(query)
+                if shared:
+                    query_keys[content] = key
+        with span("retrieve", key=key, origin=origin, amount=amount) as sp:
+            degradation = 0
+            route = routes.get((key, origin)) if shared else None
+            replay = route is not None
+            if replay:
+                charge("retrieve", route.hops, route.path[1:] if obs_on else None)
+                home, route_hops = route.home, route.hops
+            else:
+                routes_run += 1
+                try:
+                    route = system.deliver_home(origin, key, kind="retrieve")
+                    home, route_hops = route.home, route.hops
+                    if shared:
+                        routes[key, origin] = route
+                except BackpressureError as exc:
+                    # The home (or its breaker) shed the query: degrade
+                    # to the nearest admitting key-neighbor, which by
+                    # §3.3 clustering holds the next-most-similar band.
+                    home, route_hops, degradation = divert_home(
+                        system, key, kind="retrieve", origin=origin,
+                        exclude=(exc.node_id,),
+                    )
+                    if home is None:
+                        sp.set(found=0, shed=True)
+                        shed = RetrieveResult(
+                            route_hops=route_hops, complete=False, degradation_level=degradation
+                        )
+                        out.append((shed, Harvest()))
+                        continue
+            walk = walks.get((home, content, direction)) if shared else None
+            if walk is None:
+                walks_run += 1
+                walk = _walk(
+                    system, query, home, amount, direction,
+                    require_all, min_score, patience, max_walk,
+                )
+                if shared:
+                    walks[home, content, direction] = walk
+                visited = walk[1]
+            else:
+                charge("retrieve", walk[2], walk[1][1:] if obs_on else None)
+                replayed += replay
+                visited = list(walk[1])
+            hits, _, walk_hops, replies, complete = walk
+            out.append((RetrieveResult(
+                route_hops=route_hops, walk_hops=walk_hops, reply_messages=replies,
+                visited=visited, complete=complete, degradation_level=degradation,
+            ), hits))
+            sp.set(
+                home=home, route_hops=route_hops, walk_hops=walk_hops,
+                found=hits.found, complete=complete,
+            )
+            if degradation:
+                sp.set(degraded=degradation)
+    metrics.counter("retrieve.batch.queries", len(queries))
+    metrics.counter("retrieve.batch.routes", routes_run)
+    metrics.counter("retrieve.batch.walks", walks_run)
+    metrics.counter("retrieve.batch.replayed", replayed)
+    return out
+
+
+def origins_of(origin: Union[int, Sequence[int]], n: int) -> list[int]:
+    """``origin`` as one node id per query; a single id applies to all."""
+    if isinstance(origin, (int, np.integer)):
+        return [int(origin)] * n
+    origins = [int(o) for o in origin]
+    if len(origins) != n:
+        raise ValueError(f"{len(origins)} origins for {n} queries")
+    return origins
 
 
 def retrieve_many(
@@ -109,211 +294,55 @@ def retrieve_many(
     queries: Sequence[SparseVector],
     amount: Optional[int],
     *,
-    require_all: Optional[Sequence[int]] = None,
-    min_score: float = 0.0,
-    patience: int = 8,
-    max_walk: Optional[int] = None,
-    start_key: Optional[int] = None,
-    start_keys: Optional[Sequence[int]] = None,
-    direction: Direction = "both",
+    start_keys: Optional[Sequence[Optional[int]]] = None,
+    directions: Optional[Sequence[Direction]] = None,
+    **options,
 ) -> list[RetrieveResult]:
-    """Run many retrieves as one shared sweep; results element-wise equal
-    to ``[retrieve(system, o_i, q_i, amount, ...) for i]``.
+    """Run many retrieves through the read engine; results element-wise
+    equal to ``[retrieve(system, o_i, q_i, amount, start_key=k_i,
+    direction=d_i, ...) for i]``.
 
     ``origin`` is a single node id applied to every query, or one id per
-    query.  ``start_keys`` gives one start key per query (the multi-probe
-    engine sends each query to its own band bucket); ``start_key`` is the
-    shared-scalar form, mutually exclusive with it.  All other knobs are
-    shared across the batch (bucket by knob and call once per bucket to
-    vary them — that is what the facade's ``Meteorograph.retrieve_many``
-    does for first-hop start keys).
+    query.  ``start_keys`` and ``directions`` give one start key
+    (``None`` = the query's own key) and one sweep direction per query
+    (the multi-probe engine sends each band to its own bucket; the
+    facade fills them from §3.5.1 first-hop selection).  ``options``
+    (``require_all``, ``min_score``, ``patience``, ``max_walk``) are
+    shared across the batch.
     """
-    if amount is not None and amount < 1:
-        raise ValueError(f"amount must be >= 1 or None, got {amount}")
-    if patience < 1:
-        raise ValueError(f"patience must be >= 1, got {patience}")
-    if start_key is not None and start_keys is not None:
-        raise ValueError("pass start_key or start_keys, not both")
-    if start_keys is not None and len(start_keys) != len(queries):
-        raise ValueError(
-            f"{len(start_keys)} start_keys for {len(queries)} queries"
-        )
-    if isinstance(origin, (int, np.integer)):
-        origins = [int(origin)] * len(queries)
-    else:
-        origins = [int(o) for o in origin]
-        if len(origins) != len(queries):
-            raise ValueError(
-                f"{len(origins)} origins for {len(queries)} queries"
-            )
-    if not queries:
-        return []
-    kwargs = dict(
-        require_all=require_all, min_score=min_score, patience=patience,
-        max_walk=max_walk, start_key=start_key, direction=direction,
-    )
-    # Sequential fallback: these features make per-query execution
-    # non-replayable (shedding and retries charge data-dependent extra
-    # messages; pointer mode is a different protocol; replication
-    # changes harvest targets under failures; link faults drop or
-    # duplicate data-dependently per message) — same guard shape as
-    # batch_publish.  The first matching reason is the one announced.
-    network = system.network
-    obs = network.obs
-    metrics = obs.metrics
-    reason = (
-        "pointers" if system.config.directory_pointers
-        else "admission" if network.admission is not None
-        else "link_faults" if network.link_faults is not None
-        else "replication" if system.replication is not None
-        else "retry" if system.config.retry_policy is not None
-        else None
-    )
-    if reason is not None:
-        metrics.counter(f"retrieve.batch.fallback.{reason}", len(queries))
-        return _sequential(system, origins, queries, amount, kwargs, start_keys)
-
-    # Destination lists only feed the net.node_inbox bucket.
-    obs_on = network._obs_on
-    results: list[Optional[RetrieveResult]] = [None] * len(queries)
-    with obs.tracer.span(
-        "retrieve_batch", queries=len(queries), amount=amount
-    ) as sp:
-        with metrics.timer("kernel.retrieve_batch"):
-            # -- 1. dedup: one group (its member indices) per unique
-            #       (key, origin, content).  The key joins the identity
-            #       because per-query ``start_keys`` can send identical
-            #       content to different band buckets; content-only
-            #       query_key resolution is still memoised so duplicates
-            #       cost one key computation ---------------------------
-            groups: dict[tuple, list[int]] = {}
-            qkey_memo: dict[tuple, int] = {}
-            for i, (o, q) in enumerate(zip(origins, queries)):
-                content = (q.indices.tobytes(), q.values.tobytes())
-                if start_keys is not None:
-                    key = int(start_keys[i])
-                elif start_key is not None:
-                    key = start_key
-                else:
-                    key = qkey_memo.get(content)
-                    if key is None:
-                        key = qkey_memo[content] = system.query_key(q)
-                groups.setdefault((key, o, content), []).append(i)
-
-            # -- 2. route resolution, key-sorted, one live route per
-            #       unique (key, origin); a group sharing it replays the
-            #       path.  Origin only decides this prefix and the
-            #       ``hops`` offset: groups reaching one home with one
-            #       content join one walk ------------------------------
-            route_cache: dict[tuple[int, int], object] = {}
-            walks: dict[tuple, _Walk] = {}
-            by_home: dict[int, list[_Walk]] = {}
-            routed: list[tuple[object, _Walk, list[int]]] = []
-            for gkey, members in sorted(groups.items(), key=lambda kv: kv[0][:2]):
-                key, o, content = gkey
-                route = route_cache.get((key, o))
-                if route is None:
-                    route = system.deliver_home(o, key, kind="retrieve")
-                    route_cache[key, o] = route
-                else:
-                    network.charge_bulk(
-                        "retrieve", route.hops,
-                        route.path[1:] if obs_on else None,
-                    )
-                assert route.home is not None
-                w = walks.get((route.home, content))
-                if w is None:
-                    w = walks[route.home, content] = _Walk(
-                        queries[members[0]], route.home
-                    )
-                    by_home.setdefault(route.home, []).append(w)
-                w.riders += 1
-                routed.append((route, w, members))
-
-            # -- 3. per home: harvest, then advance all co-located
-            #       walks through the shared walk order in waves; each
-            #       node ranks the distinct contents only, and a wave
-            #       bills every rider's send in one charge per walk
-            #       (liveness is checked here; no admission, no faults) --
-            with metrics.timer("kernel.walk"):
-                for home, walkers in by_home.items():
-                    rankings = system.state(home).index.query_many(
-                        [w.query for w in walkers],
-                        require_all=require_all, min_score=min_score,
-                    )
-                    for w, ranked in zip(walkers, rankings):
-                        w.harvest(ranked, home, amount)
-                    for neighbor in system.overlay.walk_order(home, direction):
-                        if not network.is_alive(neighbor):
-                            continue
-                        active: list[_Walk] = []
-                        for w in walkers:
-                            if amount is not None and w.found >= amount:
-                                continue
-                            if max_walk is not None and w.walked >= max_walk:
-                                w.complete = amount is None
-                                continue
-                            if amount is None and w.dry >= patience:
-                                continue
-                            active.append(w)
-                        walkers = active
-                        if not walkers:
-                            break
-                        for w in walkers:
-                            network.charge_bulk(
-                                "retrieve", w.riders,
-                                [neighbor] * w.riders if obs_on else None,
-                            )
-                            w.walked += 1
-                            w.visited.append(neighbor)
-                        rankings = system.state(neighbor).index.query_many(
-                            [w.query for w in walkers],
-                            require_all=require_all, min_score=min_score,
+    n = len(queries)
+    origins = origins_of(origin, n)
+    for name, column in (("start_keys", start_keys), ("directions", directions)):
+        if column is not None and len(column) != n:
+            raise ValueError(f"{len(column)} {name} for {n} queries")
+    keys = [None] * n if start_keys is None else start_keys
+    sweeps = ["both"] * n if directions is None else directions
+    obs = system.network.obs
+    with obs.tracer.span("retrieve_batch", queries=n, amount=amount) as sp:
+        with obs.metrics.timer("kernel.retrieve_batch"):
+            if _unshared_reason(system) is not None:
+                # Nothing can be shared: every query is its own group,
+                # i.e. a batch of one.
+                results = [
+                    retrieve(system, o, q, amount, start_key=k, direction=d, **options)
+                    for o, q, k, d in zip(origins, queries, keys, sweeps)
+                ]
+            else:
+                results = []
+                # Discovery objects are built once per (walk,
+                # route_hops); every result still owns its list.
+                built: dict[tuple[Harvest, int], list[Discovery]] = {}
+                for result, hits in run(
+                    system, origins, queries, keys, sweeps, amount, **options
+                ):
+                    found = built.get((hits, result.route_hops))
+                    if found is None:
+                        found = built[hits, result.route_hops] = hits.discoveries(
+                            result.route_hops
                         )
-                        for w, ranked in zip(walkers, rankings):
-                            fresh = w.harvest(ranked, neighbor, amount)
-                            w.dry = 0 if fresh else w.dry + 1
-                for w in walks.values():
-                    if amount is not None and w.found < amount:
-                        w.complete = False
-
-            # -- 4. materialise per group: hops = route_hops + walked_at,
-            #       Discovery objects shared per distinct route_hops,
-            #       fresh lists per result; duplicate members replay
-            #       their route + walk bill in one bulk charge ----------
-            replayed = 0
-            shared: dict[tuple[_Walk, int], list[Discovery]] = {}
-            for route, w, members in routed:
-                base = route.hops
-                found = shared.get((w, base))
-                if found is None:
-                    found = shared[w, base] = w.discoveries(base)
-                for i in members:
-                    results[i] = RetrieveResult(
-                        discoveries=list(found),
-                        route_hops=base,
-                        walk_hops=w.walked,
-                        reply_messages=w.replies,
-                        visited=list(w.visited),
-                        complete=w.complete,
-                    )
-                dups = len(members) - 1
-                if dups:
-                    replayed += dups
-                    network.charge_bulk(
-                        "retrieve", dups * (base + w.walked),
-                        (route.path[1:] + w.visited[1:]) * dups
-                        if obs_on else None,
-                    )
-        metrics.counter("retrieve.batch.queries", len(queries))
-        metrics.counter("retrieve.batch.groups", len(groups))
-        metrics.counter("retrieve.batch.walks", len(walks))
-        metrics.counter("retrieve.batch.homes", len(by_home))
-        metrics.counter("retrieve.batch.replayed", replayed)
-        sp.set(
-            groups=len(groups),
-            walks=len(walks),
-            homes=len(by_home),
-            found=sum(r.found for r in results),
-        )
+                    else:
+                        found = list(found)
+                    result.discoveries = found
+                    results.append(result)
+        sp.set(found=sum(r.found for r in results))
     return results

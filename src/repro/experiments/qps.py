@@ -1,19 +1,18 @@
 """Experiment X-QPS (beyond-paper figure): sustained query throughput.
 
-The bench suite times the ``retrieve_batch`` kernel in isolation; this
-experiment measures what the batch read path buys a *service*: a
+This experiment measures what sharing buys a read *service*: a
 sustained Zipf-skewed keyword-query storm is replayed against one
-pre-built, fully published ring, first through the sequential
-``retrieve`` loop (one route + one walk per query — the per-request
-service model) and then through :func:`repro.core.retrieve_many` at
-several arrival-window sizes (requests accumulated for a window, then
-drained in one shared-sweep batch).
+pre-built, fully published ring, first query by query through
+``retrieve`` (the read engine on a batch of one: one route + one walk
+per query — the per-request service model) and then through
+:func:`repro.core.retrieve_many` at several arrival-window sizes
+(requests accumulated for a window, then drained in one call that
+replays duplicate routes and walks).
 
 Queries enter through a small gateway set — ``GATEWAY_NODES`` origin
 nodes cycled round-robin, the front-end arrangement that makes
-(origin, content) duplicates common — so the batch engine's route
-cache and shared ring sweeps both engage, exactly as in the
-``retrieve_batch`` bench kernel.
+(origin, content) duplicates common — so both the route and the walk
+memos engage.
 
 Per row the table reports throughput (queries/s) and the latency a
 query experiences under that service model: for the sequential cell
@@ -47,8 +46,8 @@ from .common import RowSet, build_system, default_trace, publish_all, timer
 __all__ = ["run_qps", "qps_storm", "qps_cell", "GATEWAY_NODES"]
 
 #: Front-end gateway size: queries originate from this many nodes,
-#: cycled round-robin.  Matches the ``retrieve_batch`` bench kernel so
-#: the experiment and the bench measure the same arrangement.
+#: cycled round-robin (the ``read-storm`` bench workload uses the same
+#: arrangement).
 GATEWAY_NODES = 64
 
 #: Default arrival windows (queries drained per batch call).  1 is the
@@ -110,8 +109,8 @@ def qps_cell(
 ) -> dict:
     """Replay the storm through one service model and measure it.
 
-    ``window == 1`` is the sequential :func:`~repro.core.search.retrieve`
-    loop; ``window > 1`` drains each window of queries with one
+    ``window == 1`` is a loop of :func:`~repro.core.search.retrieve`
+    (batches of one); ``window > 1`` drains each window of queries with one
     :func:`~repro.core.retrieve_many` call and charges every query in it
     the window's full drain time.
     """

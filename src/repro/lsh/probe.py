@@ -11,17 +11,18 @@ kernel (``LocalVsmIndex.query``/``query_many``/``score_many`` share
 it), so scores from different bands are directly comparable and
 sorting the union IS the global rescore.
 
-Accounting is sequential-equivalent: bands execute in order, so a
-discovery's ``hops`` is its hop count within its band's probe plus
-every message the earlier bands spent — the same "messages until first
-reached" metric :func:`repro.core.search.retrieve` reports.
+Every band of every query is one walk of the read engine
+(:func:`repro.core.search_batch.run`), in one call, band-major: band 0
+of every query, then band 1, and so on.  Co-bucketed queries therefore
+share routes and walks exactly as ``retrieve_many`` shares them, and the
+merge reads the walks' hit columns directly — no per-band
+:class:`~repro.core.search.Discovery` is ever built.
+:func:`multi_probe_retrieve` is :func:`multi_probe_retrieve_many` of one.
 
-:func:`multi_probe_retrieve_many` is the storm form: band b of every
-query goes through one :func:`repro.core.search_batch.retrieve_many`
-call (per-query ``start_keys``), so co-bucketed queries share routes,
-walk frontiers, and bulk scoring.  The batch engine's equivalence
-contract makes the merged results identical to the scalar loop — the
-``lsh --check`` gate asserts exactly that.
+Accounting is sequential-equivalent: a query's bands execute in order,
+so a discovery's ``hops`` is its hop count within its band's probe plus
+every message the query's earlier bands spent — the same "messages
+until first reached" metric :func:`repro.core.search.retrieve` reports.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.search import Direction, Discovery, RetrieveResult, retrieve_columns
-from ..core.search_batch import retrieve_many
+from ..core.search import Direction, Discovery, RetrieveResult
+from ..core.search_batch import origins_of, run
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.meteorograph import Meteorograph
@@ -49,16 +50,17 @@ def _merge_bands(
     """Union per-band results into one sequential-equivalent result.
 
     ``band_columns[b]`` holds band b's hits as parallel ``(item_ids,
-    node_ids, scores, hops)`` columns.  First band wins on duplicate
-    items (earlier bands reach an item first in the sequential execution
-    order), with the winner's hops offset by the messages all earlier
-    bands spent.  The union is ranked by (score desc, item id) and cut
+    node_ids, scores, hops)`` columns, ``hops`` counted from the band's
+    home.  First band wins on duplicate items (earlier bands reach an
+    item first in the sequential execution order), with the winner's
+    hops offset by its band's route and the messages all earlier bands
+    spent.  The union is ranked by (score desc, item id) and cut
     to ``amount``; only the survivors become :class:`Discovery` objects.
     """
     merged = RetrieveResult()
     offsets = []
     for r in band_results:
-        offsets.append(merged.messages)
+        offsets.append(merged.messages + r.route_hops)
         merged.route_hops += r.route_hops
         merged.walk_hops += r.walk_hops
         merged.fetch_hops += r.fetch_hops
@@ -89,76 +91,9 @@ def _merge_bands(
     return merged
 
 
-def _discovery_columns(discoveries: Sequence[Discovery]) -> list[list]:
-    return [
-        [d.item_id for d in discoveries],
-        [d.node_id for d in discoveries],
-        [d.score for d in discoveries],
-        [d.hops for d in discoveries],
-    ]
-
-
-def _probe_width(system: "Meteorograph", probe_width: Optional[int]) -> int:
-    width = (
-        probe_width if probe_width is not None else system.config.lsh_probe_width
-    )
-    if width < 0:
-        raise ValueError(f"probe_width must be >= 0, got {width}")
-    return width
-
-
-def multi_probe_retrieve(
+def _probe(
     system: "Meteorograph",
-    origin: int,
-    query: "SparseVector",
-    amount: Optional[int],
-    *,
-    probe_width: Optional[int] = None,
-    require_all: Optional[Sequence[int]] = None,
-    min_score: float = 0.0,
-    direction: Direction = "both",
-) -> RetrieveResult:
-    """Probe every band's bucket neighborhood, union, rank globally.
-
-    Each band runs an unbounded (``amount=None``) retrieve over exactly
-    ``1 + probe_width`` buckets: its home plus ``probe_width`` ring
-    neighbors (``max_walk=width``, ``patience=width+1`` so patience
-    never cuts the walk short of the width budget).  The per-query
-    message bill is therefore L routes + L·width walk hops + replies —
-    the bounded multi-probe cost the frontier experiment reports.
-    """
-    width = _probe_width(system, probe_width)
-    keys = system.naming.probe_keys_for(query)
-    obs = system.network.obs
-    with obs.tracer.span(
-        "retrieve_multiprobe",
-        origin=origin, amount=amount, bands=len(keys), width=width,
-    ) as sp:
-        bands = [
-            retrieve_columns(
-                system, origin, query, None,
-                require_all=require_all, min_score=min_score,
-                patience=width + 1, max_walk=width,
-                start_key=key, direction=direction,
-            )
-            for key in keys
-        ]
-        merged = _merge_bands(
-            [r for r, _ in bands], [hits.columns for _, hits in bands], amount
-        )
-        obs.metrics.counter("lsh.probe.bands", len(keys))
-        obs.metrics.counter(
-            "lsh.probe.candidates", sum(hits.found for _, hits in bands)
-        )
-        obs.metrics.counter("lsh.probe.unioned", len(merged.discoveries))
-        sp.set(found=merged.found, messages=merged.messages,
-               complete=merged.complete)
-    return merged
-
-
-def multi_probe_retrieve_many(
-    system: "Meteorograph",
-    origin: Union[int, Sequence[int]],
+    origins: Sequence[int],
     queries: Sequence["SparseVector"],
     amount: Optional[int],
     *,
@@ -167,51 +102,66 @@ def multi_probe_retrieve_many(
     min_score: float = 0.0,
     direction: Direction = "both",
 ) -> list[RetrieveResult]:
-    """Batch multi-probe: one shared ``retrieve_many`` sweep per band.
+    """Probe every band's bucket neighborhood, union, rank globally.
 
-    Element-wise equal to ``[multi_probe_retrieve(system, o_i, q_i,
-    amount, ...) for i]`` — per-band results are identical by the batch
-    engine's equivalence contract, and the merge is the same pure fold.
+    Each band runs an unbounded (``amount=None``) walk over exactly
+    ``1 + probe_width`` buckets: its home plus ``probe_width`` ring
+    neighbors (``max_walk=width``, ``patience=width+1`` so patience
+    never cuts the walk short of the width budget).  The per-query
+    message bill is therefore L routes + L·width walk hops + replies —
+    the bounded multi-probe cost the frontier experiment reports.
     """
-    if not queries:
-        return []
-    width = _probe_width(system, probe_width)
-    if isinstance(origin, (int, np.integer)):
-        origins: Union[int, list[int]] = int(origin)
-    else:
-        origins = [int(o) for o in origin]
-    probe_keys = [system.naming.probe_keys_for(q) for q in queries]
+    width = system.config.lsh_probe_width if probe_width is None else probe_width
+    if width < 0:
+        raise ValueError(f"probe_width must be >= 0, got {width}")
+    n = len(queries)
     bands = system.naming.n_keys
+    probe_keys = [system.naming.probe_keys_for(q) for q in queries]
     obs = system.network.obs
     with obs.tracer.span(
-        "retrieve_multiprobe",
-        queries=len(queries), amount=amount, bands=bands, width=width,
+        "retrieve_multiprobe", queries=n, amount=amount, bands=bands, width=width,
     ) as sp:
-        per_band = [
-            retrieve_many(
-                system, origins, queries, None,
-                require_all=require_all, min_score=min_score,
-                patience=width + 1, max_walk=width,
-                start_keys=[keys[b] for keys in probe_keys],
-                direction=direction,
-            )
-            for b in range(bands)
-        ]
+        walks = run(
+            system,
+            list(origins) * bands,
+            list(queries) * bands,
+            [keys[b] for b in range(bands) for keys in probe_keys],
+            [direction] * (n * bands),
+            None,
+            require_all=require_all, min_score=min_score,
+            patience=width + 1, max_walk=width,
+        )
         results = []
-        for i in range(len(queries)):
-            band_results = [per_band[b][i] for b in range(bands)]
+        for i in range(n):
+            band_walks = walks[i::n]
             results.append(_merge_bands(
-                band_results,
-                [_discovery_columns(r.discoveries) for r in band_results],
-                amount,
+                [r for r, _ in band_walks], [h.columns for _, h in band_walks], amount
             ))
-        obs.metrics.counter("lsh.probe.bands", bands * len(queries))
-        obs.metrics.counter(
-            "lsh.probe.candidates",
-            sum(r.found for band in per_band for r in band),
-        )
-        obs.metrics.counter(
-            "lsh.probe.unioned", sum(r.found for r in results)
-        )
+        obs.metrics.counter("lsh.probe.bands", bands * n)
+        obs.metrics.counter("lsh.probe.candidates", sum(h.found for _, h in walks))
+        obs.metrics.counter("lsh.probe.unioned", sum(r.found for r in results))
         sp.set(found=sum(r.found for r in results))
     return results
+
+
+def multi_probe_retrieve(
+    system: "Meteorograph", origin: int, query: "SparseVector", amount: Optional[int],
+    **options,
+) -> RetrieveResult:
+    """Multi-probe one query; ``options`` as for
+    :func:`multi_probe_retrieve_many`."""
+    return _probe(system, (origin,), (query,), amount, **options)[0]
+
+
+def multi_probe_retrieve_many(
+    system: "Meteorograph",
+    origin: Union[int, Sequence[int]],
+    queries: Sequence["SparseVector"],
+    amount: Optional[int],
+    **options,
+) -> list[RetrieveResult]:
+    """Multi-probe a storm; ``origin`` is one node id for every query or
+    one per query.  ``options`` are ``probe_width`` (default
+    ``MeteorographConfig.lsh_probe_width``), ``require_all``,
+    ``min_score`` and ``direction``."""
+    return _probe(system, origins_of(origin, len(queries)), queries, amount, **options)

@@ -315,12 +315,13 @@ class TestHarvestFoldAgainstReference:
 
 
 class TestFlatWalkUnderHostileFabric:
-    """``retrieve_columns``' one-frame walk ≡ the closure-and-generator
-    loop it replaced when the fabric fights back: twin rings with dead
-    nodes on the frontier, under a seeded 15 % link loss and under an
-    admission controller tight enough to shed.  Both run the *same*
-    loop (one ``Network.send`` per message), so every result field, the
-    message bill and the fabric's own counters must agree."""
+    """The read engine's one-frame walk, on a batch of one, ≡ the
+    closure-and-generator loop it replaced when the fabric fights back:
+    twin rings with dead nodes on the frontier, under a seeded 15 % link
+    loss and under an admission controller tight enough to shed.  Both
+    run the *same* loop (one ``Network.send`` per message), so every
+    result field, the message bill and the fabric's own counters must
+    agree."""
 
     KW_POOL = 10
     FABRICS = ["lossy", "shedding"]
@@ -415,6 +416,23 @@ class TestFlatWalkUnderHostileFabric:
             for s in (a, b)
         ]
         assert walks[0] == walks[1] and walks[0]
+
+
+@pytest.mark.parametrize("pointers", [False, True], ids=["plain", "pointers"])
+@pytest.mark.parametrize("entry", ["retrieve", "retrieve_many"])
+@pytest.mark.parametrize("amount", [0, -3])
+def test_amount_below_one_is_rejected_unbilled(pointers, entry, amount):
+    """Both protocols reject ``amount < 1`` before the first message."""
+    system = make_system(list(range(0, 10_000, 250)), directory_pointers=pointers)
+    publish(system, 1, [3])
+    before = system.network.sink.snapshot()
+    q = query({3: 1.0})
+    with pytest.raises(ValueError, match="amount must be >= 1"):
+        if entry == "retrieve":
+            system.retrieve(0, q, amount)
+        else:
+            system.retrieve_many(0, [q, q], amount)
+    assert system.network.sink.snapshot() == before
 
 
 class TestFindItem:

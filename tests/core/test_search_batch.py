@@ -1,10 +1,12 @@
-"""Batch retrieve ≡ sequential retrieve (the shared-sweep read path).
+"""The read engine ≡ a sequential loop of the flat Fig. 2 walk.
 
-Twin identically-built systems: the sequential loop runs on one, the
-batch engine on the other, and every per-query ``RetrieveResult`` field
-plus the network sink's message totals must match exactly — the same
-contract ``test_batch_publish`` pins for the write path.  Scores match
-bit-for-bit because both paths run the same vectorised index kernel.
+Twin identically-built systems: :func:`oracle_retrieve` — the one-frame
+walk the engine was lifted from, kept here as the reference — runs
+query by query on one, ``retrieve_many`` on the other, and every
+per-query ``RetrieveResult`` field plus the network sink's message
+totals must match exactly — the same contract ``test_batch_publish``
+pins for the write path.  Scores match bit-for-bit because both paths
+run the same vectorised index kernel.
 """
 
 import dataclasses
@@ -15,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
-from repro.core.search import retrieve, retrieve_with_pointers
+from repro.core.search import Harvest, RetrieveResult
 from repro.core.search_batch import retrieve_many
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
 from repro.maint.retry import RetryPolicy
 from repro.obs import Observability
 from repro.overload import AdmissionController, OverloadPolicy
-from repro.sim.linkfaults import LinkFaultPlane
+from repro.overload.admission import BackpressureError
+from repro.overload.degrade import divert_home
+from repro.sim.linkfaults import LinkFaultPlane, MessageLossError
 from repro.sim.network import Network
 from repro.vsm.sparse import SparseVector
 
@@ -90,14 +94,101 @@ def snap(r):
     )
 
 
+def oracle_retrieve(
+    system, origin, query, amount, *, require_all=None, min_score=0.0,
+    patience=8, max_walk=None, start_key=None, direction="both",
+):
+    """The flat one-frame Fig. 2 walk, kept as the oracle: route (a shed
+    home diverts to the nearest admitting key-neighbor), harvest the
+    home, then one ``Network.send`` per consult with hits at absolute
+    hops.  A shed or lost consult is billed and skipped."""
+    if amount is not None and amount < 1:
+        raise ValueError(f"amount must be >= 1 or None, got {amount}")
+    if patience < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
+    key = start_key if start_key is not None else system.query_key(query)
+    tracer = system.network.obs.tracer
+    hits = Harvest()
+    degradation = 0
+    try:
+        route = system.deliver_home(origin, key, kind="retrieve")
+        home, route_hops = route.home, route.hops
+    except BackpressureError as exc:
+        home, route_hops, degradation = divert_home(
+            system, key, kind="retrieve", origin=origin, exclude=(exc.node_id,)
+        )
+        if home is None:
+            return RetrieveResult(
+                route_hops=route_hops, complete=False, degradation_level=degradation
+            )
+    result = RetrieveResult(route_hops=route_hops, degradation_level=degradation)
+    result.visited.append(home)
+    ranking = system.state(home).index.query(
+        query, limit=amount, require_all=require_all, min_score=min_score
+    )
+    found = hits.fold(ranking, home, route_hops, amount)
+    replies = 1 if found else 0
+    dry = walked = 0
+    current = home
+    for neighbor in system.overlay.walk_order(home, direction):
+        if not system.network.is_alive(neighbor):
+            continue
+        if amount is not None and found >= amount:
+            break
+        if max_walk is not None and walked >= max_walk:
+            result.complete = amount is None
+            break
+        if amount is None and dry >= patience:
+            break
+        walked += 1
+        try:
+            system.network.send(current, neighbor, kind="retrieve")
+        except (BackpressureError, MessageLossError):
+            dry += 1
+            continue
+        current = neighbor
+        result.visited.append(neighbor)
+        ranking = system.state(neighbor).index.query(
+            query,
+            limit=None if amount is None else amount - found,
+            require_all=require_all,
+            min_score=min_score,
+        )
+        fresh = hits.fold(ranking, neighbor, route_hops + walked, amount)
+        if tracer.enabled:
+            tracer.event("walk", node=neighbor, fresh=fresh)
+        if fresh:
+            found += fresh
+            replies += 1
+            dry = 0
+        else:
+            dry += 1
+    result.walk_hops = walked
+    result.reply_messages = replies
+    if amount is not None and found < amount:
+        result.complete = False
+    result.discoveries = hits.discoveries()
+    return result
+
+
+def batch_kwargs(n, kwargs):
+    """``retrieve_many`` takes per-query start key and direction columns."""
+    kwargs = dict(kwargs)
+    start_key = kwargs.pop("start_key", None)
+    direction = kwargs.pop("direction", "both")
+    return dict(kwargs, start_keys=[start_key] * n, directions=[direction] * n)
+
+
 def assert_equiv(seq_sys, bat_sys, origins, queries, amount, **kwargs):
     a0 = seq_sys.network.sink.count("retrieve")
     b0 = bat_sys.network.sink.count("retrieve")
     seq = [
-        retrieve(seq_sys, o, q, amount, **kwargs)
+        oracle_retrieve(seq_sys, o, q, amount, **kwargs)
         for o, q in zip(origins, queries)
     ]
-    bat = retrieve_many(bat_sys, origins, queries, amount, **kwargs)
+    bat = retrieve_many(
+        bat_sys, origins, queries, amount, **batch_kwargs(len(queries), kwargs)
+    )
     assert [snap(r) for r in seq] == [snap(r) for r in bat]
     assert (
         seq_sys.network.sink.count("retrieve") - a0
@@ -178,11 +269,11 @@ class TestSharedWalk:
         home = next(n for n in a.overlay.ring if a.overlay.home(n + 1) == n)
         keys = [home, home + 1]
         origin = a.overlay.ring.at(20)
-        seq = [retrieve(a, origin, q, None, patience=5, start_key=k) for k in keys]
+        seq = [oracle_retrieve(a, origin, q, None, patience=5, start_key=k) for k in keys]
         bat = retrieve_many(b, origin, [q, q], None, patience=5, start_keys=keys)
         assert [snap(r) for r in seq] == [snap(r) for r in bat]
         counters = b.network.obs.metrics.counters
-        assert counters["retrieve.batch.groups"] == 2
+        assert counters["retrieve.batch.routes"] == 2
         assert counters["retrieve.batch.walks"] == 1
         assert a.network.sink.snapshot() == b.network.sink.snapshot()
 
@@ -286,23 +377,17 @@ class TestWalkModes:
 
 
 class TestFallbacks:
-    def _storm(self, system, origins, queries, amount):
-        out = []
-        for o, q in zip(origins, queries):
-            out.append(system.retrieve(o, q, amount))
-        return out
-
     def test_degraded_shed_home_equivalence(self):
-        """With admission control the engine must fall back to the exact
-        sequential loop — shedding/diversion state evolves identically,
-        so even degraded results match query for query."""
+        """With admission control the engine runs every query unshared,
+        in order — shedding/diversion state evolves identically, so even
+        degraded results match query for query."""
         rng, a, b = twin_worlds(31)
         policy = OverloadPolicy(service_rate=1e-9, queue_cap=2, breaker_threshold=4)
         for s in (a, b):
             s.network.attach_admission(AdmissionController(policy))
         queries = random_queries(rng, 20)
         origins = [a.random_origin(rng) for _ in queries]
-        seq = [retrieve(a, o, q, 2) for o, q in zip(origins, queries)]
+        seq = [oracle_retrieve(a, o, q, 2) for o, q in zip(origins, queries)]
         bat = retrieve_many(b, origins, queries, 2)
         assert [snap(r) for r in seq] == [snap(r) for r in bat]
         assert any(r.degraded for r in bat)  # the storm really shed
@@ -311,8 +396,10 @@ class TestFallbacks:
         "reason", ["pointers", "admission", "link_faults", "replication", "retry"]
     )
     def test_each_reason_announces_itself(self, reason):
-        """A fallback counts its queries under exactly its own reason and
-        bills what the sequential loop bills, nothing more."""
+        """An unshared run counts its queries under exactly its own
+        reason and bills what the sequential loop bills, nothing more.
+        Pointer mode is the facade's: ``retrieve_many`` runs §3.5.2
+        query by query."""
         config = {
             "pointers": dict(directory_pointers=True),
             "replication": dict(replication_factor=2),
@@ -327,17 +414,95 @@ class TestFallbacks:
                 s.config = dataclasses.replace(s.config, retry_policy=RetryPolicy())
         queries = random_queries(rng, 8)
         origins = [a.random_origin(rng) for _ in queries]
-        fn = retrieve_with_pointers if reason == "pointers" else retrieve
-        seq = [fn(a, o, q, 2) for o, q in zip(origins, queries)]
-        bat = retrieve_many(b, origins, queries, 2)
+        if reason == "pointers":
+            seq = [a.retrieve(o, q, 2) for o, q in zip(origins, queries)]
+            bat = b.retrieve_many(origins, queries, 2)
+        else:
+            seq = [oracle_retrieve(a, o, q, 2) for o, q in zip(origins, queries)]
+            bat = retrieve_many(b, origins, queries, 2)
         assert [snap(r) for r in seq] == [snap(r) for r in bat]
         assert a.network.sink.snapshot() == b.network.sink.snapshot()
-        batch_counters = {
-            k: v
-            for k, v in b.network.obs.metrics.counters.items()
-            if k.startswith("retrieve.batch.")
+        counters = b.network.obs.metrics.counters
+        fallbacks = {
+            k: v for k, v in counters.items() if k.startswith("retrieve.batch.fallback.")
         }
-        assert batch_counters == {f"retrieve.batch.fallback.{reason}": 8}
+        assert fallbacks == {f"retrieve.batch.fallback.{reason}": 8}
+        if reason != "pointers":
+            # Unshared: every query routed, nothing replayed.
+            assert counters["retrieve.batch.routes"] == 8
+            assert counters["retrieve.batch.replayed"] == 0
+
+
+class TestHostileFabricsMatchTheOracle:
+    """Each non-replayable configuration, on a window that holds
+    duplicate queries and dead frontier nodes: ``retrieve_many`` must
+    equal the oracle run query by query on every result field, the
+    message bill and the fabric's own counters — and must not
+    deduplicate, since a replayed bill would skip the fabric."""
+
+    FABRICS = ["admission", "link_faults", "replication", "retry"]
+
+    def twins(self, seed, fabric):
+        config = {"replication": dict(replication_factor=3)}.get(fabric, {})
+        rng, a, b = twin_worlds(seed, capacity=2, n_nodes=40, obs=True, **config)
+        dead = rng.choice(list(a.overlay.ring), size=6, replace=False).tolist()
+        for s in (a, b):
+            for nid in dead:
+                s.network.fail_node(nid)
+            if fabric == "admission":
+                s.network.attach_admission(AdmissionController(
+                    OverloadPolicy(service_rate=0.02, queue_cap=2, breaker_threshold=64),
+                    s.network.obs,
+                ))
+            elif fabric == "link_faults":
+                s.network.attach_link_faults(LinkFaultPlane(seed, drop_prob=0.15))
+            elif fabric == "retry":
+                s.config = dataclasses.replace(s.config, retry_policy=RetryPolicy())
+        return rng, a, b, dead
+
+    @staticmethod
+    def fabric_counters(system):
+        net = system.network
+        out = {
+            k: v for k, v in net.obs.metrics.counters.items()
+            if k.startswith(("linkfault.", "net.sent.", "overload."))
+        }
+        if net.link_faults is not None:
+            out["plane"] = net.link_faults.snapshot()
+        if net.admission is not None:
+            adm = net.admission
+            out["admission"] = (adm.clock, adm.admitted, adm.sheds)
+        return out
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_window_matches_the_oracle(self, fabric, seed):
+        rng, a, b, dead = self.twins(seed, fabric)
+        queries = random_queries(rng, 24, dup_every=3)
+        pool = [a.random_origin(rng) for _ in range(3)]
+        origins = [pool[i % 3] for i in range(len(queries))]
+        walked = 0
+        for amount, max_walk in ((None, None), (2, None), (3, 2)):
+            want = [
+                oracle_retrieve(a, o, q, amount, patience=4, max_walk=max_walk)
+                for o, q in zip(origins, queries)
+            ]
+            got = retrieve_many(b, origins, queries, amount, patience=4, max_walk=max_walk)
+            assert [vars(r) for r in got] == [vars(r) for r in want]
+            assert not set(dead) & {n for r in got for n in r.visited}
+            walked += sum(1 for r in got if r.visited)  # not shed outright
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        assert self.fabric_counters(a) == self.fabric_counters(b)
+        counters = b.network.obs.metrics.counters
+        assert counters[f"retrieve.batch.fallback.{fabric}"] == 3 * len(queries)
+        assert counters["retrieve.batch.routes"] == 3 * len(queries)
+        assert counters["retrieve.batch.replayed"] == 0
+        # Duplicates ran as often as they were asked: one walk each.
+        assert counters["retrieve.batch.walks"] == walked
+        if fabric == "link_faults":
+            assert b.network.link_faults.snapshot()["dropped"] > 0
+        if fabric == "admission":
+            assert b.network.admission.sheds > 0
 
 
 class TestValidation:
@@ -392,8 +557,9 @@ class TestValidation:
 
 class TestFacade:
     def test_use_first_hop_bucketing(self):
-        """Facade batching with first-hop start keys must equal the
-        sequential facade path query for query."""
+        """Facade batching with first-hop start keys (resolved per query
+        into start-key and direction columns) must equal the scalar
+        facade path query for query."""
         rng = np.random.default_rng(51)
         trace_items = 200
         from repro.workload import WorldCupParams, generate_trace

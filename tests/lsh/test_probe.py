@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.core.search import Discovery, RetrieveResult, retrieve
 from repro.lsh import multi_probe_retrieve, multi_probe_retrieve_many
-from repro.lsh.probe import _discovery_columns, _merge_bands
+from repro.lsh.probe import _merge_bands
 from repro.workload import WorldCupParams, generate_trace
 
 N_ITEMS = 300
@@ -55,9 +55,20 @@ def reference_merge_bands(band_results, amount):
 
 
 def merge_bands(band_results, amount):
-    """The columnar merge, fed the way ``multi_probe_retrieve_many`` feeds it."""
+    """The columnar merge, fed walk columns whose ``hops`` count from
+    the band's home, as the read engine leaves them."""
     return _merge_bands(
-        band_results, [_discovery_columns(r.discoveries) for r in band_results], amount
+        band_results,
+        [
+            [
+                [d.item_id for d in r.discoveries],
+                [d.node_id for d in r.discoveries],
+                [d.score for d in r.discoveries],
+                [d.hops - r.route_hops for d in r.discoveries],
+            ]
+            for r in band_results
+        ],
+        amount,
     )
 
 

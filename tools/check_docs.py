@@ -18,7 +18,11 @@ instrument table, so must every ``linkfault.*`` /
 subsystem, and so must every ``routing.*`` instrument — these are not
 listed here but read off the code: each ``"routing.<name>"`` string
 literal under ``src/repro/overlay/`` needs a row of the table that
-starts with it.
+starts with it.  The read engine's ``retrieve.*`` instruments are read
+off ``src/repro/core/`` the same way, in both directions: each
+``"retrieve.<name>"`` literal (an f-string's ``{reason}`` reads as the
+row's ``<reason>``) needs a row, and each ``retrieve.batch.*`` row needs
+a literal that still emits it.
 
 Two reverse checks catch a doc that outlives what it names: every
 ``--flag`` a documented ``meteorograph <verb> …``
@@ -66,6 +70,10 @@ _PY_PATH = re.compile(r"[\w.*-]+(?:/[\w.*-]+)+\.py\b")
 
 #: ``"routing.rows_built"`` as a string literal in overlay source.
 _ROUTING_LITERAL = re.compile(r"""["'](routing\.[a-z0-9_.]+)["']""")
+#: ``"retrieve.batch.walks"`` / ``f"retrieve.batch.fallback.{reason}"``.
+_RETRIEVE_LITERAL = re.compile(r"""["'](retrieve\.[a-z0-9_.{}]+)["']""")
+#: A ``retrieve.*`` instrument row's name, ``<placeholder>`` included.
+_RETRIEVE_ROW = re.compile(r"^\| `(retrieve\.[a-z0-9_.<>]+)` \|", re.M)
 
 
 def _documented_commands(text: str) -> list[list[str]]:
@@ -163,6 +171,35 @@ def _routing_instrument_errors(obs_text: str) -> list[str]:
     ]
 
 
+def _retrieve_instrument_errors(obs_text: str) -> list[str]:
+    """``retrieve.*`` literals under ``src/repro/core/`` ↔ instrument
+    rows: a ``<placeholder>`` segment of a row matches any name."""
+    emitted: set[str] = set()
+    for path in (_PKG / "core").glob("*.py"):
+        for name in _RETRIEVE_LITERAL.findall(path.read_text()):
+            emitted.add(re.sub(r"\{(\w+)\}", r"<\1>", name))
+    rows = {
+        row: re.compile(
+            "[a-z0-9_<>]+".join(map(re.escape, re.split(r"<\w+>", row))) + "$"
+        )
+        for row in _RETRIEVE_ROW.findall(obs_text)
+    }
+    failed = [
+        f"read-engine instrument `{name}` is emitted under src/repro/core/ "
+        "but has no row in OBSERVABILITY.md's instrument table"
+        for name in sorted(emitted)
+        if not any(pattern.match(name) for pattern in rows.values())
+    ]
+    failed.extend(
+        f"OBSERVABILITY.md documents `{row}` but nothing under "
+        "src/repro/core/ emits it"
+        for row, pattern in sorted(rows.items())
+        if row.startswith("retrieve.batch.")
+        and not any(pattern.match(name) for name in emitted)
+    )
+    return failed
+
+
 def main() -> int:
     try:
         from repro.experiments import ALL_EXPERIMENTS
@@ -225,6 +262,7 @@ def main() -> int:
             )
 
     failed.extend(_routing_instrument_errors(obs_text))
+    failed.extend(_retrieve_instrument_errors(obs_text))
 
     from repro.cli import build_parser
 
