@@ -582,6 +582,13 @@ def _cmd_faults(args) -> int:
     from .sim.engine import Simulator
     from .workload import WorldCupParams, generate_trace
 
+    # Validated before the trace is generated: a bad --replicas fails fast.
+    config = MeteorographConfig(
+        scheme=PlacementScheme.UNUSED_HASH_HOT,
+        replication_factor=args.replicas,
+        observability=True,
+        retry_policy=None if args.no_retry else RetryPolicy(seed=args.seed),
+    )
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     trace = generate_trace(
@@ -591,12 +598,6 @@ def _cmd_faults(args) -> int:
         seed=args.seed,
     )
     sim = Simulator()
-    config = MeteorographConfig(
-        scheme=PlacementScheme.UNUSED_HASH_HOT,
-        replication_factor=args.replicas,
-        observability=True,
-        retry_policy=None if args.no_retry else RetryPolicy(seed=args.seed),
-    )
     system = Meteorograph.build(
         args.nodes,
         trace.corpus.dim,

@@ -145,6 +145,12 @@ class MeteorographConfig:
     #: band's home bucket (NearBucket walk width).
     lsh_probe_width: int = 2
 
+    def __post_init__(self) -> None:
+        if self.replication_factor < 1:
+            raise ValueError(
+                f"replication_factor must be >= 1, got {self.replication_factor}"
+            )
+
 
 class NodeState:
     """Meteorograph-side state for one node — a thin view over the

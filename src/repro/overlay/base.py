@@ -293,9 +293,11 @@ class Overlay(abc.ABC):
         """The ``count`` nodes with IDs numerically closest to ``node_id``.
 
         §3.6: replica placement targets.  Uses ring distance so the set
-        is rotation-invariant.
+        is rotation-invariant.  A ``count`` below one asks for nothing.
         """
         out: list[int] = []
+        if count < 1:
+            return out
         for nid in self.ring.neighbors_outward(node_id, wrap=True):
             out.append(nid)
             if len(out) >= count:

@@ -20,9 +20,10 @@ complete leaf set is the global (live) minimum — the home node.
 
 The candidate set at node ``n`` depends only on ``n``, the row ``r`` the
 key selects (the length of the digit prefix ``n`` and the key share) and
-the membership epoch — not on the key itself.  So it is compiled once
-per epoch, lazily per touched ``(n, r)``, into a **sorted tuple** (a
-*compiled ring*), and the greedy choice — the lexicographic arg-min of
+the membership view — not on the key itself.  So it is compiled lazily
+per touched ``(n, r)`` into a **sorted tuple** (a *compiled ring*),
+kept until a membership change reaches it (``_set_view``), and the
+greedy choice — the lexicographic arg-min of
 ``(ring_distance(c, key), c)`` over the set — is one bisect: the
 circularly nearest member of a sorted set is one of the key's two
 circular neighbours in it.  Liveness is not part of the compiled state
@@ -41,7 +42,7 @@ from ..sim.linkfaults import MessageLossError
 from ..sim.network import Network
 from .base import Overlay, RouteResult, RoutingError
 from .idspace import KeySpace, SortedKeyRing
-from .routing import DigitCodec, prefix_row
+from .routing import CANDIDATE_LIMIT, DigitCodec, prefix_row
 
 __all__ = ["TornadoOverlay"]
 
@@ -89,10 +90,13 @@ class TornadoOverlay(Overlay):
         #: in a live-only ring, modelling post-failure repair.
         self._view: SortedKeyRing = self.ring
         #: Monotone membership epoch: bumped by every registration change
-        #: and by ``stabilize()``.  All derived routing state memoised
-        #: against the view (leaf sets and compiled rings) is valid for
-        #: exactly one epoch; see OBSERVABILITY.md.
+        #: and by ``stabilize()``.  The memos below always equal a
+        #: from-scratch build over the current view: a change drops only
+        #: the ones its difference reaches; see OBSERVABILITY.md.
         self._epoch = 0
+        #: The sorted view keys the memos were built over (``_view`` may
+        #: be ``ring`` itself, which registration mutates in place).
+        self._memo_keys: list[int] = list(self._view)
         self._leaf_sets: dict[int, list[int]] = {}
         #: Compiled rings: ``_rings[r][n]`` is the sorted tuple of
         #: ``{n} ∪ row_r(n) ∪ leaf_set(n)`` (row ``num_digits`` — the key
@@ -100,6 +104,16 @@ class TornadoOverlay(Overlay):
         self._rings: list[dict[int, tuple[int, ...]]] = [
             {} for _ in range(self.codec.num_digits + 1)
         ]
+        #: ``_row_owners[r][p]``: owners with a compiled row-``r`` ring
+        #: whose first ``r`` digits are ``p`` — they share row ``r``'s
+        #: blocks, so one block change invalidates them together.
+        self._row_owners: list[dict[int, set[int]]] = [
+            {} for _ in range(self.codec.num_digits)
+        ]
+        #: Nodes whose leaf set was built while they were outside the
+        #: view (e.g. recovered after a ``stabilize()``): their memos
+        #: hang on a key position, not a member, so any change drops them.
+        self._off_view: set[int] = set()
 
     # -- membership hooks ------------------------------------------------
 
@@ -109,20 +123,76 @@ class TornadoOverlay(Overlay):
         return self._epoch
 
     def _set_view(self, view: SortedKeyRing) -> None:
-        """Start a new epoch over ``view``, dropping every memo derived
-        from the old one."""
+        """Start a new epoch over ``view``, dropping only the memos the
+        membership difference from the old view reaches."""
         self._epoch += 1
         self._view = view
-        self._leaf_sets.clear()
-        for compiled in self._rings:
-            compiled.clear()
+        old = self._memo_keys
+        self._memo_keys = list(view)
+        # Every memoised ring hangs on a memoised leaf set.
+        dropped = self._drop_reached(old, self._memo_keys) if self._leaf_sets else 0
+        obs = self.network.obs
+        if obs.enabled:
+            obs.metrics.counter("routing.rings_dropped", dropped)
+
+    def _drop_reached(self, old: list[int], new: list[int]) -> int:
+        """Drop the memos a change of view keys from ``old`` to ``new``
+        reaches; returns the number of compiled rings dropped.
+
+        * the leaf set, and every compiled ring, of each node within
+          ``leaf_set_size`` positions of a changed member — in the old
+          view for a removal, the new one for an addition, modulo the
+          view size (a ring of at most 2L+1 nodes drops whole);
+        * every memo of an off-view node (see ``_off_view``);
+        * the row-``r`` rings of an owner group when a changed member
+          falls in one of its blocks among the candidates
+          :func:`prefix_row` consults there (the first node, or the
+          first ``CANDIDATE_LIMIT`` under a latency selector), counted
+          in the old view: a removal was one of them, an addition lands
+          before the last of them or in a block that held fewer.
+
+        What survives equals a from-scratch build over ``new`` (the
+        oracle in ``tests/overlay/test_membership_delta.py``).
+        """
+        old_set = set(old)
+        changed = old_set.symmetric_difference(new)
+        stale, self._off_view = self._off_view, set()
+        radius = self.leaf_set_size
+        for c in changed:
+            keys = old if c in old_set else new
+            i = bisect_left(keys, c)
+            stale.update(keys[(i + k) % len(keys)] for k in range(-radius, radius + 1))
+        dropped = 0
+        limit = 1 if self.latency_map is None else CANDIDATE_LIMIT
+        digit_bits = self.codec.digit_bits
+        for r, groups in enumerate(self._row_owners):
+            if not groups:
+                continue
+            block_shift = self.codec.key_bits - (r + 1) * digit_bits
+            rings = self._rings[r]
+            for c in changed:
+                prefix = c >> (block_shift + digit_bits)
+                owners = groups.get(prefix)
+                if owners is None:
+                    continue
+                lo = bisect_left(old, c >> block_shift << block_shift)
+                if bisect_left(old, c, lo) - lo < limit:
+                    del groups[prefix]
+                    for owner in owners:
+                        dropped += rings.pop(owner, None) is not None
+        for node_id in stale:
+            self._leaf_sets.pop(node_id, None)
+            for rings in self._rings:
+                dropped += rings.pop(node_id, None) is not None
+        return dropped
 
     def _on_membership_change(self) -> None:
         # A registration change makes any live-only view stale too.
         self._set_view(self.ring)
 
     def stabilize(self) -> None:
-        """Rebuild routing state over live nodes only (§3.6 failover repair)."""
+        """Route over live nodes only (§3.6 failover repair); like every
+        membership change, only the memos the change reaches are rebuilt."""
         self._set_view(
             SortedKeyRing(self.space, (nid for nid in self.ring if self.network.is_alive(nid)))
         )
@@ -133,7 +203,8 @@ class TornadoOverlay(Overlay):
         """``node_id``'s routing-table row ``r`` over the current view.
 
         Built on demand and not retained: the compiled ring is the one
-        memo of a row, so no row can outlive the view it was built from.
+        memo of a row, and a membership change that reaches one of the
+        row's blocks drops it (``_set_view``).
         """
         lmap = self.latency_map
         return prefix_row(
@@ -148,15 +219,16 @@ class TornadoOverlay(Overlay):
     def leaf_set(self, node_id: int) -> list[int]:
         """Up to ``leaf_set_size`` nearest nodes on each side (ring order).
 
-        Memoised on the membership epoch: the per-node list is built
-        once and served from cache until a join/leave/stabilize bumps
-        ``membership_epoch`` (ROADMAP's route-kernel target — the old
-        per-hop rebuild dominated the routing cost).  Callers must not
-        mutate the returned list.
+        Memoised: the per-node list is built once and served from cache
+        until a membership change within ``leaf_set_size`` positions
+        drops it (the old per-hop rebuild dominated the routing cost).
+        Callers must not mutate the returned list.
         """
         cached = self._leaf_sets.get(node_id)
         if cached is not None:
             return cached
+        if node_id not in self._view:
+            self._off_view.add(node_id)
         out: list[int] = []
         if len(self._view) > 1:
             pred: list[int] = []
@@ -183,6 +255,8 @@ class TornadoOverlay(Overlay):
         if r < self.codec.num_digits:
             members.update(self._row(node_id, r))
             members.discard(None)
+            prefix = node_id >> (self.codec.key_bits - r * self.codec.digit_bits)
+            self._row_owners[r].setdefault(prefix, set()).add(node_id)
         ring = tuple(sorted(members))
         self._rings[r][node_id] = ring
         obs = self.network.obs

@@ -6,11 +6,19 @@ shared systems (tests that publish/fail nodes build their own).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.workload import WorldCupParams, generate_trace
+
+#: ``HYPOTHESIS_PROFILE=ci`` runs ten times the default example budget
+#: (the long oracle runs in CI); tests that pin ``max_examples`` keep it.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -81,6 +81,16 @@ class TestPlacement:
         with pytest.raises(ValueError):
             ReplicationManager(system, 0)
 
+    @pytest.mark.parametrize("count", [0, -1, -3])
+    def test_count_below_one_is_no_replicas(self, count):
+        """``replica_homes`` asks for nothing, and a config that would
+        silently run unreplicated is refused."""
+        overlay = TornadoOverlay(SPACE, Network())
+        overlay.add_nodes((nid, None) for nid in [10, 20, 30, 50, 90])
+        assert overlay.replica_homes(30, count) == []
+        with pytest.raises(ValueError, match="replication_factor"):
+            MeteorographConfig(replication_factor=count)
+
 
 class TestFailover:
     def test_query_survives_home_failure(self):

@@ -10,6 +10,8 @@ produce the identical ``path``, ``home``, ``succeeded`` and message bill
 from either router.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,22 @@ def reference_candidates(overlay: TornadoOverlay, node_id: int, key: int) -> lis
     return out
 
 
+def reference_leaf_set(keys, node_id: int, radius: int) -> list[int]:
+    """The leaf set of ``node_id`` over the sorted view ``keys``, from
+    scratch: up to ``radius`` successors of its position, then up to
+    ``radius`` predecessors, each other member at most once.  A node
+    outside the view sits between its two neighbours in key order."""
+    n = len(keys)
+    if n <= 1:
+        return []
+    i = bisect_left(keys, node_id)
+    member = i < n and keys[i] == node_id
+    others = n - member
+    succ = [keys[(i + member + k) % n] for k in range(min(radius, others))]
+    pred = [keys[(i - 1 - k) % n] for k in range(min(radius, others - len(succ)))]
+    return succ + pred
+
+
 def brute_live_home(overlay: TornadoOverlay, key: int):
     dist = overlay.space.ring_distance
     live = [nid for nid in overlay.ring if overlay.network.is_alive(nid)]
@@ -53,16 +71,20 @@ def brute_live_home(overlay: TornadoOverlay, key: int):
 
 
 def reference_route(overlay, origin, key, *, kind="route", max_hops=None) -> RouteResult:
-    """Greedy strict descent by linear scan of row ∪ leaf set per hop."""
+    """Greedy strict descent by linear scan of row ∪ leaf set per hop,
+    both rebuilt from the view's keys (no memo of the overlay's is read,
+    so a stale memo cannot pass for the reference)."""
     dist = overlay.space.ring_distance
     network = overlay.network
+    view_keys = list(overlay._view)
     budget = _MAX_ROUTE_HOPS if max_hops is None else max_hops
     result = RouteResult(origin=origin, key=key, home=None, path=[origin])
     current = origin
     hops = 0
     while True:
         best, best_d = current, dist(current, key)
-        for cand in reference_candidates(overlay, current, key) + overlay.leaf_set(current):
+        leaves = reference_leaf_set(view_keys, current, overlay.leaf_set_size)
+        for cand in reference_candidates(overlay, current, key) + leaves:
             if not network.is_alive(cand):
                 continue
             d = dist(cand, key)

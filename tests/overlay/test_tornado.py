@@ -255,6 +255,18 @@ class TestEpochCache:
         assert after is not before
         assert 50 not in after  # live-only view excludes the failed node
 
+    def test_departure_keeps_the_memos_it_does_not_reach(self):
+        ov, rng = random_overlay(200, seed=14)
+        ids = list(ov.ring)
+        for _ in range(100):  # warm caches
+            ov.route(ids[int(rng.integers(0, len(ids)))], int(rng.integers(0, ov.space.modulus)))
+        near, far = ov.leaf_set(ids[1]), ov.leaf_set(ids[100])
+        held = sum(len(rows) for rows in ov._rings)
+        ov.remove_node(ids[0])
+        assert ov.leaf_set(ids[1]) is not near  # ids[0] was its predecessor
+        assert ov.leaf_set(ids[100]) is far
+        assert 0 < sum(len(rows) for rows in ov._rings) < held
+
     def test_epoch_is_monotone(self):
         ov = make_overlay([10, 20, 30])
         seen = [ov.membership_epoch]
@@ -310,10 +322,15 @@ class TestCompiledRingCounters:
         run_pass()
         assert counters["routing.dead_argmin_scans"] > 0
         ov.stabilize()
+        held = sum(len(rows) for rows in ov._rings)
+        assert counters["routing.rings_dropped"] > 0
+        assert counters["routing.rings_compiled"] - counters["routing.rings_dropped"] == held
         scans = counters["routing.dead_argmin_scans"]
         run_pass()  # a stabilized view holds no dead member to trip over
         assert counters["routing.dead_argmin_scans"] == scans
         assert counters["routing.rings_compiled"] > compiled
+        held = sum(len(rows) for rows in ov._rings)
+        assert counters["routing.rings_compiled"] - counters["routing.rings_dropped"] == held
 
 
 class TestNeighborOrder:
