@@ -2,10 +2,10 @@
 
 ``batch_publish`` under finite capacity historically ran one
 :func:`repro.core.publish.run_displacement_chain` per item: every chain
-hop paid a ``PeerNode`` store/evict, a ``NodeState`` ladder update *and*
-a full ``LocalVsmIndex`` add/remove — ~80 set operations per hop for
-bench-shaped items — even though almost every intermediate placement is
-transient (the item is displaced again a few events later).
+hop paid a store/evict on the node's ``LocalVsmIndex`` (its one item
+store: a row append or tombstone plus a ladder update) even though
+almost every intermediate placement is transient (the item is displaced
+again a few events later).
 
 The cascade engine keeps the *exact* sequential semantics but runs the
 whole batch against **lightweight shadow state** first and reconciles
@@ -18,10 +18,10 @@ real node state once at the end:
   outcomes and cross-home chain interactions that a per-home bulk pass
   would get wrong.  The equivalence property tests in
   ``tests/core/test_batch_publish.py`` pin this.
-* Items that only pass through a node never touch its inverted index:
-  after the simulation, each touched node applies one net diff
-  (bulk evict + bulk ``add_many``), which is where the order-of-
-  magnitude win comes from.
+* Items that only pass through a node never touch its store: after the
+  simulation, each touched node applies one net diff (bulk
+  ``evict_many`` + bulk ``store_many``), which is where the
+  order-of-magnitude win comes from.
 * Per-home ``closest_neighbors`` frontiers are materialised once and
   shared by every chain anchored at that home (ring membership and
   liveness are frozen for the duration of a batch).
@@ -31,12 +31,10 @@ real node state once at the end:
   ``net.node_inbox`` buckets and ``displace`` trace events are emitted.
 
 The engine only handles the ``ANGLE`` policy (victims are ladder
-extremes); ``COSINE`` scans whole indexes and always falls back to the
+extremes); ``COSINE`` scans whole indexes and always takes the
 sequential loop, as do configurations with notification or admission
-hooks that observe per-event side effects.  If the engine detects
-shadow/real state divergence it aborts *before any real mutation or
-charge* and the caller reruns the sequential branch — fallback is
-always safe.
+hooks that observe per-event side effects.  Shadows are seeded from the
+node's own store, so there is no second copy for them to disagree with.
 
 The same batching discipline — share the expensive sweep, replay exact
 per-item accounting, fall back sequentially when a configuration
@@ -50,7 +48,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..sim.node import StoredItem
+from ..sim.node import PeerNode, StoredItem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .meteorograph import Meteorograph
@@ -59,26 +57,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["cascade_supported", "cascade_placement"]
 
 
-class _ShadowMismatch(Exception):
-    """Shadow seeding found node storage out of sync with NodeState."""
-
-
 class _Shadow:
     """Per-node shadow: capacity, items by id, sorted angle ladder, and
-    the initial item map the reconcile pass diffs against."""
+    the initial item map the reconcile pass diffs against — copies of
+    the node's store, free to mutate: the reconcile pass writes back net
+    diffs only."""
 
     __slots__ = ("cap", "items", "ladder", "initial")
 
-    def __init__(
-        self,
-        cap: Optional[int],
-        items: dict[int, StoredItem],
-        ladder: list[tuple[int, int]],
-    ) -> None:
-        self.cap = cap
-        self.items = items
-        self.ladder = ladder
-        self.initial = dict(items)
+    def __init__(self, node: PeerNode) -> None:
+        index = node.index
+        self.cap = node.capacity
+        self.items = {} if index is None else index.items_by_id()
+        self.ladder = [] if index is None else list(index.angle_ladder())
+        self.initial = dict(self.items)
 
 
 def cascade_supported(system: "Meteorograph", policy) -> bool:
@@ -98,21 +90,6 @@ def cascade_supported(system: "Meteorograph", policy) -> bool:
     )
 
 
-def _seed_shadow(system: "Meteorograph", nid: int) -> _Shadow:
-    node = system.network.node(nid)
-    state = system._states.get(nid)  # noqa: SLF001 - engine is core-internal
-    if state is None:
-        if len(node) != 0:
-            raise _ShadowMismatch(nid)
-        return _Shadow(node.capacity, {}, [])
-    ladder, items = state.snapshot()
-    if len(items) != len(node):
-        # Node storage and Meteorograph state disagree (foreign caller
-        # mutated one side) — the sequential loop is the authority.
-        raise _ShadowMismatch(nid)
-    return _Shadow(node.capacity, items, ladder)
-
-
 def cascade_placement(
     system: "Meteorograph",
     items: Sequence[StoredItem],
@@ -122,13 +99,11 @@ def cascade_placement(
     *,
     hop_budget: Optional[int] = None,
     norms=None,
-) -> bool:
+) -> None:
     """Place ``items`` (list order) at ``homes``, displacing as needed.
 
     Fills ``results[k]`` with the :class:`PublishResult` each item would
-    get from the sequential chain loop.  Returns ``False`` — with no
-    state mutated and no messages charged — when the engine must fall
-    back; the caller then runs the per-item branch over the same inputs.
+    get from the sequential chain loop.
     """
     from .publish import PublishResult
 
@@ -144,98 +119,83 @@ def cascade_placement(
     total_hops = 0
     failures = 0
 
-    try:
-        for k, item in enumerate(items):
-            home = homes[k]
-            res = PublishResult(
-                item_id=item.item_id, home=home, route_hops=route_hops[k]
-            )
-            results[k] = res
-            current = home
-            incoming = item
-            budget = hop_budget
-            frontier_i = 0
-            sh = shadows.get(current)
-            if sh is None:
-                sh = shadows[current] = _seed_shadow(system, current)
-            while True:
-                smap = sh.items
-                cap = sh.cap
-                if cap is None or len(smap) < cap:
-                    # Mirror of store_at: store replaces a held id.
-                    iid = incoming.item_id
-                    old = smap.get(iid)
-                    ladder = sh.ladder
-                    if old is not None:
-                        j = bisect_left(ladder, (old.angle_key, iid))
-                        del ladder[j]
-                    smap[iid] = incoming
-                    insort(ladder, (incoming.angle_key, iid))
-                    break
+    for k, item in enumerate(items):
+        home = homes[k]
+        res = PublishResult(item_id=item.item_id, home=home, route_hops=route_hops[k])
+        results[k] = res
+        current = home
+        incoming = item
+        budget = hop_budget
+        frontier_i = 0
+        sh = shadows.get(current)
+        if sh is None:
+            sh = shadows[current] = _Shadow(network.node(current))
+        while True:
+            smap = sh.items
+            ladder = sh.ladder
+            cap = sh.cap
+            i_id = incoming.item_id
+            ak = incoming.angle_key
+            victim = None
+            if cap is not None and len(smap) >= cap:
                 # Full node under ANGLE: the victim is max() over
                 # [min-extreme, max-extreme, incoming] ranked by
                 # (|angle - incoming.angle|, item_id) — first-wins on
                 # ties, exactly as _pick_victim computes it.
-                ladder = sh.ladder
-                ak = incoming.angle_key
                 v_key, v_id = ladder[0]
                 v_d = v_key - ak if v_key >= ak else ak - v_key
                 h_key, h_id = ladder[-1]
                 h_d = h_key - ak if h_key >= ak else ak - h_key
                 if h_d > v_d or (h_d == v_d and h_id > v_id):
                     v_d, v_id = h_d, h_id
-                i_id = incoming.item_id
-                if 0 > v_d or (v_d == 0 and i_id > v_id):
-                    victim = incoming
-                else:
-                    victim = smap[v_id]
+                victim = incoming if v_d == 0 and i_id > v_id else smap[v_id]
                 if victim.item_id != i_id:
-                    # Swap: evict the victim, admit the incoming item.
                     del smap[v_id]
-                    j = bisect_left(ladder, (victim.angle_key, v_id))
-                    del ladder[j]
-                    smap[i_id] = incoming
-                    insort(ladder, (ak, i_id))
-                if budget is not None and budget <= 0:
-                    res.success = False
-                    res.dropped_item_id = victim.item_id
-                    failures += 1
+                    del ladder[bisect_left(ladder, (victim.angle_key, v_id))]
+            if victim is None or victim.item_id != i_id:
+                # Admit the incoming item: as in store_at, it replaces a
+                # copy of its id held here.
+                if i_id in smap:
+                    del ladder[bisect_left(ladder, (smap[i_id].angle_key, i_id))]
+                smap[i_id] = incoming
+                insort(ladder, (ak, i_id))
+            if victim is None:
+                break
+            if budget is not None and budget <= 0:
+                res.success = False
+                res.dropped_item_id = victim.item_id
+                failures += 1
+                break
+            fr = frontiers.get(home)
+            if fr is None:
+                fr = frontiers[home] = ([], overlay.closest_neighbors(home, alive_only=True))
+            flist, fgen = fr
+            while frontier_i >= len(flist):
+                nxt = next(fgen, None)
+                if nxt is None:
                     break
-                fr = frontiers.get(home)
-                if fr is None:
-                    fr = frontiers[home] = (
-                        [],
-                        overlay.closest_neighbors(home, alive_only=True),
-                    )
-                flist, fgen = fr
-                while frontier_i >= len(flist):
-                    nxt = next(fgen, None)
-                    if nxt is None:
-                        break
-                    flist.append(nxt)
-                if frontier_i >= len(flist):
-                    res.success = False
-                    res.dropped_item_id = victim.item_id
-                    failures += 1
-                    break
-                next_id = flist[frontier_i]
-                frontier_i += 1
-                total_hops += 1
-                res.displacement_hops += 1
-                res.chain.append(next_id)
-                if inbox is not None:
-                    inbox[next_id] += 1
-                if events is not None:
-                    events.append((current, next_id, victim.item_id))
-                if budget is not None:
-                    budget -= 1
-                current = next_id
-                incoming = victim
-                sh = shadows.get(current)
-                if sh is None:
-                    sh = shadows[current] = _seed_shadow(system, current)
-    except _ShadowMismatch:
-        return False
+                flist.append(nxt)
+            if frontier_i >= len(flist):
+                res.success = False
+                res.dropped_item_id = victim.item_id
+                failures += 1
+                break
+            next_id = flist[frontier_i]
+            frontier_i += 1
+            total_hops += 1
+            res.displacement_hops += 1
+            res.chain.append(next_id)
+            if inbox is not None:
+                inbox[next_id] += 1
+            if events is not None:
+                events.append((current, next_id, victim.item_id))
+            if budget is not None:
+                budget -= 1
+            current = next_id
+            incoming = victim
+            sh = shadows.get(current)
+            if sh is None:
+                sh = shadows[current] = _Shadow(network.node(current))
 
     _reconcile(system, shadows, items, norms)
     # Accounting: one displace message per chain hop, charged in bulk —
@@ -253,7 +213,6 @@ def cascade_placement(
     if events is not None:
         for src, dst, iid in events:
             tracer.event("displace", src=src, dst=dst, item=iid)
-    return True
 
 
 def _reconcile(
@@ -262,12 +221,12 @@ def _reconcile(
     items: Sequence[StoredItem],
     norms=None,
 ) -> None:
-    """Apply each touched node's net diff to real node/index state.
+    """Apply each touched node's net diff to its store.
 
     Removals run everywhere first (collecting moved items' indexed
     norms), then each node bulk-stores its additions — equivalent to
     the sequential interleaving because per-node end states, not
-    histories, determine node storage, ladders and inverted indexes.
+    histories, determine each store's rows and ladder.
     """
     network = system.network
     moved_norms: dict[int, float] = {}
@@ -288,12 +247,9 @@ def _reconcile(
         if not removed and not added:
             continue
         if removed:
-            state = system.state(nid)
-            moved_norms.update(
-                zip(removed, state.index.norms_of_many(removed))
-            )
-            state.remove_many(removed)
-            network.node(nid).evict_many(removed)
+            node = network.node(nid)
+            moved_norms.update(zip(removed, node.index.norms_of_many(removed)))
+            node.evict_many(removed)
         plan.append((nid, removed, added))
     if not any(added for _, _, added in plan):
         return
@@ -314,5 +270,4 @@ def _reconcile(
                 add_norms = None
                 break
             add_norms.append(n)
-        network.node(nid).store_many(added)
-        system.state(nid).add_many(added, add_norms)
+        network.node(nid).store_many(added, add_norms)

@@ -7,8 +7,8 @@ Wires the paper's pieces into one object:
 * the Eq. 5 angle naming plus, per the configured placement scheme, the
   Eq. 6 CDF equalizer ("Unused Hash Space") and hot-region node naming
   ("+ Hot Regions") fitted from a sampled corpus;
-* per-node local VSM indexes and the angle ladder used by the
-  displacement policy;
+* per-node storage — each node's local VSM index, whose angle ladder
+  the displacement policy reads;
 * publish / retrieve / find / top-k entry points delegating to
   :mod:`repro.core.publish` and :mod:`repro.core.search`;
 * optional directory pointers (§3.5.2), first-hop selection (§3.5.1)
@@ -37,7 +37,6 @@ from ..sim.engine import Simulator
 from ..sim.metrics import MetricSink
 from ..sim.network import Network
 from ..sim.node import StoredItem
-from ..vsm.index import LocalVsmIndex
 from ..vsm.sparse import Corpus, SparseVector
 from .angles import DEFAULT_CHUNK_ROWS, absolute_angle_from_arrays
 from .directory import publish_pointer as _publish_pointer
@@ -62,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..overlay.base import RouteResult
     from ..overload.admission import OverloadPolicy
 
-__all__ = ["PlacementScheme", "MeteorographConfig", "NodeState", "Meteorograph"]
+__all__ = ["PlacementScheme", "MeteorographConfig", "Meteorograph"]
 
 
 class PlacementScheme(enum.Enum):
@@ -152,67 +151,6 @@ class MeteorographConfig:
             )
 
 
-class NodeState:
-    """Meteorograph-side state for one node — a thin view over the
-    columnar :class:`LocalVsmIndex`, which owns both the inverted index
-    and the sorted (angle key, item id) ladder as a cached sorted view
-    of its angle-key column."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, dim: int) -> None:
-        self.index = LocalVsmIndex(dim)
-
-    def add(self, item: StoredItem) -> None:
-        # Re-adding an id the state already tracks (e.g. a displaced
-        # primary landing on a node that holds its replica) replaces the
-        # old copy — the index's replacement semantics keep the ladder
-        # free of dangling entries.
-        self.index.add(item)
-
-    def add_many(
-        self,
-        items: Sequence[StoredItem],
-        norms: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Bulk :meth:`add`: one columnar block append.
-
-        Equivalent to adding the items one at a time in list order.
-        ``norms`` optionally parallels ``items`` with precomputed
-        Euclidean norms (see ``LocalVsmIndex.add_many``)."""
-        self.index.add_many(items, norms)
-
-    def remove(self, item_id: int) -> StoredItem:
-        return self.index.remove(item_id)
-
-    def remove_many(self, item_ids: Sequence[int]) -> list[StoredItem]:
-        """Bulk :meth:`remove`; duplicate ids are removed once, and an
-        unknown id raises ``KeyError`` before anything is mutated.  Used
-        by the cascade reconcile, where a node may shed a large slice of
-        its ladder in one event."""
-        return self.index.remove_many(item_ids)
-
-    def snapshot(self) -> tuple[list[tuple[int, int]], dict[int, StoredItem]]:
-        """(ladder copy, id → item copy) for shadow-state seeding.
-
-        The copies are independent of this state: the cascade engine
-        mutates them freely and reconciles net diffs back through
-        :meth:`remove_many` / :meth:`add_many`."""
-        return list(self.index.angle_ladder()), self.index.items_by_id()
-
-    def min_angle_item(self) -> Optional[StoredItem]:
-        ladder = self.index.angle_ladder()
-        if not ladder:
-            return None
-        return self.index.item(ladder[0][1])
-
-    def max_angle_item(self) -> Optional[StoredItem]:
-        ladder = self.index.angle_ladder()
-        if not ladder:
-            return None
-        return self.index.item(ladder[-1][1])
-
-
 class Meteorograph:
     """A built, populated-or-populatable Meteorograph deployment."""
 
@@ -236,7 +174,6 @@ class Meteorograph:
         self.equalizer = equalizer
         self.bootstrap = bootstrap
         self.first_hop = first_hop
-        self._states: dict[int, NodeState] = {}
         #: item id → (angle key, publish key) for everything published.
         #: Multi-key schemes record the band-0 publish key (the
         #: canonical copy ``find`` routes to).
@@ -478,19 +415,11 @@ class Meteorograph:
         multi-key schemes probe ``naming.probe_keys_for`` in full)."""
         return self.naming.probe_keys_for(query)[0]
 
-    # -------------------------------------------------------------- node state
-
-    def state(self, node_id: int) -> NodeState:
-        st = self._states.get(node_id)
-        if st is None:
-            st = NodeState(self.dim)
-            self._states[node_id] = st
-        return st
+    # ------------------------------------------------------------ node storage
 
     def store_at(self, node_id: int, item: StoredItem) -> None:
-        """Store an item on a node, keeping node storage and index in sync."""
+        """Store an item on a node and tell the notification service."""
         self.network.node(node_id).store(item)
-        self.state(node_id).add(item)
         if self.notifications is not None and not item.is_replica:
             self.notifications.on_stored(node_id, item)
 
@@ -500,22 +429,16 @@ class Meteorograph:
         items: Sequence[StoredItem],
         norms: Optional[Sequence[float]] = None,
     ) -> None:
-        """Bulk :meth:`store_at`: a run of items landing on one node.
+        """Bulk :meth:`store_at`: a run of items landing on one node, all
+        or nothing (see ``PeerNode.store_many``, which ``norms`` feeds).
 
-        Semantically identical to calling ``store_at`` per item; used by
-        the displacement-free branch of batch publish, where the ring
-        sweep drops each node's whole run off in one message.  ``norms``
-        optionally parallels ``items`` (see ``NodeState.add_many``)."""
-        self.network.node(node_id).store_many(items)
-        self.state(node_id).add_many(items, norms)
+        Used by the displacement-free branch of batch publish, where the
+        ring sweep drops each node's whole run off in one message."""
+        self.network.node(node_id).store_many(items, norms)
         if self.notifications is not None:
             for item in items:
                 if not item.is_replica:
                     self.notifications.on_stored(node_id, item)
-
-    def evict_from(self, node_id: int, item_id: int) -> StoredItem:
-        self.state(node_id).remove(item_id)
-        return self.network.node(node_id).evict(item_id)
 
     def publish_pointer(self, origin: int, item: StoredItem) -> int:
         return _publish_pointer(self, origin, item)

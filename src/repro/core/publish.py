@@ -52,6 +52,7 @@ from ..sim.node import StoredItem
 from ..vsm.sparse import SparseVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..vsm.index import LocalVsmIndex
     from .meteorograph import Meteorograph
 
 __all__ = [
@@ -98,27 +99,23 @@ class PublishResult:
 
 def _pick_victim(
     system: "Meteorograph",
-    node_id: int,
+    index: "LocalVsmIndex",
     incoming: StoredItem,
     policy: ReplacementPolicy,
 ) -> StoredItem:
-    """Choose what a full node displaces to admit ``incoming``.
+    """Choose what a full node, whose store is ``index``, displaces to
+    admit ``incoming``.
 
     May return ``incoming`` itself (under ``ANGLE``, when the incoming
     item is farther from the node's cluster than everything stored —
     storing it just to displace it again would churn two items instead
     of one).
     """
-    state = system.state(node_id)
     if policy is ReplacementPolicy.COSINE:
         query = SparseVector(incoming.keyword_ids, incoming.weights, system.dim)
-        victim = state.index.least_similar(query)
-        assert victim is not None, "full node with empty index"
-        return victim
-    lo = state.min_angle_item()
-    hi = state.max_angle_item()
-    assert lo is not None and hi is not None, "full node with empty ladder"
-    candidates = [lo, hi, incoming]
+        return index.least_similar(query)
+    ladder = index.angle_ladder()
+    candidates = [index.item(ladder[0][1]), index.item(ladder[-1][1]), incoming]
     return max(
         candidates,
         key=lambda it: (abs(it.angle_key - incoming.angle_key), it.item_id),
@@ -153,9 +150,9 @@ def run_displacement_chain(
         if not node.is_full:
             system.store_at(current, incoming)
             return result
-        victim = _pick_victim(system, current, incoming, policy)
+        victim = _pick_victim(system, node.index, incoming, policy)
         if victim.item_id != incoming.item_id:
-            system.evict_from(current, victim.item_id)
+            node.evict(victim.item_id)
             system.store_at(current, incoming)
         # else: incoming itself continues down the chain unstored.
         if budget is not None and budget <= 0:
@@ -524,18 +521,15 @@ def batch_publish(
         else:
             from .cascade import cascade_placement, cascade_supported
 
-            engine = cascade if cascade is not None else cascade_supported(
-                system, policy
-            )
-            if cascade is True and not cascade_supported(system, policy):
+            supported = cascade_supported(system, policy)
+            if cascade and not supported:
                 raise ValueError(
                     "cascade placement requires the ANGLE policy and no "
                     "notification/admission hooks"
                 )
-            placed = False
-            if engine:
+            if supported if cascade is None else cascade:
                 with obs.metrics.timer("publish.cascade"):
-                    placed = cascade_placement(
+                    cascade_placement(
                         system,
                         items,
                         homes_l,
@@ -544,9 +538,7 @@ def batch_publish(
                         hop_budget=hop_budget,
                         norms=norms,
                     )
-            if not placed:
-                if engine:
-                    obs.metrics.counter("publish.cascade_fallback")
+            else:
                 timer = obs.metrics.timer
                 for k in range(n):  # original publish order: chain outcomes match the loop
                     with timer("publish.displace_chain"):

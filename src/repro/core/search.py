@@ -422,8 +422,11 @@ def retrieve_with_pointers(
         fetch_walk_limit = max_walk if max_walk is not None else max(patience, 4)
 
         def harvest_at(node_id: int, fetch_hops_here: int) -> int:
+            index = system.network.node(node_id).index
+            if index is None:
+                return 0
             remaining = None if amount is None else amount - hits.found
-            ranking = system.state(node_id).index.query(
+            ranking = index.query(
                 query, limit=remaining, require_all=require, min_score=min_score
             )
             return hits.fold(ranking, node_id, fetch_hops_here, amount)

@@ -68,20 +68,24 @@ def _walk(
 ) -> Walk:
     """Harvest ``home``, then consult its closest neighbours in one
     frame: a visit is one ``Network.send``, one ``LocalVsmIndex.query``
-    and — only when the node answered — one ``Harvest.fold``."""
+    on the node's store (none when it never stored an item) and — only
+    when the node answered — one ``Harvest.fold``."""
     network = system.network
     send = network.send
-    nodes = network._nodes  # noqa: SLF001 - liveness peek
-    states = system._states  # noqa: SLF001 - system.state() minus the call
+    nodes = network._nodes  # noqa: SLF001 - liveness and store peek
     obs = network.obs
     tracer = obs.tracer
     hits = Harvest()
     fold = hits.fold
     visited = [home]
-    ranking = system.state(home).index.query(
-        query, limit=amount, require_all=require_all, min_score=min_score
-    )
-    found = fold(ranking, home, 0, amount) if ranking.ids.size else 0
+    found = 0
+    index = nodes[home].index
+    if index is not None:
+        ranking = index.query(
+            query, limit=amount, require_all=require_all, min_score=min_score
+        )
+        if ranking.ids.size:
+            found = fold(ranking, home, 0, amount)
     replies = 1 if found else 0
     complete = True
     dry = 0
@@ -121,16 +125,17 @@ def _walk(
                 continue
             current = neighbor
             visited.append(neighbor)
-            state = states.get(neighbor)
-            if state is None:
-                state = system.state(neighbor)
-            ranking = state.index.query(
-                query,
-                limit=None if amount is None else amount - found,
-                require_all=require_all,
-                min_score=min_score,
-            )
-            fresh = fold(ranking, neighbor, walked, amount) if ranking.ids.size else 0
+            fresh = 0
+            index = node.index
+            if index is not None:
+                ranking = index.query(
+                    query,
+                    limit=None if amount is None else amount - found,
+                    require_all=require_all,
+                    min_score=min_score,
+                )
+                if ranking.ids.size:
+                    fresh = fold(ranking, neighbor, walked, amount)
             if tracing:
                 tracer.event("walk", node=neighbor, fresh=fresh)
             if fresh:

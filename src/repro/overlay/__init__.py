@@ -5,7 +5,7 @@ from .base import Overlay, RouteResult, RoutingError
 from .routing import DigitCodec, prefix_row
 from .tornado import TornadoOverlay
 from .chord import ChordOverlay
-from .membership import Bootstrap, JoinResult, graceful_leave
+from .membership import Bootstrap, JoinResult
 
 __all__ = [
     "KeySpace",
@@ -21,5 +21,4 @@ __all__ = [
     "ChordOverlay",
     "Bootstrap",
     "JoinResult",
-    "graceful_leave",
 ]

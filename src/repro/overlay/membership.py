@@ -1,4 +1,4 @@
-"""Membership protocol: bootstrap-mediated joins and graceful leaves.
+"""Membership protocol: bootstrap-mediated joins.
 
 §3.4.2 (Fig. 5) makes the bootstrap node an active participant: it
 holds the sampled-trace statistics (remap knees, hot regions with their
@@ -22,7 +22,7 @@ import numpy as np
 from ..sim.node import PeerNode
 from .base import Overlay
 
-__all__ = ["Bootstrap", "JoinResult", "graceful_leave"]
+__all__ = ["Bootstrap", "JoinResult"]
 
 IdNamer = Callable[[np.random.Generator], int]
 
@@ -100,26 +100,3 @@ class Bootstrap:
             raise RuntimeError("join announcement could not be routed")
         return JoinResult(node=node, join_messages=join_msgs, retries=retries)
 
-
-def graceful_leave(overlay: Overlay, node_id: int) -> int:
-    """Depart politely: hand stored items to the nearest live neighbor.
-
-    Returns the number of transfer messages charged (one per item moved;
-    items are dropped, and counted as zero transfers, when the node has
-    no live neighbor to hand them to).
-    """
-    node = overlay.node(node_id)
-    neighbor_id = overlay.closest_neighbor(node_id, alive_only=True)
-    moved = 0
-    if neighbor_id is not None:
-        neighbor = overlay.node(neighbor_id)
-        for item in list(node.items()):
-            node.evict(item.item_id)
-            # Hand-off ignores capacity: a departing node's neighbor
-            # temporarily over-commits rather than lose data (the
-            # displacement chain will thin it out on the next publish).
-            neighbor._items[item.item_id] = item  # noqa: SLF001 - deliberate over-commit
-            overlay.network.sink.charge("leave-transfer")
-            moved += 1
-    overlay.remove_node(node_id)
-    return moved

@@ -1,20 +1,22 @@
 """Simulated peer node: identity, liveness, and bounded item storage.
 
-A :class:`PeerNode` is deliberately policy-free — it stores items and
-directory pointers and enforces its capacity ``c``, while *which* item
-to displace on overflow (the paper's least-similar replacement, Fig. 2)
-is decided by :mod:`repro.core.publish`, which owns the Meteorograph
-semantics.  This keeps the node reusable under every scheme the
-evaluation compares (None / UnusedHash / +HotRegions / directory
-pointers / replication).
+A :class:`PeerNode` is deliberately policy-free — it stores items in
+its local VSM index, holds directory pointers and enforces its capacity
+``c``, while *which* item to displace on overflow (the paper's
+least-similar replacement, Fig. 2) is decided by
+:mod:`repro.core.publish`, which owns the Meteorograph semantics.  This
+keeps the node reusable under every scheme the evaluation compares
+(None / UnusedHash / +HotRegions / directory pointers / replication).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from ..vsm.index import LocalVsmIndex
 
 __all__ = ["StoredItem", "DirectoryPointer", "PeerNode", "CapacityError"]
 
@@ -71,6 +73,14 @@ class DirectoryPointer:
 class PeerNode:
     """A peer with bounded item storage.
 
+    The node's one item store is its Fig. 2 local VSM index,
+    :attr:`index`: ``find``, replication, repair and the invariants
+    read it through :meth:`has_item`, and the retrieve walk queries it
+    directly.  It is created on the first store, so a node that never
+    held an item allocates nothing (``index`` is None), and it lives in
+    this object, so a node removed from the ring takes its store with
+    it.  Bulk stores and evictions are all-or-nothing.
+
     Parameters
     ----------
     node_id:
@@ -103,41 +113,53 @@ class PeerNode:
         self.capacity = capacity
         self.service_rate = service_rate
         self.alive = True
-        self._items: dict[int, StoredItem] = {}
+        #: The item store; None until the first store.
+        self.index: Optional[LocalVsmIndex] = None
         self._pointers: dict[int, DirectoryPointer] = {}
 
     # -- storage ---------------------------------------------------------
+    # ``len`` and membership read the store's id map without a call: they
+    # run per find probe, chain hop and invariant check.
 
     def __len__(self) -> int:
-        return len(self._items)
+        index = self.index
+        return 0 if index is None else len(index._slots)  # noqa: SLF001
 
     @property
     def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return self.capacity is not None and len(self) >= self.capacity
 
     @property
     def free_slots(self) -> Optional[int]:
         if self.capacity is None:
             return None
-        return self.capacity - len(self._items)
+        return self.capacity - len(self)
 
     def utilization(self, c_ideal: float) -> float:
         """Load as a multiple of the ideal per-node load ``c`` (Fig. 8 x-axis)."""
         if c_ideal <= 0:
             raise ValueError(f"c_ideal must be > 0, got {c_ideal}")
-        return len(self._items) / c_ideal
+        return len(self) / c_ideal
 
     def has_item(self, item_id: int) -> bool:
-        return item_id in self._items
+        index = self.index
+        return index is not None and item_id in index._slots  # noqa: SLF001
 
     def get_item(self, item_id: int) -> StoredItem:
-        return self._items[item_id]
+        if not self.has_item(item_id):
+            raise KeyError(f"node {self.node_id} does not hold item {item_id}")
+        return self.index.item(item_id)
+
+    def _by_id(self) -> dict[int, StoredItem]:
+        """A copy of the id → item map, safe to iterate while storing."""
+        index = self.index
+        return {} if index is None else index.items_by_id()
 
     def items(self) -> Iterator[StoredItem]:
-        return iter(self._items.values())
+        return iter(self._by_id().values())
 
     def item_ids(self) -> Iterator[int]:
-        return iter(self._items.keys())
+        return iter(self._by_id())
 
     def store(self, item: StoredItem) -> None:
         """Store an item; refuses when full (caller must displace first).
@@ -145,45 +167,61 @@ class PeerNode:
         Re-storing an item id the node already holds (a republish) is
         always allowed and replaces the old copy in place.
         """
-        if item.item_id not in self._items and self.is_full:
+        index = self.index
+        if index is None:
+            index = self.index = LocalVsmIndex()
+        elif (
+            self.capacity is not None
+            and len(index._slots) >= self.capacity  # noqa: SLF001
+            and item.item_id not in index._slots  # noqa: SLF001
+        ):
             raise CapacityError(
                 f"node {self.node_id} full ({self.capacity}); displace before storing"
             )
-        self._items[item.item_id] = item
+        index.add(item)
 
-    def store_many(self, items: Iterable[StoredItem]) -> None:
-        """Bulk :meth:`store`; same per-item capacity semantics.
-
-        Unbounded nodes (the Fig. 7/8 infinite-storage configuration)
-        take the whole run in one dict update; bounded nodes fall back
-        to per-item stores so the capacity check fires at exactly the
-        same point it would have sequentially.
+    def store_many(
+        self,
+        items: Sequence[StoredItem],
+        norms: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Bulk :meth:`store`, all or nothing: when the ids the node does
+        not already hold would overfill it, raises :class:`CapacityError`
+        with nothing stored.  ``norms`` optionally parallels ``items``
+        with precomputed Euclidean norms (see ``LocalVsmIndex.add_many``).
         """
-        if self.capacity is None:
-            self._items.update((item.item_id, item) for item in items)
+        if not items:
             return
-        for item in items:
-            self.store(item)
+        index = self.index
+        if self.capacity is not None:
+            held = {} if index is None else index._slots  # noqa: SLF001
+            fresh = {it.item_id for it in items if it.item_id not in held}
+            if len(held) + len(fresh) > self.capacity:
+                raise CapacityError(
+                    f"node {self.node_id} full ({self.capacity}); "
+                    f"{len(fresh)} new items do not fit"
+                )
+        if index is None:
+            index = self.index = LocalVsmIndex()
+        index.add_many(items, norms)
 
     def evict(self, item_id: int) -> StoredItem:
-        """Remove and return an item."""
-        try:
-            return self._items.pop(item_id)
-        except KeyError:
-            raise KeyError(f"node {self.node_id} does not hold item {item_id}") from None
+        """Remove and return an item (``KeyError`` if not held)."""
+        index = self.index
+        if index is None:
+            raise KeyError(f"node {self.node_id} holds no items")
+        return index.remove(item_id)
 
-    def evict_many(self, item_ids: Iterable[int]) -> list[StoredItem]:
-        """Bulk :meth:`evict`; raises on the first id not held."""
-        pop = self._items.pop
-        out = []
-        try:
-            for iid in item_ids:
-                out.append(pop(iid))
-        except KeyError:
-            raise KeyError(
-                f"node {self.node_id} does not hold item {iid}"
-            ) from None
-        return out
+    def evict_many(self, item_ids: Sequence[int]) -> list[StoredItem]:
+        """Bulk :meth:`evict`, all or nothing: every id is resolved before
+        any is removed, so an id the node does not hold raises
+        ``KeyError`` with the store unchanged.  Duplicates evict once."""
+        index = self.index
+        if index is None:
+            if item_ids:
+                raise KeyError(f"node {self.node_id} holds no items")
+            return []
+        return index.remove_many(item_ids)
 
     # -- directory pointers (§3.5.2) --------------------------------------
 
@@ -212,6 +250,6 @@ class PeerNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.capacity is None else str(self.capacity)
         return (
-            f"PeerNode(id={self.node_id}, items={len(self._items)}, "
+            f"PeerNode(id={self.node_id}, items={len(self)}, "
             f"cap={cap}, alive={self.alive})"
         )

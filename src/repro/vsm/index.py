@@ -18,7 +18,8 @@ per-item specialisations with identical end states.  Removal tombstones
 a row (O(1)); the arrays compact once dead rows outnumber live ones, so
 every operation is amortised O(changed data), never O(index).
 
-Scoring scatters the query into a dense dim-sized scratch, gathers it
+Scoring scatters the query into a dense scratch sized by the query's
+dictionary ``dim`` (the index itself needs no ``dim``), gathers it
 along the flat keyword array and segment-sums per row with
 ``np.add.reduceat`` — items sharing no keyword with the query score an
 exact 0 and are filtered out, which is exactly what the old
@@ -52,12 +53,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..sim.node import StoredItem
 from .sparse import SparseVector
+
+if TYPE_CHECKING:  # pragma: no cover - sim.node imports this module
+    from ..sim.node import StoredItem
 
 __all__ = ["LocalVsmIndex", "Ranking", "ScoredItem"]
 
@@ -136,10 +139,7 @@ def _range_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class LocalVsmIndex:
     """Columnar VSM index over one node's stored items."""
 
-    def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
+    def __init__(self) -> None:
         #: live item id → row slot.
         self._slots: dict[int, int] = {}
         #: row slot → StoredItem.  Append-only: a tombstoned row keeps its
@@ -160,7 +160,8 @@ class LocalVsmIndex:
         self._nnz = 0  # used flat entries, garbage included
         self._dead_rows = 0
         self._dead_nnz = 0
-        #: Reusable dim-sized dense scratch for query scatter/gather.
+        #: Reusable dense scratch for query scatter/gather, sized from
+        #: the query's dictionary ``dim``.
         self._scratch: Optional[np.ndarray] = None
         # -- lazy derived views (None = rebuild on next use) --
         #: (scorable slots, their ids, norms, reduceat offsets, contiguous
@@ -378,7 +379,7 @@ class LocalVsmIndex:
 
     def rebuild(self, items: Iterable[StoredItem]) -> None:
         """Reset the index to exactly the given items."""
-        self.__init__(self.dim)
+        self.__init__()
         self.add_many(list(items))
 
     def _maybe_compact(self) -> None:
@@ -437,7 +438,7 @@ class LocalVsmIndex:
         return self._item_objs[self._slots[item_id]]
 
     def items_by_id(self) -> dict[int, StoredItem]:
-        """A copy of the id → item map (shadow-state seeding)."""
+        """A copy of the id → item map (node iteration, shadow seeding)."""
         objs = self._item_objs
         return {iid: objs[slot] for iid, slot in self._slots.items()}
 
@@ -518,7 +519,7 @@ class LocalVsmIndex:
     ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """One vectorised scoring pass — the shared scalar/batch kernel.
 
-        Scatters the query into the dense dim-sized scratch, gathers it
+        Scatters the query into the dense scratch, gathers it
         along the flat keyword column, and segment-sums per row with
         ``np.add.reduceat``.  Returns (scorable slots, their cosine
         scores); rows outside the view score an exact 0 by construction.
@@ -532,8 +533,8 @@ class LocalVsmIndex:
         if sel is None:
             return None, None
         scratch = self._scratch
-        if scratch is None:
-            scratch = self._scratch = np.zeros(self.dim, dtype=np.float64)
+        if scratch is None or scratch.size != query.dim:
+            scratch = self._scratch = np.zeros(query.dim, dtype=np.float64)
         p = self._nnz if end is None else end
         # One guard element keeps end offsets == p legal for reduceat.
         prods = np.empty(p + 1, dtype=np.float64)
@@ -595,7 +596,7 @@ class LocalVsmIndex:
             # never dry never pays the scatter).
             view = self._view
             if view[5] is None:
-                self._view = (*view[:5], self._presence_summary())
+                self._view = (*view[:5], self._presence_summary(query.dim))
             return _NO_HITS
         ids_sel = self._view[1]
         if ksel.size > 1:
@@ -604,9 +605,10 @@ class LocalVsmIndex:
             ksel = ksel[:limit]
         return Ranking(ids_sel[ksel], scores[ksel], sel[ksel], self._item_objs)
 
-    def _presence_summary(self) -> bytes:
-        """One byte per dictionary id: non-zero iff some stored row —
-        tombstoned and unscorable ones included — names the keyword.
+    def _presence_summary(self, dim: int) -> bytes:
+        """One byte per id of the ``dim``-sized dictionary: non-zero iff
+        some stored row — tombstoned and unscorable ones included — names
+        the keyword.
 
         A superset of the scorable keywords is exact for its one use: a
         query naming no present keyword shares none with any scorable
@@ -614,7 +616,7 @@ class LocalVsmIndex:
         goes to the kernel.  One O(nnz) scatter over the flat keyword
         column, no sort.
         """
-        mask = np.zeros(self.dim, dtype=np.bool_)
+        mask = np.zeros(dim, dtype=np.bool_)
         mask[self._kw_flat[: self._nnz]] = True
         return mask.tobytes()
 

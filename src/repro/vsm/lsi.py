@@ -9,14 +9,16 @@ plain VSM index for speed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..sim.node import StoredItem
 from .sparse import SparseVector
+
+if TYPE_CHECKING:  # pragma: no cover - sim.node imports this package
+    from ..sim.node import StoredItem
 
 __all__ = ["LsiIndex"]
 

@@ -3,13 +3,12 @@
 The placement/accounting equivalence property lives in
 ``test_batch_publish.py`` (TestCascadeEquivalence); this file pins the
 engine's contracts that the property cannot see: lazy frontier work,
-safe fallback on shadow divergence, observability parity, and shadow
-seeding from pre-populated nodes.
+observability parity, and shadow seeding from pre-populated nodes.
 """
 
 import numpy as np
 
-from repro.core.cascade import cascade_placement, cascade_supported
+from repro.core.cascade import cascade_supported
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.core.publish import ReplacementPolicy, run_displacement_chain
 from repro.sim.node import StoredItem
@@ -108,39 +107,6 @@ class TestCascadeSupport:
         assert not cascade_supported(system, ReplacementPolicy.ANGLE)
 
 
-class TestShadowFallback:
-    def test_state_divergence_aborts_without_mutation(self):
-        """A node whose storage was mutated behind NodeState's back makes
-        the engine bail before touching anything or charging messages."""
-        trace = make_trace()
-        system = build_system(trace, capacity=4)
-        home = next(iter(system.overlay.ring))
-        # Desync: item placed in node storage behind NodeState's back.
-        system.network.node(home).store(make_item(1, 100))
-        before = placements(system)
-        sent_before = system.network.sink.total
-        items = [make_item(2, 101), make_item(3, 102)]
-        results = [None, None]
-        ok = cascade_placement(
-            system, items, [home, home], [0, 0], results, hop_budget=None
-        )
-        assert ok is False
-        assert placements(system) == before
-        assert system.network.sink.total == sent_before
-
-    def test_batch_publish_recovers_via_sequential(self):
-        """End to end: the auto branch silently reruns sequentially when
-        the engine falls back, producing a complete result set."""
-        trace = make_trace()
-        system = build_system(trace, capacity=5)
-        home = next(iter(system.overlay.ring))
-        # Desync behind NodeState's back → engine aborts, caller reruns.
-        system.network.node(home).store(make_item(10_000, 100))
-        results = system.publish_corpus(trace.corpus, np.random.default_rng(3))
-        assert len(results) == N_ITEMS
-        assert all(r is not None for r in results)
-
-
 class TestObservabilityParity:
     def _run(self, cascade):
         trace = make_trace()
@@ -174,7 +140,6 @@ class TestObservabilityParity:
         c = cas.obs.metrics.counters
         assert c["publish.cascade_items"] == N_ITEMS
         assert c["publish.cascade_spills"] == c["net.sent.displace"]
-        assert "publish.cascade_fallback" not in c
         assert "publish.cascade" in cas.obs.metrics.timers
 
     def test_fallback_counter_on_cosine(self):
@@ -186,9 +151,7 @@ class TestObservabilityParity:
             replacement_policy=ReplacementPolicy.COSINE,
         )
         system.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
-        # COSINE never enters the engine, so no fallback counter either —
-        # the counter marks an *attempted* cascade that bailed.
-        assert "publish.cascade_fallback" not in system.obs.metrics.counters
+        # COSINE never enters the engine: the sequential loop places.
         assert "publish.cascade_items" not in system.obs.metrics.counters
 
 
@@ -219,10 +182,28 @@ class TestPrePopulatedSeeding:
         # norm bookkeeping didn't lose or fabricate entries).
         for sys_ in (seq_sys, cas_sys):
             for node in sys_.network.nodes():
-                state = sys_._states.get(node.node_id)
                 for iid in node.item_ids():
-                    assert state is not None
-                    state.index.norm_of(iid)  # must not raise
+                    node.index.norm_of(iid)  # must not raise
+
+    def test_republish_over_full_ring_matches_sequential(self):
+        """Republishing ids that full nodes already hold: the swap admits
+        the new copy in place of the held one, as store_at does, so the
+        shadow ladder must drop the held copy's entry too."""
+        trace = make_trace()
+        outcomes = []
+        for cascade in (False, True):
+            system = build_system(trace, capacity=5)
+            system.publish_corpus(
+                trace.corpus, np.random.default_rng(3), batch=True, cascade=False
+            )
+            results = system.publish_corpus(
+                trace.corpus, np.random.default_rng(4), batch=True, cascade=cascade
+            )
+            outcomes.append((
+                placements(system),
+                [(r.home, r.success, r.dropped_item_id, r.chain) for r in results],
+            ))
+        assert outcomes[0] == outcomes[1]
 
     def test_retrieve_after_cascade_matches_sequential(self):
         """The reconciled inverted indexes answer queries identically."""

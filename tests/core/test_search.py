@@ -25,10 +25,17 @@ from repro.overlay.tornado import TornadoOverlay
 from repro.sim.linkfaults import LinkFaultPlane, MessageLossError
 from repro.sim.network import Network
 from repro.sim.node import StoredItem
+from repro.vsm.index import LocalVsmIndex
 from repro.vsm.sparse import SparseVector
 
 DIM = 32
 SPACE = KeySpace(10_000)
+
+
+def node_store(system, node_id):
+    """The node's item store, or an empty one if it never stored an item."""
+    index = system.network.node(node_id).index
+    return LocalVsmIndex() if index is None else index
 
 
 def make_system(
@@ -182,7 +189,7 @@ def reference_retrieve(
 
     def harvest(node_id, hops_here):
         remaining = None if amount is None else amount - len(result.discoveries)
-        hits = system.state(node_id).index.query(query, limit=remaining)
+        hits = node_store(system, node_id).query(query, limit=remaining)
         fresh = 0
         for h in hits:
             if h.item.item_id in seen_items:
@@ -269,7 +276,7 @@ class TestHarvestFoldAgainstReference:
                     got = retrieve(b, origin, q, amount, **kwargs)
                     assert vars(got) == vars(want)
                     stored = sum(
-                        len(b.state(n).index.query(q)) for n in got.visited
+                        len(node_store(b, n).query(q)) for n in got.visited
                     )
                     duplicates_skipped += amount is None and stored > got.found
         assert a.network.sink.snapshot() == b.network.sink.snapshot()

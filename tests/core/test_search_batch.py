@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_search import node_store
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.core.search import Harvest, RetrieveResult
@@ -123,7 +124,7 @@ def oracle_retrieve(
             )
     result = RetrieveResult(route_hops=route_hops, degradation_level=degradation)
     result.visited.append(home)
-    ranking = system.state(home).index.query(
+    ranking = node_store(system, home).query(
         query, limit=amount, require_all=require_all, min_score=min_score
     )
     found = hits.fold(ranking, home, route_hops, amount)
@@ -148,7 +149,7 @@ def oracle_retrieve(
             continue
         current = neighbor
         result.visited.append(neighbor)
-        ranking = system.state(neighbor).index.query(
+        ranking = node_store(system, neighbor).query(
             query,
             limit=None if amount is None else amount - found,
             require_all=require_all,

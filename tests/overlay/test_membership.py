@@ -1,13 +1,12 @@
-"""Unit tests for the bootstrap join protocol and graceful leave."""
+"""Unit tests for the bootstrap join protocol."""
 
 import numpy as np
 import pytest
 
 from repro.overlay.idspace import KeySpace
-from repro.overlay.membership import Bootstrap, graceful_leave
+from repro.overlay.membership import Bootstrap
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
-from repro.sim.node import StoredItem
 
 
 def make_overlay(modulus=1 << 16):
@@ -87,39 +86,3 @@ class TestBootstrap:
         key = 777
         res = ov.route(100, key)
         assert res.home == ov.home(key)
-
-
-class TestGracefulLeave:
-    def _item(self, item_id):
-        return StoredItem(item_id, 10, 10, np.array([1]), np.array([1.0]))
-
-    def test_items_transferred_to_neighbor(self):
-        ov = make_overlay()
-        for nid in (100, 200, 300):
-            ov.add_node(nid)
-        ov.node(200).store(self._item(1))
-        ov.node(200).store(self._item(2))
-        moved = graceful_leave(ov, 200)
-        assert moved == 2
-        assert ov.size == 2
-        holders = [n.node_id for n in ov.network.nodes() if n.has_item(1)]
-        assert holders in ([100], [300])
-        assert ov.network.sink.count("leave-transfer") == 2
-
-    def test_last_node_drops_items(self):
-        ov = make_overlay()
-        ov.add_node(100)
-        ov.node(100).store(self._item(1))
-        moved = graceful_leave(ov, 100)
-        assert moved == 0
-        assert ov.size == 0
-
-    def test_transfer_ignores_capacity(self):
-        ov = make_overlay()
-        ov.add_node(100, capacity=1)
-        ov.add_node(200, capacity=1)
-        ov.node(100).store(self._item(1))
-        ov.node(200).store(self._item(2))
-        moved = graceful_leave(ov, 100)
-        assert moved == 1
-        assert len(ov.node(200)) == 2  # over-committed, not lost

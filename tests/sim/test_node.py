@@ -91,6 +91,56 @@ class TestAccessors:
         assert list(node.item_ids()) == [7]
 
 
+class TestStore:
+    """The node's one store is its local VSM index, created on demand."""
+
+    def test_empty_node_allocates_no_store(self):
+        node = PeerNode(5, capacity=3)
+        assert node.index is None
+        assert len(node) == 0 and not node.has_item(1)
+        assert list(node.items()) == [] and node.evict_many([]) == []
+        with pytest.raises(KeyError):
+            node.get_item(1)
+        with pytest.raises(KeyError):
+            node.evict_many([1])
+
+    def test_store_is_the_index(self):
+        node = PeerNode(5)
+        node.store_many([make_item(1), make_item(2)])
+        node.store(make_item(3))
+        node.evict(2)
+        assert sorted(node.index.items_by_id()) == [1, 3]
+        assert [(k, i) for k, i in node.index.angle_ladder()] == [(100, 1), (100, 3)]
+
+    def test_bulk_store_counts_only_ids_not_held(self):
+        node = PeerNode(5, capacity=3)
+        node.store_many([make_item(i) for i in range(2)])
+        node.store_many([make_item(i, key=7) for i in range(3)])  # one new id
+        assert len(node) == 3
+        assert node.get_item(0).publish_key == 7
+
+    @pytest.mark.parametrize(
+        "held, op, error",
+        [
+            # 5 new ids onto an empty capacity-3 node.
+            ([], lambda n: n.store_many([make_item(i) for i in range(5)]), CapacityError),
+            # 2 held + 2 new (one repeated) + 1 re-stored overfill capacity 3.
+            ([0, 1], lambda n: n.store_many([make_item(i) for i in (1, 5, 6, 6)]), CapacityError),
+            # The first id is held, the second is not.
+            ([0, 1], lambda n: n.evict_many([0, 99]), KeyError),
+        ],
+        ids=["store-empty", "store-partial", "evict-unknown"],
+    )
+    def test_bulk_ops_are_all_or_nothing(self, held, op, error):
+        node = PeerNode(5, capacity=3)
+        node.store_many([make_item(i) for i in held])
+        with pytest.raises(error):
+            op(node)
+        assert sorted(node.item_ids()) == held
+        if node.index is not None:
+            assert [i for _, i in node.index.angle_ladder()] == held
+
+
 class TestPointers:
     def make_pointer(self, item_id=1):
         return DirectoryPointer(

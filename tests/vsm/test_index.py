@@ -22,14 +22,14 @@ def query(mapping):
 
 class TestMaintenance:
     def test_add_and_len(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0}))
         idx.add(item(2, {1: 1.0}))
         assert len(idx) == 2
         assert 1 in idx and 3 not in idx
 
     def test_re_add_replaces(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0}))
         idx.add(item(1, {5: 2.0}))
         assert len(idx) == 1
@@ -38,7 +38,7 @@ class TestMaintenance:
         assert idx.query(query({0: 1.0})) == []
 
     def test_remove_cleans_postings(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0, 3: 1.0}))
         removed = idx.remove(1)
         assert removed.item_id == 1
@@ -48,20 +48,16 @@ class TestMaintenance:
             idx.remove(1)
 
     def test_rebuild(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0}))
         idx.rebuild([item(2, {1: 1.0}), item(3, {1: 1.0})])
         assert len(idx) == 2
         assert 1 not in idx
 
-    def test_invalid_dim(self):
-        with pytest.raises(ValueError):
-            LocalVsmIndex(0)
-
 
 class TestQuery:
     def build(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0, 1: 1.0}))
         idx.add(item(2, {0: 1.0}))
         idx.add(item(3, {5: 1.0}))
@@ -118,7 +114,7 @@ class TestQueryMany:
 
     def build(self, seed=0, n_items=30):
         rng = np.random.default_rng(seed)
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         for iid in range(n_items):
             k = int(rng.integers(1, 5))
             kws = sorted(rng.choice(DIM, size=k, replace=False).tolist())
@@ -172,8 +168,8 @@ class TestQueryMany:
         assert a is not b and self.pairs(a) == self.pairs(b)
 
     def test_empty_batch_and_empty_index(self):
-        assert LocalVsmIndex(DIM).query_many([]) == []
-        assert LocalVsmIndex(DIM).query_many([query({1: 1.0})]) == [[]]
+        assert LocalVsmIndex().query_many([]) == []
+        assert LocalVsmIndex().query_many([query({1: 1.0})]) == [[]]
 
 
 class TestRanking:
@@ -182,7 +178,7 @@ class TestRanking:
 
     def build(self, n_items=120, seed=11):
         rng = np.random.default_rng(seed)
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         for iid in range(n_items):
             k = int(rng.integers(1, 5))
             kws = rng.choice(DIM, size=k, replace=False).tolist()
@@ -277,7 +273,7 @@ class TestRanking:
 
 class TestLeastSimilar:
     def test_picks_lowest_cosine(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0}))
         idx.add(item(2, {0: 1.0, 9: 5.0}))
         idx.add(item(3, {9: 1.0}))
@@ -285,19 +281,19 @@ class TestLeastSimilar:
         assert victim.item_id == 3  # no overlap → score 0
 
     def test_tie_breaks_on_lowest_id(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(5, {7: 1.0}))
         idx.add(item(2, {8: 1.0}))
         victim = idx.least_similar(query({0: 1.0}))
         assert victim.item_id == 2
 
     def test_empty_index_returns_none(self):
-        assert LocalVsmIndex(DIM).least_similar(query({0: 1.0})) is None
+        assert LocalVsmIndex().least_similar(query({0: 1.0})) is None
 
 
 class TestItemsWithAllKeywords:
     def test_conjunction(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0, 1: 1.0}))
         idx.add(item(2, {0: 1.0}))
         idx.add(item(3, {0: 1.0, 1: 1.0, 2: 1.0}))
@@ -305,11 +301,11 @@ class TestItemsWithAllKeywords:
         assert [i.item_id for i in hits] == [1, 3]
 
     def test_empty_keyword_list(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0}))
         assert idx.items_with_all_keywords([]) == []
 
     def test_unknown_keyword(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(item(1, {0: 1.0}))
         assert idx.items_with_all_keywords([15]) == []

@@ -64,7 +64,7 @@ def keywords_of(items):
 class IndexMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.index = LocalVsmIndex(DIM)
+        self.index = LocalVsmIndex()
         self.model: dict[int, StoredItem] = {}
         self.next_id = 0
         #: Keywords the last rule added to / removed from the index.

@@ -18,11 +18,12 @@ instrument table, so must every ``linkfault.*`` /
 subsystem, and so must every ``routing.*`` instrument — these are not
 listed here but read off the code: each ``"routing.<name>"`` string
 literal under ``src/repro/overlay/`` needs a row of the table that
-starts with it.  The read engine's ``retrieve.*`` instruments are read
-off ``src/repro/core/`` the same way, in both directions: each
-``"retrieve.<name>"`` literal (an f-string's ``{reason}`` reads as the
-row's ``<reason>``) needs a row, and each ``retrieve.batch.*`` row needs
-a literal that still emits it.
+starts with it.  The read and write engines' ``retrieve.*`` and
+``publish.*`` instruments are read off ``src/repro/core/`` the same way,
+in both directions: each ``"retrieve.<name>"`` / ``"publish.<name>"``
+literal (an f-string's ``{reason}`` reads as the row's ``<reason>``)
+needs a row, and each row naming such an instrument — a row may name
+several, joined by `` / `` — needs a literal that still emits it.
 
 Two reverse checks catch a doc that outlives what it names: every
 ``--flag`` a documented ``meteorograph <verb> …``
@@ -70,10 +71,10 @@ _PY_PATH = re.compile(r"[\w.*-]+(?:/[\w.*-]+)+\.py\b")
 
 #: ``"routing.rows_built"`` as a string literal in overlay source.
 _ROUTING_LITERAL = re.compile(r"""["'](routing\.[a-z0-9_.]+)["']""")
-#: ``"retrieve.batch.walks"`` / ``f"retrieve.batch.fallback.{reason}"``.
-_RETRIEVE_LITERAL = re.compile(r"""["'](retrieve\.[a-z0-9_.{}]+)["']""")
-#: A ``retrieve.*`` instrument row's name, ``<placeholder>`` included.
-_RETRIEVE_ROW = re.compile(r"^\| `(retrieve\.[a-z0-9_.<>]+)` \|", re.M)
+#: The engine prefixes whose ``src/repro/core/`` literals ↔ rows are checked.
+_CORE_PREFIXES = ("retrieve", "publish")
+#: An instrument row's first cell: `` `a` `` or `` `a` / `b` / `c` ``.
+_ROW_CELL = re.compile(r"^\| (`[^`|]+`(?: / `[^`|]+`)*) \|", re.M)
 
 
 def _documented_commands(text: str) -> list[list[str]]:
@@ -171,21 +172,25 @@ def _routing_instrument_errors(obs_text: str) -> list[str]:
     ]
 
 
-def _retrieve_instrument_errors(obs_text: str) -> list[str]:
-    """``retrieve.*`` literals under ``src/repro/core/`` ↔ instrument
-    rows: a ``<placeholder>`` segment of a row matches any name."""
+def _core_instrument_errors(obs_text: str, prefix: str) -> list[str]:
+    """``<prefix>.*`` literals under ``src/repro/core/`` ↔ instrument
+    rows, both ways: a ``<placeholder>`` segment of a row matches any
+    name, and an f-string's ``{field}`` reads as ``<field>``."""
+    literal = re.compile(rf"""["']({prefix}\.[a-z0-9_.{{}}]+)["']""")
     emitted: set[str] = set()
     for path in (_PKG / "core").glob("*.py"):
-        for name in _RETRIEVE_LITERAL.findall(path.read_text()):
+        for name in literal.findall(path.read_text()):
             emitted.add(re.sub(r"\{(\w+)\}", r"<\1>", name))
     rows = {
         row: re.compile(
             "[a-z0-9_<>]+".join(map(re.escape, re.split(r"<\w+>", row))) + "$"
         )
-        for row in _RETRIEVE_ROW.findall(obs_text)
+        for cell in _ROW_CELL.findall(obs_text)
+        for row in re.findall(r"`([^`]+)`", cell)
+        if row.startswith(f"{prefix}.")
     }
     failed = [
-        f"read-engine instrument `{name}` is emitted under src/repro/core/ "
+        f"engine instrument `{name}` is emitted under src/repro/core/ "
         "but has no row in OBSERVABILITY.md's instrument table"
         for name in sorted(emitted)
         if not any(pattern.match(name) for pattern in rows.values())
@@ -194,8 +199,7 @@ def _retrieve_instrument_errors(obs_text: str) -> list[str]:
         f"OBSERVABILITY.md documents `{row}` but nothing under "
         "src/repro/core/ emits it"
         for row, pattern in sorted(rows.items())
-        if row.startswith("retrieve.batch.")
-        and not any(pattern.match(name) for name in emitted)
+        if not any(pattern.match(name) for name in emitted)
     )
     return failed
 
@@ -262,7 +266,8 @@ def main() -> int:
             )
 
     failed.extend(_routing_instrument_errors(obs_text))
-    failed.extend(_retrieve_instrument_errors(obs_text))
+    for prefix in _CORE_PREFIXES:
+        failed.extend(_core_instrument_errors(obs_text, prefix))
 
     from repro.cli import build_parser
 
