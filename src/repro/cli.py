@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser(
         "build",
         help="time one build-path cell (keys + tight-capacity publish) and "
-        "verify the chunked pipeline and cascade placement against their "
+        "verify the chunked pipeline and the corpus publish against their "
         "reference paths",
     )
     build.add_argument("--items", type=int, default=4000, help="corpus size")
@@ -326,15 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless chunked keys are bit-identical and the "
-        "cascade engine's placements/accounting match the sequential "
-        "displacement chains (CI smoke)",
+        help="exit non-zero unless chunked keys are bit-identical, the "
+        "corpus publish's placements and displace bill match publishing it "
+        "in batches of one, and the cascade engine placed every item (CI "
+        "smoke)",
     )
     build.add_argument(
         "--min-speedup",
         type=float,
         default=None,
-        help="with --check: also fail unless cascade/chain speedup >= this",
+        help="with --check: also fail unless the corpus publish is this many "
+        "times faster than batches of one",
     )
     build.add_argument(
         "--max-seconds",
@@ -826,9 +828,13 @@ def _cmd_build(args) -> int:
 
     import numpy as np
 
-    from .core import Meteorograph, MeteorographConfig, PlacementScheme
     from .core.angles import absolute_angles
-    from .experiments.common import sample_of
+    from .experiments.buildscale import (
+        build_cell,
+        cascade_engaged,
+        placements,
+        publish_singly,
+    )
     from .workload import WorldCupParams, generate_trace
 
     t0 = time.perf_counter()
@@ -845,41 +851,19 @@ def _cmd_build(args) -> int:
     keys_identical = bool(np.array_equal(whole, chunked))
 
     capacity = max(4, int(round((args.items / args.nodes) * 4 / 3)))
-
-    def build_sys() -> Meteorograph:
-        rng = np.random.default_rng(args.seed + 1)
-        return Meteorograph.build(
-            args.nodes,
-            corpus.dim,
-            rng=rng,
-            sample=sample_of(corpus, rng),
-            config=MeteorographConfig(
-                scheme=PlacementScheme.UNUSED_HASH, node_capacity=capacity
-            ),
-        )
-
-    def placements(system):
-        return {
-            n.node_id: frozenset(n.item_ids())
-            for n in system.network.nodes()
-            if len(n)
-        }
-
-    cas = build_sys()
+    cas = build_cell(corpus, args.nodes, capacity, args.seed + 1)
     t4 = time.perf_counter()
-    cas.publish_corpus(corpus, np.random.default_rng(args.seed + 2), batch=True,
-                       cascade=True)
+    cas.publish_corpus(corpus, np.random.default_rng(args.seed + 2))
     cascade_s = time.perf_counter() - t4
-    seq = build_sys()
+    one = build_cell(corpus, args.nodes, capacity, args.seed + 1)
     t5 = time.perf_counter()
-    seq.publish_corpus(corpus, np.random.default_rng(args.seed + 2), batch=True,
-                       cascade=False)
-    chain_s = time.perf_counter() - t5
-    placement_identical = placements(cas) == placements(seq)
-    accounting_identical = (
-        cas.network.sink.snapshot() == seq.network.sink.snapshot()
-    )
-    speedup = chain_s / cascade_s if cascade_s > 0 else float("inf")
+    publish_singly(one, corpus, np.random.default_rng(args.seed + 2))
+    singly_s = time.perf_counter() - t5
+    placement_identical = placements(cas) == placements(one)
+    spills = cas.network.sink.count("displace")
+    accounting_identical = one.network.sink.count("displace") == spills
+    engaged = cascade_engaged(corpus, args.nodes, capacity, args.seed + 1)
+    speedup = singly_s / cascade_s if cascade_s > 0 else float("inf")
     elapsed = time.perf_counter() - t0
     print(
         f"[build] items {args.items}, nodes {args.nodes}, cap {capacity} "
@@ -890,22 +874,24 @@ def _cmd_build(args) -> int:
         f"{1e3 * (t3 - t2):.1f} ms, bit-identical: {keys_identical}"
     )
     print(
-        f"publish: cascade {1e3 * cascade_s:.1f} ms, chain branch "
-        f"{1e3 * chain_s:.1f} ms, speedup {speedup:.1f}x"
+        f"publish: corpus {1e3 * cascade_s:.1f} ms, batches of one "
+        f"{1e3 * singly_s:.1f} ms, speedup {speedup:.1f}x"
     )
     print(
-        f"equivalence: placements {placement_identical}, accounting "
-        f"{accounting_identical} ({cas.network.sink.count('displace')} "
-        f"displacements), in {elapsed:.2f}s"
+        f"equivalence: placements {placement_identical}, displace bill "
+        f"{accounting_identical} ({spills} displacements), cascade engaged "
+        f"{engaged}, in {elapsed:.2f}s"
     )
     if args.check:
         failed = []
         if not keys_identical:
             failed.append("chunked keys differ from the whole-corpus pass")
         if not placement_identical:
-            failed.append("cascade placements differ from sequential chains")
+            failed.append("corpus placements differ from batches of one")
         if not accounting_identical:
-            failed.append("cascade message accounting differs")
+            failed.append("displace bill differs from batches of one")
+        if not engaged:
+            failed.append("the cascade engine did not place every item")
         if args.min_speedup is not None and speedup < args.min_speedup:
             failed.append(f"speedup {speedup:.1f}x < {args.min_speedup}x")
         if args.max_seconds is not None and elapsed > args.max_seconds:

@@ -24,7 +24,7 @@ from .loadbalance import (
     paper_hot_regions,
     uniform_namer,
 )
-from .publish import PublishResult, ReplacementPolicy, publish_item, run_displacement_chain
+from .publish import PublishResult, ReplacementPolicy, run_displacement_chain
 from .search import (
     Discovery,
     FindResult,
@@ -67,7 +67,6 @@ __all__ = [
     "uniform_namer",
     "PublishResult",
     "ReplacementPolicy",
-    "publish_item",
     "run_displacement_chain",
     "Discovery",
     "FindResult",

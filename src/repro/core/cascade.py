@@ -1,11 +1,12 @@
-"""Cascade batch placement — the finite-capacity fast path of batch publish.
+"""Cascade placement — the finite-capacity engine of the shared publish.
 
-``batch_publish`` under finite capacity historically ran one
-:func:`repro.core.publish.run_displacement_chain` per item: every chain
-hop paid a store/evict on the node's ``LocalVsmIndex`` (its one item
-store: a row append or tombstone plus a ladder update) even though
-almost every intermediate placement is transient (the item is displaced
-again a few events later).
+When a batch overflows some node, :func:`repro.core.publish.batch_publish`
+must run each item's Fig. 2 displacement chain in list order.  Run one
+:func:`repro.core.publish.run_displacement_chain` per item and every
+chain hop pays a store/evict on the node's ``LocalVsmIndex`` (its one
+item store: a row append or tombstone plus a ladder update), although
+almost every intermediate placement is transient: the item is displaced
+again a few events later.
 
 The cascade engine keeps the *exact* sequential semantics but runs the
 whole batch against **lightweight shadow state** first and reconciles
@@ -26,26 +27,22 @@ real node state once at the end:
   shared by every chain anchored at that home (ring membership and
   liveness are frozen for the duration of a batch).
 * Network accounting is unchanged: one ``displace`` message per chain
-  hop is charged (bulk via ``MetricSink.charge``), and with
-  observability enabled the same ``net.sent.displace`` counters,
-  ``net.node_inbox`` buckets and ``displace`` trace events are emitted.
+  hop, billed in one :meth:`repro.sim.network.Network.charge_bulk`
+  call (which keeps ``net.sent.displace`` and the ``net.node_inbox``
+  buckets exact), and with tracing enabled the same ``displace`` trace
+  events are emitted.
 
-The engine only handles the ``ANGLE`` policy (victims are ladder
-extremes); ``COSINE`` scans whole indexes and always takes the
-sequential loop, as do configurations with notification or admission
-hooks that observe per-event side effects.  Shadows are seeded from the
-node's own store, so there is no second copy for them to disagree with.
-
-The same batching discipline — share the expensive sweep, replay exact
-per-item accounting, fall back sequentially when a configuration
-observes per-event side effects — serves the read path in
-:mod:`repro.core.search_batch`.
+The engine only runs where ``repro.core.publish._cascade_reason``
+finds nothing to refuse: victims are ladder extremes (``ANGLE`` only),
+and nothing may observe a displacement as it happens (notifications,
+admission metering, a fault plane's per-message verdict).  Shadows are
+seeded from the node's own store, so there is no second copy for them
+to disagree with.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..sim.node import PeerNode, StoredItem
@@ -54,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .meteorograph import Meteorograph
     from .publish import PublishResult
 
-__all__ = ["cascade_supported", "cascade_placement"]
+__all__ = ["cascade_placement"]
 
 
 class _Shadow:
@@ -71,23 +68,6 @@ class _Shadow:
         self.items = {} if index is None else index.items_by_id()
         self.ladder = [] if index is None else list(index.angle_ladder())
         self.initial = dict(self.items)
-
-
-def cascade_supported(system: "Meteorograph", policy) -> bool:
-    """Whether the cascade engine may replace the per-item chain loop.
-
-    The engine is exact only for ``ANGLE`` victim selection, and it
-    defers all real side effects to one reconcile pass — so anything
-    that observes per-event effects (notification service, admission
-    metering of displace traffic) forces the sequential branch.
-    """
-    from .publish import ReplacementPolicy
-
-    return (
-        policy is ReplacementPolicy.ANGLE
-        and system.notifications is None
-        and system.network.admission is None
-    )
 
 
 def cascade_placement(
@@ -114,7 +94,8 @@ def cascade_placement(
     shadows: dict[int, _Shadow] = {}
     frontiers: dict[int, tuple[list[int], object]] = {}
     events: Optional[list[tuple[int, int, int]]] = [] if tracer.enabled else None
-    inbox: Optional[Counter] = Counter() if obs_on else None
+    # Destinations only feed the net.node_inbox bucket.
+    dsts: Optional[list[int]] = [] if obs_on else None
     overlay = system.overlay
     total_hops = 0
     failures = 0
@@ -185,8 +166,8 @@ def cascade_placement(
             total_hops += 1
             res.displacement_hops += 1
             res.chain.append(next_id)
-            if inbox is not None:
-                inbox[next_id] += 1
+            if dsts is not None:
+                dsts.append(next_id)
             if events is not None:
                 events.append((current, next_id, victim.item_id))
             if budget is not None:
@@ -198,14 +179,11 @@ def cascade_placement(
                 sh = shadows[current] = _Shadow(network.node(current))
 
     _reconcile(system, shadows, items, norms)
-    # Accounting: one displace message per chain hop, charged in bulk —
-    # the same total Network.send would have billed hop by hop.
-    network.sink.charge("displace", total_hops)
-    metrics = obs.metrics
+    # One displace message per chain hop, billed in bulk: the bill
+    # Network.send would have charged hop by hop.
+    network.charge_bulk("displace", total_hops, dsts)
     if obs_on:
-        metrics.counter("net.sent.displace", total_hops)
-        for dst, cnt in inbox.items():
-            metrics.bucket("net.node_inbox", dst, cnt)
+        metrics = obs.metrics
         metrics.counter("publish.cascade_items", len(items))
         metrics.counter("publish.cascade_spills", total_hops)
         if failures:

@@ -44,7 +44,8 @@ from .firsthop import FirstHopSelector
 from .knees import equalizer_from_sample
 from .loadbalance import HotRegionNamer, detect_hot_regions, uniform_namer
 from .naming import CdfEqualizer, angle_to_key, corpus_to_keys
-from .publish import PublishResult, ReplacementPolicy, batch_publish, publish_item
+from .publish import PublishResult, ReplacementPolicy
+from .publish import run as run_publish
 from .replication import ReplicationManager
 from .search import (
     Discovery,
@@ -466,13 +467,10 @@ class Meteorograph:
 
         return route_with_retry(self, origin, key, kind=kind)
 
-    def register_published(self, item_id: int, angle_key: int, publish_key: int) -> None:
-        self._published[item_id] = (angle_key, publish_key)
-
     def register_published_many(
         self, item_ids: np.ndarray, angle_keys: np.ndarray, publish_keys: np.ndarray
     ) -> None:
-        """Vectorised :meth:`register_published` for whole-corpus publishes."""
+        """Record each published item's (angle key, band-0 publish key)."""
         self._published.update(
             zip(item_ids.tolist(), zip(angle_keys.tolist(), publish_keys.tolist()))
         )
@@ -504,38 +502,26 @@ class Meteorograph:
         weights: Sequence[float] | np.ndarray,
         *,
         payload: object = None,
-        hop_budget: Optional[int] = "config",  # type: ignore[assignment]
     ) -> PublishResult:
-        """Publish one item from ``origin`` (Fig. 2 ``_publish``).
+        """Publish one item from ``origin`` (Fig. 2 ``_publish``): a
+        batch of one row through :func:`repro.core.publish.run`.
 
         Under a multi-key scheme the item is published once per band key
         (L routed copies — the explicit L× storage/message budget); the
         returned result is the band-0 publish.
         """
-        budget = self.config.hop_budget if hop_budget == "config" else hop_budget
         kw = np.asarray(keyword_ids, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
         angle_key, publish_keys = self.naming.keys_for(kw, w)
-        result: Optional[PublishResult] = None
-        for pk in publish_keys:
-            res = publish_item(
-                self,
-                origin,
-                item_id,
-                kw,
-                w,
-                payload=payload,
-                hop_budget=budget,
-                policy=self.config.replacement_policy,
-                precomputed_keys=(angle_key, int(pk)),
-            )
-            if result is None:
-                result = res
-        if len(publish_keys) > 1:
-            metrics = self.network.obs.metrics
-            metrics.counter("lsh.publish.items", 1)
-            metrics.counter("lsh.publish.copies", len(publish_keys))
-        self.register_published(item_id, angle_key, int(publish_keys[0]))
+        (result,) = run_publish(
+            self,
+            [(0, kw, w)],
+            np.array([item_id], dtype=np.int64),
+            np.array([angle_key], dtype=np.int64),
+            np.array([publish_keys], dtype=np.int64),
+            origin=origin,
+            payload=payload,
+        )
         return result
 
     def publish_vector(
@@ -550,41 +536,30 @@ class Meteorograph:
         *,
         item_ids: Optional[Sequence[int]] = None,
         origin: Optional[int] = None,
-        batch: Optional[bool] = None,
-        cascade: Optional[bool] = None,
+        batch: bool = False,
         chunk_rows: Optional[int] = None,
     ) -> list[PublishResult]:
-        """Publish every corpus row (keys batch-computed, vectorised).
+        """Publish every corpus row (keys batch-computed, vectorised)
+        through :func:`repro.core.publish.run`, which shares one route
+        and one ring sweep whenever the configuration allows it (see
+        its module docstring for the reasons it refuses).
 
-        ``batch=None`` (auto, the default) takes the single-sweep fast
-        path — :func:`repro.core.publish.batch_publish` — whenever the
-        configuration allows it: no directory pointers and no
-        replication, both of which need the per-item protocol (the
-        items then count under ``publish.batch.fallback.<reason>``).
-        ``batch=False`` forces the sequential per-item loop (the
-        reference semantics); ``batch=True`` asserts the fast path and
-        raises if the configuration cannot take it.  Placements and
-        displacement accounting are identical either way; route-message
-        accounting differs by design (1 route + ring sweep instead of
-        one route per item).
-
-        In sequential mode each item is published from a uniformly
-        random live node unless ``origin`` pins one; batch mode draws
-        (or is pinned to) a single origin for its one route.
-        ``item_ids`` renames rows (default: row index).
-
-        ``cascade`` selects the finite-capacity placement engine (see
-        :func:`repro.core.publish.batch_publish`); ``chunk_rows``
+        Shared, the batch draws one origin from ``rng`` for its one
+        route; unshared, each row is published from its own uniformly
+        random live node.  ``origin`` pins the origin either way, and
+        ``item_ids`` renames rows (default: row index).  ``chunk_rows``
         streams the key pipeline (see :meth:`corpus_keys`).
 
+        ``batch=True`` asserts that the configuration shares routes and
+        raises :class:`ValueError` if it does not.  It is kept only for
+        the benchmark's write workload and goes with its next revision.
+
         Under a multi-key scheme every row fans out to its L band keys
-        — n·L placements through the same engines, with the L× budget
+        — n·L placements through the same engine, with the L× budget
         surfaced on the ``lsh.publish.*`` counters.  The returned list
         still has one entry per row (the band-0 result).
         """
         angle_keys, key_mat = self.corpus_keys_multi(corpus, chunk_rows=chunk_rows)
-        publish_keys = key_mat[:, 0]
-        n_keys = self.naming.n_keys
         ids = (
             np.arange(corpus.n_items, dtype=np.int64)
             if item_ids is None
@@ -592,101 +567,17 @@ class Meteorograph:
         )
         if ids.shape[0] != corpus.n_items:
             raise ValueError("item_ids must parallel the corpus")
-        alive = [nid for nid in self.overlay.ring if self.network.is_alive(nid)]
-        if not alive:
-            raise RuntimeError("no live nodes to publish from")
-        can_batch = not self.config.directory_pointers and self.replication is None
-        if batch is True and not can_batch:
-            raise ValueError(
-                "batch publish supports neither directory pointers nor replication"
-            )
-        if n_keys > 1:
-            metrics = self.network.obs.metrics
-            metrics.counter("lsh.publish.items", corpus.n_items)
-            metrics.counter("lsh.publish.copies", corpus.n_items * n_keys)
-        if can_batch if batch is None else batch:
-            ids_l = ids.tolist()
-            ak_l = angle_keys.tolist()
-            if n_keys == 1:
-                pk_l = publish_keys.tolist()
-                items = [
-                    StoredItem(
-                        item_id=ids_l[i],
-                        publish_key=pk_l[i],
-                        angle_key=ak_l[i],
-                        keyword_ids=kw,
-                        weights=np.asarray(w, dtype=np.float64),
-                    )
-                    for i, kw, w in corpus.row_slices()
-                ]
-                flat_keys = publish_keys
-                norms = corpus.norms()
-            else:
-                # Item-major fan-out: row i becomes L StoredItems (one
-                # per band key) sharing the row's keyword/weight arrays.
-                km_l = key_mat.tolist()
-                items = []
-                for i, kw, w in corpus.row_slices():
-                    w = np.asarray(w, dtype=np.float64)
-                    items.extend(
-                        StoredItem(
-                            item_id=ids_l[i],
-                            publish_key=pk,
-                            angle_key=ak_l[i],
-                            keyword_ids=kw,
-                            weights=w,
-                        )
-                        for pk in km_l[i]
-                    )
-                flat_keys = key_mat.reshape(-1)
-                norms = np.repeat(corpus.norms(), n_keys)
-            src = origin if origin is not None else alive[int(rng.integers(0, len(alive)))]
-            results = batch_publish(
-                self,
-                items,
-                origin=src,
-                hop_budget=self.config.hop_budget,
-                policy=self.config.replacement_policy,
-                keys=flat_keys,
-                norms=norms,
-                cascade=cascade,
-            )
-            self.register_published_many(ids, angle_keys, publish_keys)
-            if n_keys == 1:
-                return results
-            # One result per row: the band-0 copy's placement.
-            return results[::n_keys]
-        if batch is None:  # auto mode wanted the sweep; the config refused it
-            reason = "pointers" if self.config.directory_pointers else "replication"
-            self.network.obs.metrics.counter(
-                f"publish.batch.fallback.{reason}", corpus.n_items
-            )
-        origins = (
-            rng.integers(0, len(alive), size=corpus.n_items)
-            if origin is None
-            else None
+        return run_publish(
+            self,
+            corpus.row_slices(),
+            ids,
+            angle_keys,
+            key_mat,
+            origin=origin,
+            rng=rng,
+            norms=corpus.norms(),
+            require_shared=batch,
         )
-        km_l = key_mat.tolist()
-        results = []
-        for row, (i, kw, w) in enumerate(corpus.row_slices()):
-            src = origin if origin is not None else alive[int(origins[row])]
-            res = None
-            for pk in km_l[i]:
-                r = publish_item(
-                    self,
-                    src,
-                    int(ids[i]),
-                    kw,
-                    w,
-                    hop_budget=self.config.hop_budget,
-                    policy=self.config.replacement_policy,
-                    precomputed_keys=(int(angle_keys[i]), int(pk)),
-                )
-                if res is None:
-                    res = r
-            self.register_published(int(ids[i]), int(angle_keys[i]), int(publish_keys[i]))
-            results.append(res)
-        return results
 
     @staticmethod
     def _check_multi_probe_options(use_first_hop: bool, kwargs: dict) -> None:

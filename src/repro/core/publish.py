@@ -22,25 +22,36 @@ Two replacement policies are provided:
   records this as a measured-equivalent substitution (the ablation
   bench compares both).
 
-Entry points:
+One driver, :func:`run`, is the only route into placement:
+``Meteorograph.publish`` is a batch of one row and
+``Meteorograph.publish_corpus`` a batch of many.  It shares work at two
+levels, each refused by one function returning the first matching
+reason (the write twin of :mod:`repro.core.search_batch`):
 
-* :func:`publish_item` — one item through route + displacement chain
-  (the literal Fig. 2 loop).
-* :func:`run_displacement_chain` — the chain alone, reused by repair
-  and replication placement.
-* :func:`batch_publish` — a whole corpus in one key-sorted ring sweep;
-  finite-capacity batches run through the cascade engine
-  (:mod:`repro.core.cascade`).  Placements and message accounting are
-  identical to the sequential loop (``tests/core/test_batch_publish.py``);
-  unsupported configurations fall back per item.  The read path has a
-  twin of this engine in :mod:`repro.core.search_batch`.
+* route sharing (:func:`batch_publish`: one route to the smallest key's
+  home, then one ring sweep dropping each node's run off) is refused
+  under directory pointers or replication, which need the per-item
+  protocol — :func:`publish_item` then runs each row unshared;
+* displacement sharing (the :mod:`repro.core.cascade` engine) is
+  refused under the ``COSINE`` policy, a notification service,
+  admission control or a link-fault plane, which observe each
+  displacement as it happens — :func:`run_displacement_chain` then
+  runs each item's chain in list order.
+
+A refusal counts under ``publish.batch.fallback.<reason>`` or
+``publish.cascade.fallback.<reason>``.  On a ring whose routes reach
+the live homes, placements, per-item results (``route_hops`` aside)
+and the ``displace`` bill equal the unshared loop's, which
+``tests/core/publish_oracle.py`` keeps as ``oracle_publish``;
+``tests/core/test_batch_publish.py`` pins the equivalence and its
+boundary (see :func:`batch_publish`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,12 +69,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ReplacementPolicy",
     "PublishResult",
+    "run",
     "publish_item",
     "run_displacement_chain",
     "batch_publish",
     "batch_live_homes",
     "store_runs",
-    "SweepPlan",
 ]
 
 
@@ -132,9 +143,12 @@ def run_displacement_chain(
 ) -> PublishResult:
     """Place ``item`` at ``home_id``, displacing as needed (Fig. 2 loop).
 
-    The chain visits nodes in increasing linear key distance from the
-    home ("closest neighbor" frontier); each full node swaps the
-    incoming item for its least-similar one and pushes the victim on.
+    Every chain the cascade engine does not replay runs here: each
+    unshared publish's, and each item's of a shared batch whose
+    configuration refuses the cascade.  The chain visits nodes in
+    increasing linear key distance from the home ("closest neighbor"
+    frontier); each full node swaps the incoming item for its
+    least-similar one and pushes the victim on.
     Charges one ``displace`` message per chain hop.
     """
     result = PublishResult(item_id=item.item_id, home=home_id, route_hops=0)
@@ -192,37 +206,15 @@ def run_displacement_chain(
 
 
 def publish_item(
-    system: "Meteorograph",
-    origin: int,
-    item_id: int,
-    keyword_ids: np.ndarray,
-    weights: np.ndarray,
-    *,
-    payload: object = None,
-    hop_budget: Optional[int] = None,
-    policy: ReplacementPolicy = ReplacementPolicy.ANGLE,
-    precomputed_keys: Optional[tuple[int, int]] = None,
+    system: "Meteorograph", origin: int, item: StoredItem
 ) -> PublishResult:
-    """Full publish: resolve keys (Eq. 5 / Eq. 6), route, place, replicate.
-
-    ``precomputed_keys`` is the (angle_key, publish_key) pair when the
-    caller batch-computed keys for a whole corpus (the vectorised path);
-    otherwise they are derived here.
-    """
-    if precomputed_keys is None:
-        angle_key, publish_key = system.item_keys(keyword_ids, weights)
-    else:
-        angle_key, publish_key = precomputed_keys
-    item = StoredItem(
-        item_id=item_id,
-        publish_key=publish_key,
-        angle_key=angle_key,
-        keyword_ids=np.asarray(keyword_ids, dtype=np.int64),
-        weights=np.asarray(weights, dtype=np.float64),
-        payload=payload,
-    )
+    """One item, unshared: route from ``origin`` to its publish key's
+    home, run the displacement chain there, then place the directory
+    pointer and the replicas the configuration asks for."""
+    config = system.config
     obs = system.network.obs
-    with obs.tracer.span("publish", item=item_id, key=publish_key) as sp:
+    publish_key = item.publish_key
+    with obs.tracer.span("publish", item=item.item_id, key=publish_key) as sp:
         level = 0
         try:
             route = system.deliver_home(origin, publish_key, kind="publish")
@@ -237,10 +229,10 @@ def publish_item(
             if home is None:
                 sp.set(ok=False, shed=True)
                 return PublishResult(
-                    item_id=item_id,
+                    item_id=item.item_id,
                     home=system.overlay.home(publish_key),
                     route_hops=route_hops,
-                    dropped_item_id=item_id,
+                    dropped_item_id=item.item_id,
                     success=False,
                 )
         with obs.metrics.timer("publish.displace_chain"):
@@ -248,11 +240,11 @@ def publish_item(
                 system,
                 home,
                 item,
-                hop_budget=hop_budget,
-                policy=policy,
+                hop_budget=config.hop_budget,
+                policy=config.replacement_policy,
             )
         result.route_hops = route_hops
-        if system.config.directory_pointers:
+        if config.directory_pointers:
             system.publish_pointer(home, item)
         if system.replication is not None and result.success:
             system.replication.replicate(home, item)
@@ -299,9 +291,9 @@ def store_runs(
 ) -> None:
     """Store a displacement-free batch: one bulk store per home run.
 
-    ``order`` is the stable argsort of the batch's publish keys, so key
-    order == sweep order and each maximal stretch of equal ``homes``
-    along it is the run the sweep drops off as it passes that node.
+    ``order`` is the sweep's delivery order (ring order, key order
+    within a node), so each maximal stretch of equal ``homes`` along it
+    is the run the sweep drops off as it passes that node.
     ``norms`` optionally parallels ``items`` (``Corpus.norms``).
     """
     if order.size == 0:
@@ -319,69 +311,120 @@ def store_runs(
         )
 
 
-class SweepPlan:
-    """The global planning state of one key-sorted ring sweep.
-
-    :func:`batch_publish`'s vectorised part: every item's live home, the
-    key-sorted sweep order, each item's marginal ``route_hops`` and the
-    total sweep message count.
-
-    Two-step protocol: construct with the batch's publish keys, route to
-    :attr:`first_key`'s home however the caller likes, then
-    :meth:`finalize` with the landing home to fix the sweep geometry.
-    """
-
-    __slots__ = (
-        "keys",
-        "live",
-        "live_sorted",
-        "homes",
-        "order",
-        "m",
-        "start_pos",
-        "sweep",
-        "route_hops",
+def _route_reason(system: "Meteorograph") -> Optional[str]:
+    """Why one route plus a ring sweep cannot serve a batch, or ``None``
+    when it can (the first matching reason)."""
+    return (
+        "pointers" if system.config.directory_pointers
+        else "replication" if system.replication is not None
+        else None
     )
 
-    def __init__(self, system: "Meteorograph", keys: np.ndarray) -> None:
-        self.keys = np.asarray(keys, dtype=np.int64)
-        network = system.network
+
+def _cascade_reason(system: "Meteorograph") -> Optional[str]:
+    """Why the cascade engine cannot replay a batch's displacement
+    chains, or ``None`` when it can (the first matching reason).
+
+    The engine picks victims from ladder extremes (``ANGLE`` only) and
+    defers every side effect to one reconcile pass and one bulk bill, so
+    anything that observes a displacement as it happens — notification
+    delivery, admission metering, a fault plane's per-message verdict —
+    needs the per-item chain loop.
+    """
+    network = system.network
+    return (
+        "cosine" if system.config.replacement_policy is ReplacementPolicy.COSINE
+        else "notifications" if system.notifications is not None
+        else "admission" if network.admission is not None
+        else "link_faults" if network.link_faults is not None
+        else None
+    )
+
+
+def run(
+    system: "Meteorograph",
+    rows: Iterable[tuple[int, np.ndarray, np.ndarray]],
+    ids: np.ndarray,
+    angle_keys: np.ndarray,
+    key_mat: np.ndarray,
+    *,
+    origin: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+    payload: object = None,
+    norms: Optional[np.ndarray] = None,
+    require_shared: bool = False,
+) -> list[PublishResult]:
+    """Publish ``rows`` — ``(row, keyword_ids, weights)`` as int64 and
+    float64 arrays, with ``row`` indexing the parallel ``ids``,
+    ``angle_keys`` and the ``(n, L)`` publish-key matrix ``key_mat`` —
+    once per key; one result per row (its band-0 placement).
+
+    A batch of one row has nothing to share, so it runs unshared, as
+    does any batch :func:`_route_reason` refuses; ``require_shared``
+    raises :class:`ValueError` on a refusal instead.  Origins: ``origin``
+    pins one for every row; otherwise the shared branch draws one live
+    node (one scalar ``rng`` draw) for its one route and the unshared
+    loop one per row (one ``size=n`` draw).  ``norms`` parallels the
+    rows (``Corpus.norms``) and feeds the shared branch's bulk stores.
+    """
+    n = len(ids)
+    n_keys = key_mat.shape[1]
+    network = system.network
+    metrics = network.obs.metrics
+    route_reason = _route_reason(system)
+    if require_shared and route_reason is not None:
+        raise ValueError(f"batch publish cannot share routes under {route_reason}")
+    if route_reason is not None:
+        metrics.counter(f"publish.batch.fallback.{route_reason}", n)
+    cascade_reason = _cascade_reason(system)
+    if cascade_reason is not None:
+        metrics.counter(f"publish.cascade.fallback.{cascade_reason}", n)
+    if n_keys > 1:
+        metrics.counter("lsh.publish.items", n)
+        metrics.counter("lsh.publish.copies", n * n_keys)
+    shared = route_reason is None and n > 1
+    live: list[int] = []
+    if shared or origin is None:
         live = [nid for nid in system.overlay.ring if network.is_alive(nid)]
         if not live:
-            raise RuntimeError("no live nodes to publish to")
-        self.live = live
-        self.live_sorted = np.asarray(live, dtype=np.int64)  # ring iterates in key order
-        self.m = len(live)
-        self.homes = batch_live_homes(system.space, self.live_sorted, self.keys)
-        self.order = np.argsort(self.keys, kind="stable")
-
-    @property
-    def first_key(self) -> int:
-        """The smallest publish key — the sweep's single routed target."""
-        return int(self.keys[self.order[0]])
-
-    def finalize(self, start_home: int) -> "SweepPlan":
-        """Fix the sweep geometry from the routed landing home.
-
-        Because items are visited in key order the per-item step counts
-        are just modular position differences along the live ring —
-        computed vectorised.  Sets :attr:`start_pos` (ring position of
-        the landing home), :attr:`sweep` (total clockwise steps, i.e.
-        ``publish`` messages) and :attr:`route_hops` (each item's
-        marginal step count, in item order).
-        """
-        pos_sorted = np.searchsorted(self.live_sorted, self.homes[self.order])
-        cur = int(np.searchsorted(self.live_sorted, start_home))
-        prev = np.empty_like(pos_sorted)
-        prev[0] = cur
-        prev[1:] = pos_sorted[:-1]
-        steps_sorted = (pos_sorted - prev) % self.m
-        self.start_pos = cur
-        self.sweep = int(steps_sorted.sum())
-        route_hops_arr = np.zeros(self.keys.size, dtype=np.int64)
-        route_hops_arr[self.order] = steps_sorted
-        self.route_hops = route_hops_arr
-        return self
+            raise RuntimeError("no live nodes to publish from")
+    ids_l = ids.tolist()
+    ak_l = angle_keys.tolist()
+    keys = key_mat.reshape(-1)
+    keys_l = keys.tolist()
+    # Item-major fan-out: row i becomes L items (one per key) sharing
+    # the row's keyword/weight arrays.
+    items = [
+        StoredItem(
+            item_id=ids_l[i],
+            publish_key=pk,
+            angle_key=ak_l[i],
+            keyword_ids=kw,
+            weights=w,
+            payload=payload,
+        )
+        for i, kw, w in rows
+        for pk in keys_l[i * n_keys:(i + 1) * n_keys]
+    ]
+    if shared:
+        if origin is None:
+            origin = live[int(rng.integers(0, len(live)))]
+        if norms is not None and n_keys > 1:
+            norms = np.repeat(norms, n_keys)
+        results = batch_publish(
+            system, items, origin=origin, live=live, keys=keys, norms=norms
+        )
+    else:
+        if origin is None:
+            origins = [live[d] for d in rng.integers(0, len(live), size=n).tolist()]
+        else:
+            origins = [origin] * n
+        results = [
+            publish_item(system, origins[k // n_keys], item)
+            for k, item in enumerate(items)
+        ]
+    system.register_published_many(ids, angle_keys, key_mat[:, 0])
+    return results[::n_keys] if n_keys > 1 else results
 
 
 def batch_publish(
@@ -389,68 +432,52 @@ def batch_publish(
     items: Sequence[StoredItem],
     *,
     origin: int,
-    hop_budget: Optional[int] = None,
-    policy: ReplacementPolicy = ReplacementPolicy.ANGLE,
-    keys: Optional[np.ndarray] = None,
+    live: list[int],
+    keys: np.ndarray,
     norms: Optional[np.ndarray] = None,
-    cascade: Optional[bool] = None,
 ) -> list[PublishResult]:
-    """Single-sweep batch placement (Mercury-style locality batching).
+    """The shared branch of :func:`run` (Mercury-style locality batching).
 
     Instead of one O(log N) route per item, the batch computes every
-    item's live home vectorised, routes **once** to the home of the
-    smallest publish key, then walks the ring in key order delivering
-    each node's run of items — N routes collapse to 1 route plus a ring
-    sweep of at most ~N_nodes ``publish`` messages.
+    item's live home vectorised over ``live`` (the live node ids in key
+    order), routes **once** from ``origin`` to the home of the smallest
+    publish key, then walks the ring clockwise from where that route
+    landed, delivering each node's run of items — N routes collapse to
+    1 route plus a sweep of at most one lap (``len(live)`` ``publish``
+    messages).  In key order the homes go clockwise round the ring once
+    at most; the sweep delivers those at or past the landing node first
+    and then wraps round to any the route overshot.
 
-    Placement semantics are identical to publishing the items one at a
-    time in list order:
+    Placement matches publishing the items one at a time in list order:
+    a batch no node overflows is bulk-stored run by run (placement is
+    order-free there); otherwise each item's Fig. 2 chain runs at its
+    home in list order, through the cascade engine unless
+    :func:`_cascade_reason` refuses it, so placements, ``success``,
+    ``dropped_item_id``, ``displacement_hops`` and the ``displace`` bill
+    match the unshared loop.  Only route accounting differs, by design:
+    an item's ``route_hops`` is the number of sweep steps spent first
+    reaching its home (the first delivered item also carries the
+    route's hops), so ``sum(r.route_hops)`` is the ``publish`` bill.
 
-    * infinite capacity — items simply store at their homes (placement
-      is order-free); this branch runs no displacement machinery at all;
-    * finite capacity — each item runs the standard Fig. 2 displacement
-      chain at its home, in list order, so placements, ``success``,
-      ``dropped_item_id`` and ``displacement_hops`` match the
-      sequential loop exactly (the equivalence property test in
-      ``tests/core/test_batch_publish.py`` pins this).
-
-    Only *route* accounting differs, by design: each item's
-    ``route_hops`` is the marginal number of sweep messages spent to
-    first reach its home (the first item also carries the real route's
-    hops), so ``sum(r.route_hops)`` equals the messages actually
-    charged on the network.
-
-    ``keys`` optionally supplies the items' publish keys as an int64
-    array and ``norms`` their Euclidean norms (``Corpus.norms``) —
-    callers that batch-computed either for the whole corpus skip the
-    per-item recomputation here.
-
-    ``cascade`` selects the finite-capacity engine: ``None`` (auto, the
-    default) runs the :mod:`repro.core.cascade` shadow-state engine
-    whenever it is exact for the configuration (``ANGLE`` policy, no
-    notification/admission hooks) and falls back to the per-item chain
-    loop otherwise; ``False`` forces the sequential loop (the reference
-    semantics the equivalence tests compare against); ``True`` asserts
-    the engine and raises if the configuration cannot take it.
+    The equivalence boundary is the entry route.  Shared placement uses
+    each key's live home; the unshared loop places at whatever node its
+    own route reaches.  On a ring with failed nodes that are not yet
+    stabilized the two differ, and a route may land past the first
+    home; the sweep still starts where it landed and runs one lap at
+    most.
     """
     n = len(items)
-    if n == 0:
-        return []
-    if keys is None:
-        keys = np.fromiter((it.publish_key for it in items), dtype=np.int64, count=n)
-    elif len(keys) != n:
-        raise ValueError("keys must parallel items")
     network = system.network
-    plan = SweepPlan(system, keys)
-    live = plan.live
-    live_sorted = plan.live_sorted
-    homes = plan.homes
-    order = plan.order
+    config = system.config
+    m = len(live)
+    live_sorted = np.asarray(live, dtype=np.int64)
+    homes = batch_live_homes(system.space, live_sorted, keys)
+    pos = np.searchsorted(live_sorted, homes)
     obs = network.obs
     tracer = obs.tracer
     results: list[Optional[PublishResult]] = [None] * n
     with tracer.span("publish_batch", items=n) as sp:
-        first_key = plan.first_key
+        first_key = int(keys.min())
         try:
             route = system.deliver_home(origin, first_key, kind="publish")
             assert route.home is not None
@@ -463,19 +490,27 @@ def batch_publish(
             start_hops = 0
             if start_home is None:
                 raise RuntimeError("no live nodes to publish to") from None
-        # Ring sweep: advance clockwise over live nodes, charging one
-        # publish message per step; record each item's marginal cost.
-        # The sweep geometry (step counts, total sweep length) comes
-        # from the SweepPlan, leaving one short loop (~N_nodes
-        # iterations, not ~N_items) to charge the per-step messages.
-        homes_l = homes.tolist()
-        order_l = order.tolist()
+        # In key order the homes go clockwise, one lap at most from the
+        # first home (a home revisited at the end is a whole lap on).
+        # The sweep starts where the route landed, delivers the runs at
+        # or past that node in key order, then wraps round to the runs
+        # the route overshot; each item's marginal cost is the step from
+        # the previous run's node to its own.
+        order = np.argsort(keys, kind="stable")
+        key_pos = pos[order]
+        lap = np.concatenate(([0], np.cumsum(np.diff(key_pos) % m)))
+        cur = int(np.searchsorted(live_sorted, start_home))
+        offsets = lap - (cur - int(key_pos[0])) % m
+        offsets[offsets < 0] += m
+        ahead = np.argsort(offsets, kind="stable")
+        order = order[ahead]
+        ring_offsets = offsets[ahead]
+        sweep = int(ring_offsets[-1])
+        route_hops_arr = np.empty(n, dtype=np.int64)
+        route_hops_arr[order] = np.diff(ring_offsets, prepend=0)
+        route_hops = route_hops_arr.tolist()
+        route_hops[int(order[0])] += start_hops
         send = network.send
-        m = plan.m
-        plan.finalize(start_home)
-        cur = plan.start_pos
-        sweep = plan.sweep
-        route_hops = plan.route_hops.tolist()
         for _ in range(sweep):
             nxt = (cur + 1) % m
             try:
@@ -486,7 +521,7 @@ def batch_publish(
                 # node-local, the per-step message was already billed).
                 pass
             cur = nxt
-        route_hops[order_l[0]] += start_hops
+        homes_l = homes.tolist()
         # No-overflow prepass: a node can only start a displacement chain
         # if its run of arrivals pushes it past capacity, so when every
         # receiving node can absorb its whole run the batch is
@@ -506,9 +541,7 @@ def batch_publish(
             loads = np.fromiter(
                 (len(network.node(nid)) for nid in live), dtype=np.int64, count=m
             )
-            arrivals = np.bincount(
-                np.searchsorted(live_sorted, homes), minlength=m
-            )
+            arrivals = np.bincount(pos, minlength=m)
             displacement_free = bool(
                 np.all((caps < 0) | (loads + arrivals <= caps))
             )
@@ -518,39 +551,32 @@ def batch_publish(
                 PublishResult(item_id=it.item_id, home=h, route_hops=hops)
                 for it, h, hops in zip(items, homes_l, route_hops)
             ]
-        else:
-            from .cascade import cascade_placement, cascade_supported
+        elif _cascade_reason(system) is None:
+            from .cascade import cascade_placement
 
-            supported = cascade_supported(system, policy)
-            if cascade and not supported:
-                raise ValueError(
-                    "cascade placement requires the ANGLE policy and no "
-                    "notification/admission hooks"
+            with obs.metrics.timer("publish.cascade"):
+                cascade_placement(
+                    system,
+                    items,
+                    homes_l,
+                    route_hops,
+                    results,
+                    hop_budget=config.hop_budget,
+                    norms=norms,
                 )
-            if supported if cascade is None else cascade:
-                with obs.metrics.timer("publish.cascade"):
-                    cascade_placement(
+        else:
+            timer = obs.metrics.timer
+            for k in range(n):  # original publish order: chain outcomes match the loop
+                with timer("publish.displace_chain"):
+                    res = run_displacement_chain(
                         system,
-                        items,
-                        homes_l,
-                        route_hops,
-                        results,
-                        hop_budget=hop_budget,
-                        norms=norms,
+                        homes_l[k],
+                        items[k],
+                        hop_budget=config.hop_budget,
+                        policy=config.replacement_policy,
                     )
-            else:
-                timer = obs.metrics.timer
-                for k in range(n):  # original publish order: chain outcomes match the loop
-                    with timer("publish.displace_chain"):
-                        res = run_displacement_chain(
-                            system,
-                            homes_l[k],
-                            items[k],
-                            hop_budget=hop_budget,
-                            policy=policy,
-                        )
-                    res.route_hops = route_hops[k]
-                    results[k] = res
+                res.route_hops = route_hops[k]
+                results[k] = res
         sp.set(
             route_hops=start_hops,
             sweep_hops=sweep,

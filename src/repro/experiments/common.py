@@ -157,22 +157,10 @@ def build_system(
 
 
 def publish_all(
-    system: Meteorograph,
-    trace: WorldCupTrace,
-    rng: np.random.Generator,
-    *,
-    batch: "bool | None" = None,
+    system: Meteorograph, trace: WorldCupTrace, rng: np.random.Generator
 ) -> int:
-    """Publish the whole trace; returns the count of failed publishes.
-
-    ``batch=None`` (default) lets ``publish_corpus`` pick the
-    single-sweep fast path whenever the configuration allows it —
-    placements and displacement accounting are identical to the
-    sequential loop, so experiment curves are unaffected.  Pass
-    ``batch=False`` when an experiment measures per-publish *route*
-    messages and needs the one-route-per-item reference accounting.
-    """
-    results = system.publish_corpus(trace.corpus, rng, batch=batch)
+    """Publish the whole trace; returns the count of failed publishes."""
+    results = system.publish_corpus(trace.corpus, rng)
     return sum(1 for r in results if not r.success)
 
 

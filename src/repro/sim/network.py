@@ -193,17 +193,22 @@ class Network:
 
         The bulk twin of :meth:`send`'s accounting half, for engines
         that have already decided delivery themselves: the batch read
-        path bills every query riding a shared walk per wave and replays
-        a duplicate's whole route + walk bill.  It checks no liveness and
-        consults neither admission control nor the fault plane, so the
-        caller must know each destination is alive and that none of
-        those is attached.  Counters are charged identically to ``n``
-        individual sends.  ``dsts`` carries the ``n`` per-message
+        path replays a duplicate's route and walk bill, and the cascade
+        bills its displacement hops.  It checks no liveness, so the
+        caller must know each destination is alive; it consults neither
+        admission control nor the fault plane, so it raises
+        :class:`RuntimeError` when either is attached.  Counters are
+        charged identically to ``n`` individual sends.  ``dsts`` carries the ``n`` per-message
         destination ids that keep the ``net.node_inbox`` observability
         bucket exact against ``net.sent.*`` (a length mismatch raises
         :class:`ValueError`); it is only read with observability on, so
         callers should pass ``None`` instead of building it otherwise.
         """
+        if self.admission is not None or self.link_faults is not None:
+            raise RuntimeError(
+                "charge_bulk bypasses admission control and the fault plane; "
+                "send each message instead"
+            )
         if dsts is not None and len(dsts) != n:
             raise ValueError(f"{len(dsts)} dsts for {n} {kind!r} messages")
         if n == 0:

@@ -1,19 +1,27 @@
-"""Batch publish ≡ sequential publish (the single-sweep fast path).
+"""The one write engine ≡ the unshared loop.
 
-The property the whole fast path stands on: for the same corpus, seed
-and configuration, :func:`repro.core.publish.batch_publish` (via
-``publish_corpus(batch=True)``) produces exactly the placements and
-per-item ``PublishResult`` accounting of the sequential per-item loop.
-Only *route* accounting is excluded — batch charges 1 route plus a
-ring sweep instead of one route per item, by design.
+The property the whole engine stands on: for the same corpus, seed and
+configuration, ``publish_corpus`` (one route plus a ring sweep, and the
+cascade engine where the configuration lets it replay displacements)
+produces exactly the placements and per-item ``PublishResult``
+accounting of ``oracle_publish``, the unshared per-item loop.  Only
+*route* accounting is excluded — the engine charges 1 route plus a ring
+sweep instead of one route per item, by design; against the oracle's
+shared-route mode (``sweep=True``) results are equal outright.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from publish_oracle import oracle_publish
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
+from repro.core.notify import NotificationService
 from repro.core.publish import ReplacementPolicy, batch_live_homes
 from repro.overlay.idspace import KeySpace, SortedKeyRing
+from repro.sim.linkfaults import LinkFaultPlane
 from repro.workload import WorldCupParams, generate_trace
 
 N_ITEMS = 400
@@ -26,14 +34,16 @@ def make_trace(seed=19980724):
     )
 
 
-def build_system(trace, *, capacity=None, seed=9, capacity_fn=None, **cfg_kwargs):
+def build_system(
+    trace, *, capacity=None, seed=9, capacity_fn=None, n_nodes=N_NODES, **cfg_kwargs
+):
     rng = np.random.default_rng(5)
     sample_ids = np.sort(rng.choice(trace.corpus.n_items, 50, replace=False))
     cfg = MeteorographConfig(
-        scheme=PlacementScheme.UNUSED_HASH, node_capacity=capacity, **cfg_kwargs
+        **{"scheme": PlacementScheme.UNUSED_HASH, **cfg_kwargs}, node_capacity=capacity
     )
     return Meteorograph.build(
-        N_NODES,
+        n_nodes,
         trace.corpus.dim,
         rng=np.random.default_rng(seed),
         sample=trace.corpus.subsample(sample_ids),
@@ -54,7 +64,7 @@ def placements(system):
 
 def accounting(results):
     """Per-item result fields that must match exactly (route_hops is
-    excluded: batch charges the sweep marginally, by design)."""
+    excluded: the engine charges the sweep marginally, by design)."""
     return [
         (r.item_id, r.home, r.success, r.dropped_item_id, r.displacement_hops, r.chain)
         for r in results
@@ -67,8 +77,8 @@ class TestBatchEquivalence:
         trace = make_trace()
         seq_sys = build_system(trace, capacity=capacity)
         bat_sys = build_system(trace, capacity=capacity)
-        seq = seq_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=False)
-        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
+        seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3))
+        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(bat_sys)
         assert accounting(seq) == accounting(bat)
         assert seq_sys._published == bat_sys._published
@@ -78,8 +88,8 @@ class TestBatchEquivalence:
         trace = make_trace(seed=seed)
         seq_sys = build_system(trace, capacity=7, seed=seed + 1)
         bat_sys = build_system(trace, capacity=7, seed=seed + 1)
-        seq = seq_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=False)
-        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
+        seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3))
+        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(bat_sys)
         assert accounting(seq) == accounting(bat)
 
@@ -87,8 +97,8 @@ class TestBatchEquivalence:
         trace = make_trace()
         seq_sys = build_system(trace, capacity=4, hop_budget=2)
         bat_sys = build_system(trace, capacity=4, hop_budget=2)
-        seq = seq_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=False)
-        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
+        seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3))
+        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(bat_sys)
         assert accounting(seq) == accounting(bat)
         # A tight budget over an overloaded ring must actually drop items
@@ -99,8 +109,8 @@ class TestBatchEquivalence:
         trace = make_trace()
         seq_sys = build_system(trace)
         bat_sys = build_system(trace)
-        seq = seq_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=False)
-        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
+        seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3))
+        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         seq_msgs = sum(r.messages for r in seq)
         bat_msgs = sum(r.messages for r in bat)
         assert bat_msgs < seq_msgs / 4
@@ -146,13 +156,12 @@ class TestBatchEquivalence:
         auto = build_system(trace, observability=True, **config)
         forced = build_system(trace, observability=True, **config)
         auto.publish_corpus(trace.corpus, np.random.default_rng(3))
-        forced.publish_corpus(trace.corpus, np.random.default_rng(3), batch=False)
+        oracle_publish(forced, trace.corpus, np.random.default_rng(3))
         # Same loop, same bill: the announcement charges nothing.
         assert placements(auto) == placements(forced)
         assert auto.network.sink.snapshot() == forced.network.sink.snapshot()
         counters = dict(auto.obs.metrics.counters)
-        # Exactly one counter moves, by item count; asking for the loop
-        # (batch=False) is not a fallback and counts nothing.
+        # Exactly one counter moves, by item count.
         assert counters.pop(f"publish.batch.fallback.{reason}") == N_ITEMS
         assert counters == dict(forced.obs.metrics.counters)
         assert not [k for k in counters if k.startswith("publish.batch.fallback")]
@@ -169,8 +178,8 @@ class TestBatchEquivalence:
 
 class TestCascadeEquivalence:
     """The cascade engine ≡ the per-item chain loop, under every finite
-    capacity shape the sequential semantics can take (the ISSUE-5
-    equivalence contract: list-order outcomes, drops, chains, hops)."""
+    capacity shape the sequential semantics can take (list-order
+    outcomes, drops, chains, hops)."""
 
     def _compare(self, trace, *, capacity=None, capacity_fn=None, **cfg_kwargs):
         seq_sys = build_system(
@@ -179,17 +188,14 @@ class TestCascadeEquivalence:
         cas_sys = build_system(
             trace, capacity=capacity, capacity_fn=capacity_fn, **cfg_kwargs
         )
-        seq = seq_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True, cascade=False
-        )
-        cas = cas_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True, cascade=True
-        )
+        seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3), sweep=True)
+        cas = cas_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(cas_sys)
         assert accounting(seq) == accounting(cas)
-        # route accounting is shared by both batch branches → results
-        # must be *fully* identical here, route_hops included.
+        # The oracle shares the route and sweep too, so results are
+        # *fully* identical here, route_hops and the whole bill included.
         assert [r.route_hops for r in seq] == [r.route_hops for r in cas]
+        assert seq_sys.network.sink.snapshot() == cas_sys.network.sink.snapshot()
         return seq_sys, cas_sys, seq, cas
 
     @pytest.mark.parametrize("capacity", [5, 6, 9])
@@ -238,44 +244,29 @@ class TestCascadeEquivalence:
         trace = make_trace()
         seq_sys = build_system(trace, capacity=5)
         cas_sys = build_system(trace, capacity=5)
-        seq_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True, cascade=False
+        oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3))
+        cas_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
+        assert seq_sys.network.sink.count("displace") == cas_sys.network.sink.count(
+            "displace"
         )
-        cas_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True, cascade=True
+        # The unshared loop routes every item; the engine routes once.
+        assert cas_sys.network.sink.count("publish") < seq_sys.network.sink.count(
+            "publish"
         )
-        for kind in ("publish", "displace", "route"):
-            assert seq_sys.network.sink.count(kind) == cas_sys.network.sink.count(
-                kind
-            ), kind
 
     def test_cosine_policy_falls_back(self):
-        """COSINE victim selection always takes the sequential branch —
-        and the batch result is still equivalent to it."""
+        """COSINE victim selection always takes the per-item chain loop
+        — and the batch result is still equivalent to the oracle."""
         trace = make_trace()
         cfg = dict(
             capacity=6, replacement_policy=ReplacementPolicy.COSINE
         )
         seq_sys = build_system(trace, **cfg)
         bat_sys = build_system(trace, **cfg)
-        seq = seq_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=False
-        )
-        bat = bat_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True
-        )
+        seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3))
+        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(bat_sys)
         assert accounting(seq) == accounting(bat)
-
-    def test_forced_cascade_rejected_for_cosine(self):
-        trace = make_trace()
-        system = build_system(
-            trace, capacity=6, replacement_policy=ReplacementPolicy.COSINE
-        )
-        with pytest.raises(ValueError, match="cascade"):
-            system.publish_corpus(
-                trace.corpus, np.random.default_rng(3), batch=True, cascade=True
-            )
 
     def test_roomy_finite_capacity_takes_bulk_branch(self):
         """Loads + arrivals under capacity everywhere → the no-overflow
@@ -284,15 +275,141 @@ class TestCascadeEquivalence:
         trace = make_trace()
         seq_sys = build_system(trace, capacity=40)
         bat_sys = build_system(trace, capacity=40)
-        seq = seq_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=False
-        )
-        bat = bat_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True
-        )
+        seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3))
+        bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(bat_sys)
         assert accounting(seq) == accounting(bat)
         assert bat_sys.network.sink.count("displace") == 0
+
+
+class TestLossyPlane:
+    """Every displacement push crosses the fault plane: a lossy plane
+    refuses the cascade (which bills its hops in bulk), so the engine
+    drops what the per-item chains drop and bills what the plane saw."""
+
+    def test_default_publish_matches_oracle_under_loss(self):
+        trace = generate_trace(WorldCupParams(n_items=3000, n_keywords=600), seed=19980724)
+        eng_sys = build_system(trace, capacity=60, n_nodes=60)
+        ref_sys = build_system(trace, capacity=60, n_nodes=60)
+        plane = eng_sys.network.attach_link_faults(LinkFaultPlane(seed=3, drop_prob=0.2))
+        ref_sys.network.attach_link_faults(LinkFaultPlane(seed=3, drop_prob=0.2))
+        eng = eng_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
+        ref = oracle_publish(ref_sys, trace.corpus, np.random.default_rng(3), sweep=True)
+        assert any(not r.success for r in ref)  # the plane did drop pushes
+        assert placements(eng_sys) == placements(ref_sys)
+        assert accounting(eng) == accounting(ref)
+        assert eng_sys.network.sink.snapshot() == ref_sys.network.sink.snapshot()
+        assert plane.charged == eng_sys.network.sink.total
+
+
+def stale_ring(seed):
+    """300 nodes, 120 of them failed and not yet stabilized away."""
+    trace = generate_trace(WorldCupParams(n_items=2000, n_keywords=400), seed=19980724)
+    system = build_system(trace, seed=seed, n_nodes=300)
+    failed = np.random.default_rng(seed + 100).choice(list(system.overlay.ring), 120, replace=False)
+    for nid in failed.tolist():
+        system.network.node(nid).fail()
+    live = [nid for nid in system.overlay.ring if system.network.is_alive(nid)]
+    return trace, system, live
+
+
+class TestStaleRing:
+    """The equivalence boundary: the shared sweep places at live homes,
+    the unshared loop wherever its own route lands."""
+
+    @pytest.mark.parametrize("seed", [10, 14, 30])
+    def test_sweep_never_laps_the_ring(self, seed):
+        """A route that lands past the first home must not send the
+        sweep round the ring once to reach it and once more to finish:
+        the sweep runs one lap at most."""
+        trace, system, live = stale_ring(seed)
+        origin = live[int(np.random.default_rng(seed).integers(0, len(live)))]
+        results = system.publish_corpus(trace.corpus, np.random.default_rng(seed), origin=origin)
+        bill = system.network.sink.count("publish")
+        first_key = int(system.corpus_keys(trace.corpus)[1].min())
+        route = system.overlay.route(origin, first_key)
+        assert bill <= route.hops + len(live)
+        assert sum(r.route_hops for r in results) == bill
+
+    def test_shared_homes_are_live_homes(self):
+        trace, shared_sys, _ = stale_ring(10)
+        _, loop_sys, _ = stale_ring(10)
+        shared = shared_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
+        loop = oracle_publish(loop_sys, trace.corpus, np.random.default_rng(3))
+        keys = shared_sys.corpus_keys(trace.corpus)[1].tolist()
+        assert [r.home for r in shared] == [shared_sys.overlay.live_home(k) for k in keys]
+        # Stalled per-item routes place elsewhere: the boundary is real.
+        assert sum(a.home != b.home for a, b in zip(shared, loop)) > 0
+
+
+PROPERTY_TRACE = generate_trace(WorldCupParams(n_items=160, n_keywords=200), seed=7)
+CAPACITIES = {
+    "none": dict(capacity=None),
+    "roomy": dict(capacity=40),
+    "tight": dict(capacity=5),
+    "uneven": dict(capacity_fn=lambda rng: int(rng.integers(1, 12))),
+}
+
+
+class TestEngineProperty:
+    """Across capacity shapes, hop budgets, L, the victim policy,
+    notifications and a lossy plane, the engine equals the oracle, and
+    a ``publish.*.fallback.<reason>`` counter moves iff the
+    configuration names that reason (first match)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        capacity=st.sampled_from(sorted(CAPACITIES)),
+        hop_budget=st.sampled_from([None, 0, 1, 3]),
+        bands=st.sampled_from([1, 4]),
+        policy=st.sampled_from([ReplacementPolicy.ANGLE, ReplacementPolicy.COSINE]),
+        notifications=st.booleans(),
+        lossy=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_engine_equals_oracle(
+        self, capacity, hop_budget, bands, policy, notifications, lossy, seed
+    ):
+        corpus = PROPERTY_TRACE.corpus
+        cfg = dict(
+            CAPACITIES[capacity],
+            hop_budget=hop_budget,
+            replacement_policy=policy,
+            observability=True,
+            n_nodes=30,
+        )
+        if bands > 1:
+            cfg.update(scheme=PlacementScheme.NONE, naming_scheme="cosine-lsh", lsh_bands=bands)
+        twins = []
+        for _ in range(2):
+            system = build_system(PROPERTY_TRACE, **cfg)
+            if notifications:
+                service = NotificationService(system).attach()
+                service.subscribe(next(iter(system.overlay.ring)), corpus.vector(0))
+            if lossy:
+                system.network.attach_link_faults(LinkFaultPlane(seed=seed, drop_prob=0.2))
+            twins.append((system, system.network.sink.total))
+        (eng_sys, eng_before), (ref_sys, _) = twins
+        eng = eng_sys.publish_corpus(corpus, np.random.default_rng(seed))
+        # Per-item routes stall on a lossy link: share the route there.
+        ref = oracle_publish(ref_sys, corpus, np.random.default_rng(seed), sweep=lossy)
+        assert placements(eng_sys) == placements(ref_sys)
+        assert accounting(eng) == accounting(ref)
+        sink = eng_sys.network.sink
+        assert sink.count("displace") == ref_sys.network.sink.count("displace")
+        if lossy:
+            assert eng_sys.network.link_faults.charged == sink.total - eng_before
+        reason = (
+            "cosine" if policy is ReplacementPolicy.COSINE
+            else "notifications" if notifications
+            else "link_faults" if lossy
+            else None
+        )
+        fallbacks = {
+            k: v for k, v in eng_sys.obs.metrics.counters.items()
+            if k.startswith("publish.") and ".fallback." in k
+        }
+        assert fallbacks == ({f"publish.cascade.fallback.{reason}": corpus.n_items} if reason else {})
 
 
 class TestBatchLiveHomesProperty:

@@ -2,15 +2,18 @@
 
 The placement/accounting equivalence property lives in
 ``test_batch_publish.py`` (TestCascadeEquivalence); this file pins the
-engine's contracts that the property cannot see: lazy frontier work,
-observability parity, and shadow seeding from pre-populated nodes.
+engine's contracts that the property cannot see: the reasons it is
+refused, lazy frontier work, observability parity, and shadow seeding
+from pre-populated nodes.
 """
 
 import numpy as np
+from publish_oracle import oracle_publish
 
-from repro.core.cascade import cascade_supported
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
-from repro.core.publish import ReplacementPolicy, run_displacement_chain
+from repro.core.publish import ReplacementPolicy, _cascade_reason, run_displacement_chain
+from repro.overload.admission import AdmissionController, OverloadPolicy
+from repro.sim.linkfaults import LinkFaultPlane
 from repro.sim.node import StoredItem
 from repro.workload import WorldCupParams, generate_trace
 
@@ -96,24 +99,34 @@ class TestLazyFrontier:
 class TestCascadeSupport:
     def test_cosine_unsupported(self):
         trace = make_trace()
-        system = build_system(trace)
-        assert cascade_supported(system, ReplacementPolicy.ANGLE)
-        assert not cascade_supported(system, ReplacementPolicy.COSINE)
+        assert _cascade_reason(build_system(trace)) is None
+        cosine = build_system(trace, replacement_policy=ReplacementPolicy.COSINE)
+        assert _cascade_reason(cosine) == "cosine"
 
     def test_notifications_force_fallback(self):
         trace = make_trace()
         system = build_system(trace)
         system.notifications = object()  # any attached service
-        assert not cascade_supported(system, ReplacementPolicy.ANGLE)
+        assert _cascade_reason(system) == "notifications"
+
+    def test_admission_and_link_faults_force_fallback(self):
+        trace = make_trace()
+        system = build_system(trace)
+        system.network.attach_link_faults(LinkFaultPlane(seed=1))
+        assert _cascade_reason(system) == "link_faults"
+        # First match wins, as for retrieve.batch.fallback.<reason>.
+        system.network.attach_admission(AdmissionController(OverloadPolicy()))
+        assert _cascade_reason(system) == "admission"
 
 
 class TestObservabilityParity:
     def _run(self, cascade):
         trace = make_trace()
         system = build_system(trace, capacity=5, observability=True)
-        system.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True, cascade=cascade
-        )
+        if cascade:
+            system.publish_corpus(trace.corpus, np.random.default_rng(3))
+        else:
+            oracle_publish(system, trace.corpus, np.random.default_rng(3), sweep=True)
         return system
 
     def test_counters_and_events_match_sequential(self):
@@ -150,9 +163,11 @@ class TestObservabilityParity:
             observability=True,
             replacement_policy=ReplacementPolicy.COSINE,
         )
-        system.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
-        # COSINE never enters the engine: the sequential loop places.
-        assert "publish.cascade_items" not in system.obs.metrics.counters
+        system.publish_corpus(trace.corpus, np.random.default_rng(3))
+        # COSINE never enters the engine: the per-item chains place.
+        counters = system.obs.metrics.counters
+        assert "publish.cascade_items" not in counters
+        assert counters["publish.cascade.fallback.cosine"] == N_ITEMS
 
 
 class TestPrePopulatedSeeding:
@@ -166,17 +181,12 @@ class TestPrePopulatedSeeding:
         seq_sys = build_system(first, capacity=7)
         cas_sys = build_system(first, capacity=7)
         ids2 = np.arange(N_ITEMS, 2 * N_ITEMS, dtype=np.int64)
-        for sys_, cascade in ((seq_sys, False), (cas_sys, True)):
-            sys_.publish_corpus(
-                first.corpus, np.random.default_rng(3), batch=True, cascade=False
-            )
-            sys_.publish_corpus(
-                second.corpus,
-                np.random.default_rng(4),
-                item_ids=ids2,
-                batch=True,
-                cascade=cascade,
-            )
+        for sys_ in (seq_sys, cas_sys):
+            sys_.publish_corpus(first.corpus, np.random.default_rng(3))
+        oracle_publish(
+            seq_sys, second.corpus, np.random.default_rng(4), item_ids=ids2, sweep=True
+        )
+        cas_sys.publish_corpus(second.corpus, np.random.default_rng(4), item_ids=ids2)
         assert placements(seq_sys) == placements(cas_sys)
         # Index norms stay queryable for every stored item (the moved-
         # norm bookkeeping didn't lose or fabricate entries).
@@ -193,12 +203,13 @@ class TestPrePopulatedSeeding:
         outcomes = []
         for cascade in (False, True):
             system = build_system(trace, capacity=5)
-            system.publish_corpus(
-                trace.corpus, np.random.default_rng(3), batch=True, cascade=False
-            )
-            results = system.publish_corpus(
-                trace.corpus, np.random.default_rng(4), batch=True, cascade=cascade
-            )
+            system.publish_corpus(trace.corpus, np.random.default_rng(3))
+            if cascade:
+                results = system.publish_corpus(trace.corpus, np.random.default_rng(4))
+            else:
+                results = oracle_publish(
+                    system, trace.corpus, np.random.default_rng(4), sweep=True
+                )
             outcomes.append((
                 placements(system),
                 [(r.home, r.success, r.dropped_item_id, r.chain) for r in results],
@@ -210,12 +221,8 @@ class TestPrePopulatedSeeding:
         trace = make_trace()
         seq_sys = build_system(trace, capacity=6)
         cas_sys = build_system(trace, capacity=6)
-        seq_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True, cascade=False
-        )
-        cas_sys.publish_corpus(
-            trace.corpus, np.random.default_rng(3), batch=True, cascade=True
-        )
+        oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3), sweep=True)
+        cas_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         rng = np.random.default_rng(8)
         for row in rng.choice(N_ITEMS, size=20, replace=False).tolist():
             q = trace.corpus.vector(row)

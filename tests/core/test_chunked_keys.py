@@ -114,10 +114,8 @@ class TestSystemWiring:
     def test_publish_corpus_chunked_same_placements(self, corpus):
         whole_sys = build_system(corpus)
         chunk_sys = build_system(corpus)
-        whole_sys.publish_corpus(corpus, np.random.default_rng(3), batch=True)
-        chunk_sys.publish_corpus(
-            corpus, np.random.default_rng(3), batch=True, chunk_rows=37
-        )
+        whole_sys.publish_corpus(corpus, np.random.default_rng(3))
+        chunk_sys.publish_corpus(corpus, np.random.default_rng(3), chunk_rows=37)
         whole = {
             n.node_id: frozenset(n.item_ids())
             for n in whole_sys.network.nodes()

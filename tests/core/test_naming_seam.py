@@ -12,6 +12,7 @@ must be byte-for-byte what they were before the refactor.
 
 import numpy as np
 import pytest
+from publish_oracle import oracle_publish
 
 from repro.core.angles import absolute_angle_from_arrays
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
@@ -102,8 +103,8 @@ class TestEndToEndIdentity:
         # batch path is exercised by the committed experiment results.
         a = build(corpus)
         b = build(corpus)
-        a.publish_corpus(corpus, np.random.default_rng(3), batch=True)
-        b.publish_corpus(corpus, np.random.default_rng(3), batch=False)
+        a.publish_corpus(corpus, np.random.default_rng(3))
+        oracle_publish(b, corpus, np.random.default_rng(3))
         pa = {n.node_id: frozenset(n.item_ids())
               for n in a.network.nodes() if len(n)}
         pb = {n.node_id: frozenset(n.item_ids())
@@ -112,9 +113,9 @@ class TestEndToEndIdentity:
 
     def test_retrieve_unchanged(self, corpus):
         system = build(corpus)
-        system.publish_corpus(corpus, np.random.default_rng(3), batch=True)
+        system.publish_corpus(corpus, np.random.default_rng(3))
         twin = build(corpus)
-        twin.publish_corpus(corpus, np.random.default_rng(3), batch=True)
+        twin.publish_corpus(corpus, np.random.default_rng(3))
         orng = np.random.default_rng(7)
         for i in (5, 50, 150):
             origin = system.random_origin(orng)

@@ -2,8 +2,8 @@
 
 One small ``Meteorograph`` at finite capacity, so both the per-item
 displacement chains and the batch cascade run, driven by interleaved
-publishes (``publish``; ``publish_corpus`` through the sequential
-chain loop and through the cascade), reads (``retrieve``,
+publishes (``publish``; ``publish_corpus`` through the engine and
+through ``oracle_publish``, unshared or with the shared route), reads (``retrieve``,
 ``retrieve_many``, ``find``) and membership changes (remove, add under
 a fresh id, rejoin under a removed one, fail, recover, ``stabilize``).
 
@@ -27,6 +27,8 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+
+from publish_oracle import oracle_publish
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.maint.invariants import check_all
@@ -88,16 +90,17 @@ class SystemMachine(RuleBasedStateMachine):
 
     @rule(
         chosen=st.lists(rows, min_size=1, max_size=12, unique=True),
-        cascade=st.booleans(),
+        path=st.sampled_from(["engine", "oracle", "oracle-sweep"]),
     )
-    def publish_corpus(self, chosen, cascade):
-        self.system.publish_corpus(
-            CORPUS.subsample(sorted(chosen)),
-            self.rng,
-            item_ids=sorted(chosen),
-            batch=True,
-            cascade=cascade,
-        )
+    def publish_corpus(self, chosen, path):
+        corpus = CORPUS.subsample(sorted(chosen))
+        if path == "engine":
+            self.system.publish_corpus(corpus, self.rng, item_ids=sorted(chosen))
+        else:
+            oracle_publish(
+                self.system, corpus, self.rng, item_ids=sorted(chosen),
+                sweep=path == "oracle-sweep",
+            )
 
     # -- reads ----------------------------------------------------------------
 

@@ -131,7 +131,7 @@ def build_lsh_system(corpus, **overrides):
 @pytest.fixture(scope="module")
 def system(corpus):
     s = build_lsh_system(corpus)
-    s.publish_corpus(corpus, np.random.default_rng(3), batch=True)
+    s.publish_corpus(corpus, np.random.default_rng(3))
     return s
 
 
@@ -354,7 +354,7 @@ class TestStorageBudget:
 
     def test_deterministic_rebuild(self, corpus, system):
         twin = build_lsh_system(corpus)
-        twin.publish_corpus(corpus, np.random.default_rng(3), batch=True)
+        twin.publish_corpus(corpus, np.random.default_rng(3))
         a = {n.node_id: frozenset(n.item_ids())
              for n in system.network.nodes() if len(n)}
         b = {n.node_id: frozenset(n.item_ids())

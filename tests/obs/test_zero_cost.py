@@ -142,13 +142,16 @@ class TestNullTwinCallsPerOperation:
             runs.append((sum(len(r.visited) for r in res), got))
         _assert_flat(runs)
 
-    @pytest.mark.parametrize("batch", [None, False], ids=["auto", "sequential"])
-    def test_publish_corpus(self, world, batch):
+    @pytest.mark.parametrize("corpus_call", [True, False], ids=["auto", "sequential"])
+    def test_publish_corpus(self, world, corpus_call):
+        """A one-row ``publish_corpus`` and a scalar ``publish`` — both
+        batches of one through the write engine."""
         system, corpus, calls = world
         sink = system.network.sink
         # Item 0's content again under a fresh id, so its key is item
         # 0's: one hop from the near origin, five from the far one.
         one = corpus.subsample(np.array([0]))
+        vector = corpus.vector(0)
         key = system.published_key_of(0)
         runs = []
         for origin in _origins_by_hops(system, key):
@@ -157,12 +160,10 @@ class TestNullTwinCallsPerOperation:
             got, _ = _measure(
                 calls,
                 lambda: system.publish_corpus(
-                    one,
-                    np.random.default_rng(0),
-                    item_ids=[fresh_id],
-                    origin=origin,
-                    batch=batch,
-                ),
+                    one, np.random.default_rng(0), item_ids=[fresh_id], origin=origin
+                )
+                if corpus_call
+                else system.publish_vector(origin, fresh_id, vector),
             )
             runs.append((sink.total - before, got))
         _assert_flat(runs)

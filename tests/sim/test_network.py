@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.overload.admission import AdmissionController, OverloadPolicy
 from repro.sim.engine import Simulator
+from repro.sim.linkfaults import LinkFaultPlane
 from repro.sim.network import DeadNodeError, Network
 from repro.sim.node import PeerNode, StoredItem
 
@@ -119,3 +121,17 @@ class TestBulk:
         net.node(10).fail()
         assert net.total_items() == 1
         assert net.total_items(include_dead=True) == 2
+
+    def test_charge_bulk_refuses_a_fault_plane_or_admission(self):
+        """A bulk bill skips the per-message verdicts, so it must not run
+        where a fault plane or an admission controller would give one."""
+        net = make_network()
+        net.charge_bulk("displace", 2)
+        net.attach_link_faults(LinkFaultPlane(seed=1))
+        with pytest.raises(RuntimeError, match="fault plane"):
+            net.charge_bulk("displace", 2)
+        net.attach_link_faults(None)
+        net.attach_admission(AdmissionController(OverloadPolicy()))
+        with pytest.raises(RuntimeError, match="admission"):
+            net.charge_bulk("displace", 2)
+        assert net.sink.count("displace") == 2
