@@ -1,9 +1,11 @@
 """Host-work gate: did a change add Python calls the wall clock is too noisy to show?
 
 For each benchmark workload at ``--quick`` size (``bench/workloads.py``,
-imported read-only) this runs two untimed warm-up repeats, then one
-repeat under cProfile, and counts the Python function calls each
-``src/repro`` module made in that repeat.  Those counts are
+imported read-only), and for :class:`PointerSweep` — the §3.5.2
+directory-pointer read of Fig. 10(b), which no benchmark workload runs —
+this runs two untimed warm-up repeats, then one repeat under cProfile,
+and counts the Python function calls each ``src/repro`` module made in
+that repeat.  Those counts are
 deterministic given the seed — the same run to run, and across
 processes — so unlike host time they can gate a change in one run:
 
@@ -67,10 +69,55 @@ def count_workload(cls) -> dict:
     return dict(sorted(counts.items()))
 
 
+class PointerSweep:
+    """``run_fig10b``'s read at a fifth of its default scale: 4 000
+    items on 200 nodes at capacity 8c, directory pointers on, and the
+    figure's six first-hop retrieves (k = 8 … 256) of the most popular
+    keyword from one origin.  The ring is built and published once; a
+    repeat is the six retrieves, which leave it unchanged."""
+
+    K_VALUES = (8, 16, 32, 64, 128, 256)
+
+    def __init__(self, seed: int, *, quick: bool = True) -> None:
+        import numpy as np
+
+        from repro.experiments.common import default_trace
+        from repro.experiments.similar import _build_populated
+        from repro.workload import keyword_ground_truth, keyword_query, nth_popular_keyword
+
+        del seed, quick  # the figure's own seeds, one size
+        n_nodes = 200
+        trace = default_trace(scale=0.2)
+        rng = np.random.default_rng(1011)
+        self.system = _build_populated(
+            trace, n_nodes, rng, directory_pointers=True, capacity_multiple=8.0
+        )
+        cap = max(8, min(n_nodes, trace.corpus.n_items // 20))
+        keyword = nth_popular_keyword(trace.corpus, 1, max_matches=cap)
+        self.query = keyword_query(trace, [keyword])
+        self.total = keyword_ground_truth(trace.corpus, [keyword]).total
+        self.keyword = keyword
+        self.patience = max(16, n_nodes // 20)
+        self.origin = self.system.random_origin(rng)
+
+    def prepare(self) -> None:
+        """Nothing: a repeat is read-only."""
+
+    def run(self) -> list:
+        return [
+            self.system.retrieve(
+                self.origin, self.query, min(k, self.total),
+                require_all=[self.keyword], use_first_hop=True, patience=self.patience,
+            )
+            for k in self.K_VALUES
+        ]
+
+
 def count_all() -> dict:
     from bench.workloads import WORKLOADS
 
-    return {name: count_workload(cls) for name, cls in WORKLOADS.items()}
+    scenarios = {**WORKLOADS, "fig10b-pointers": PointerSweep}
+    return {name: count_workload(cls) for name, cls in scenarios.items()}
 
 
 def differences(want: dict, got: dict) -> list[str]:
