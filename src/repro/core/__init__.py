@@ -35,7 +35,7 @@ from .search import (
 )
 from .search_batch import retrieve_many
 from .firsthop import FirstHopSelector
-from .directory import pointer_for, publish_pointer
+from .directory import publish_pointer
 from .replication import ReplicaRecord, ReplicationManager
 from .meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from .ranges import AttributeSpec, RangeDirectory, RangeQueryResult
@@ -76,7 +76,6 @@ __all__ = [
     "retrieve_many",
     "retrieve_with_pointers",
     "FirstHopSelector",
-    "pointer_for",
     "publish_pointer",
     "ReplicaRecord",
     "ReplicationManager",

@@ -1,33 +1,26 @@
 """Directory-pointer publication — §3.5.2.
 
-A pointer is a tiny record (keywords + the item's Eq.-6 body key)
-published at the item's *Eq.-5 angle key*.  Pointers of similar items
+A pointer is published at the item's *Eq.-5 angle key* and names where
+the body lives (its Eq.-6 ``publish_key``).  Pointers of similar items
 therefore aggregate on the angle band while bodies spread uniformly:
 search sweeps the compact pointer band first and then fetches exactly
-the bodies it needs.  The pointer-side retrieval protocol lives in
-:func:`repro.core.search.retrieve_with_pointers`.
+the bodies it needs.  The angle home keeps the item's own
+:class:`~repro.sim.node.StoredItem` as a row of its pointer index
+(:attr:`~repro.sim.node.PeerNode.pointers`), so stage 1 of
+:func:`repro.core.search.retrieve_with_pointers` is the read engine's
+walk over pointer rows.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.node import DirectoryPointer, StoredItem
+from ..sim.node import StoredItem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .meteorograph import Meteorograph
 
-__all__ = ["publish_pointer", "pointer_for"]
-
-
-def pointer_for(item: StoredItem) -> DirectoryPointer:
-    """Build an item's directory pointer (angle key → body key + keywords)."""
-    return DirectoryPointer(
-        item_id=item.item_id,
-        angle_key=item.angle_key,
-        body_key=item.publish_key,
-        keyword_ids=item.keyword_ids,
-    )
+__all__ = ["publish_pointer"]
 
 
 def publish_pointer(system: "Meteorograph", origin: int, item: StoredItem) -> int:
@@ -39,5 +32,5 @@ def publish_pointer(system: "Meteorograph", origin: int, item: StoredItem) -> in
     """
     route = system.overlay.route(origin, item.angle_key, kind="pointer")
     assert route.home is not None
-    system.network.node(route.home).add_pointer(pointer_for(item))
+    system.network.node(route.home).add_pointer(item)
     return route.hops

@@ -684,8 +684,8 @@ class Meteorograph:
         as columns to :func:`repro.core.search_batch.retrieve_many`,
         which shares routes and walks where the configuration is
         replayable (see its module docstring).  Under directory pointers
-        each query runs the §3.5.2 protocol in turn, counted under
-        ``retrieve.batch.fallback.pointers``.
+        the batch runs the §3.5.2 protocol, sharing the pointer sweeps
+        the same way.
 
         Under a multi-key naming scheme the batch multi-probes and
         accepts ``probe_width``, ``require_all``, ``min_score`` and
@@ -700,14 +700,9 @@ class Meteorograph:
 
             return multi_probe_retrieve_many(self, origins, queries, amount, **kwargs)
         keys, directions = self._start_columns(queries, kwargs, use_first_hop)
-        if self.config.directory_pointers:
-            self.obs.metrics.counter("retrieve.batch.fallback.pointers", len(queries))
-            return [
-                retrieve_with_pointers(self, o, q, amount, start_key=k, direction=d, **kwargs)
-                for o, q, k, d in zip(origins, queries, keys, directions)
-            ]
         return retrieve_many(
-            self, origins, queries, amount, start_keys=keys, directions=directions, **kwargs
+            self, origins, queries, amount, start_keys=keys, directions=directions,
+            pointers=self.config.directory_pointers, **kwargs,
         )
 
     def find(self, origin: int, item_id: int, **kwargs) -> FindResult:

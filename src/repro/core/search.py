@@ -22,17 +22,20 @@ Entry points:
 * :func:`retrieve_with_pointers` — the §3.5.2 two-stage protocol over
   directory pointers (pointer home first, then sequential body
   fetches), giving the paper's ``(1 + k/c)·O(log N)`` message bound
-  while item bodies stay uniformly spread.
+  while item bodies stay uniformly spread.  Stage 1 is the read engine
+  walking the nodes' pointer rows; stage 2 is the engine's fetch loop.
 
-Walk frontiers come from the overlay's memoised
-:meth:`~repro.overlay.base.Overlay.walk_order` (epoch-cached like leaf
-sets); liveness is filtered at consumption time.
+``find_item`` keeps a loop of its own: it is nearly always answered at
+the home, where the engine's walk would first build the frontier
+(DESIGN.md, "Read path").  Walk frontiers come from the overlay's
+memoised :meth:`~repro.overlay.base.Overlay.walk_order` (epoch-cached
+like leaf sets); liveness is filtered at consumption time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, Optional, Sequence
+from typing import TYPE_CHECKING, Literal, Optional
 
 from ..overload.admission import BackpressureError
 from ..overload.degrade import divert_home
@@ -157,22 +160,6 @@ class Harvest:
         return [Discovery(i, n, s, base + h) for i, n, s, h in zip(*self.columns)]
 
 
-def _walk_order(
-    system: "Meteorograph", home: int, direction: Direction
-):
-    """Frontier of nodes to consult after the home, per walk direction.
-
-    The order itself comes from the overlay's epoch-memoised
-    ``walk_order`` (the per-query recomputation used to dominate
-    hot-home walk cost); liveness is filtered here, at consumption,
-    because ``fail()`` does not invalidate membership caches.
-    """
-    is_alive = system.network.is_alive
-    for nid in system.overlay.walk_order(home, direction):
-        if is_alive(nid):
-            yield nid
-
-
 def retrieve(
     system: "Meteorograph",
     origin: int,
@@ -237,11 +224,8 @@ def find_item(
                     None, degraded=True,
                 )
         messages = route_hops
-
-        def holds(node_id: int) -> bool:
-            return system.network.node(node_id).has_item(item_id)
-
-        if holds(home):
+        nodes = system.network._nodes  # noqa: SLF001 - liveness and store peek
+        if nodes[home].has_item(item_id):
             sp.set(found=True, closest_hops=route_hops, total_hops=route_hops)
             return FindResult(
                 item_id, True, route_hops, route_hops, messages, home,
@@ -250,7 +234,12 @@ def find_item(
         walked = 0
         current = home
         with obs.metrics.timer("kernel.walk"):
-            for neighbor in _walk_order(system, home, "both"):
+            # The frontier is liveness-unfiltered, as in the read
+            # engine's walk: dead nodes are skipped here.
+            for neighbor in system.overlay.walk_order(home, "both"):
+                node = nodes.get(neighbor)
+                if node is None or not node.alive:
+                    continue
                 if max_walk is not None and walked >= max_walk:
                     break
                 try:
@@ -263,7 +252,7 @@ def find_item(
                 current = neighbor
                 walked += 1
                 messages += 1
-                hit = holds(neighbor)
+                hit = node.has_item(item_id)
                 if tracer.enabled:
                     tracer.event("walk", node=neighbor, hit=hit)
                 if hit:
@@ -294,206 +283,35 @@ def retrieve_with_pointers(
     query: SparseVector,
     amount: Optional[int],
     *,
-    require_all: Optional[Sequence[int]] = None,
-    min_score: float = 0.0,
-    patience: int = 8,
-    max_walk: Optional[int] = None,
     start_key: Optional[int] = None,
     direction: Direction = "both",
+    **options,
 ) -> RetrieveResult:
-    """§3.5.2: similarity search via directory pointers.
+    """§3.5.2: similarity search via directory pointers, the read engine
+    on a batch of one.
 
-    Stage 1 routes to the query's *angle* key and sweeps the pointer
-    band (pointers of similar items aggregate there even though bodies
-    are spread by Eq. 6).  Stage 2 fetches bodies: one O(log N) route
-    per distinct body-holding node, issued sequentially; each queried
-    node replies with its matches (k′ of them), and fetching stops as
-    soon as the running total reaches ``amount`` — the (1 + k/c)·O(log N)
-    accounting of §3.5.2.
+    Stage 1 routes to the query's *angle* key (``start_key`` overrides
+    it) and sweeps the pointer band (pointers of similar items aggregate
+    there even though bodies are spread by Eq. 6): the engine's walk
+    over the nodes' pointer rows, taking every row that stage 2 could
+    return — a positive score of at least ``min_score`` and every
+    ``require_all`` keyword.
+    Stage 2 fetches bodies: one O(log N) route per distinct body-holding
+    node, issued sequentially; each queried node replies with its
+    matches (k′ of them), and fetching stops as soon as the running
+    total reaches ``amount`` — the (1 + k/c)·O(log N) accounting of
+    §3.5.2.
 
     Per-item discovery hops are charged as stage-1 hops at the pointer
     + the body fetch route, i.e. the sequential path the paper counts.
+    ``options`` are ``require_all``, ``min_score``, ``patience`` and
+    ``max_walk``.
     """
-    if not system.config.directory_pointers:
-        raise RuntimeError("directory pointers are disabled in this configuration")
-    if amount is not None and amount < 1:
-        raise ValueError(f"amount must be >= 1 or None, got {amount}")
-    if patience < 1:
-        raise ValueError(f"patience must be >= 1, got {patience}")
-    key = start_key if start_key is not None else system.query_angle_key(query)
-    obs = system.network.obs
-    tracer = obs.tracer
-    # Context-managed span, like ``retrieve``: an exception mid-protocol
-    # must not leak an unfinished span into the trace tree.
-    with tracer.span(
-        "retrieve", key=key, origin=origin, amount=amount, mode="pointers"
-    ) as sp:
-        degradation = 0
-        try:
-            route = system.deliver_home(origin, key, kind="retrieve")
-            assert route.home is not None
-            home, route_hops = route.home, route.hops
-        except BackpressureError as exc:
-            # The pointer home shed the query: sweep the band from the
-            # nearest admitting neighbor instead (pointers of similar
-            # items aggregate across the whole band, so a shifted sweep
-            # start degrades coverage, not correctness).
-            home, route_hops, degradation = divert_home(
-                system, key, kind="retrieve", origin=origin, exclude=(exc.node_id,)
-            )
-            if home is None:
-                sp.set(found=0, shed=True)
-                return RetrieveResult(
-                    route_hops=route_hops,
-                    complete=False,
-                    degradation_level=degradation,
-                )
-        result = RetrieveResult(route_hops=route_hops, degradation_level=degradation)
-        result.visited.append(home)
-
-        require = None if require_all is None else [int(k) for k in require_all]
-        qset = query.keyword_set()
-
-        def matching_pointers(node_id: int) -> list:
-            node = system.network.node(node_id)
-            out = []
-            for p in node.pointers():
-                if require is not None:
-                    have = set(int(k) for k in p.keyword_ids)
-                    if not all(k in have for k in require):
-                        continue
-                # Without an exact filter, a pointer is a candidate when
-                # it shares at least one query keyword.
-                elif qset.isdisjoint(p.keyword_ids.tolist()):
-                    continue
-                out.append(p)
-            return out
-
-        # Stage 1: sweep the pointer band.
-        pointers = []
-        pointer_hop: dict[int, int] = {}
-        hits = matching_pointers(home)
-        for p in hits:
-            pointer_hop[p.item_id] = route_hops
-        pointers.extend(hits)
-        dry = 0
-        walked = 0
-        current = home
-        for neighbor in _walk_order(system, home, direction):
-            if dry >= patience:
-                break
-            if max_walk is not None and walked >= max_walk:
-                break
-            if amount is not None and len(pointers) >= amount:
-                break
-            try:
-                system.network.send(current, neighbor, kind="retrieve")
-            except (BackpressureError, MessageLossError):
-                # Saturated or unreachable pointer holder: its band
-                # segment is skipped.
-                walked += 1
-                result.walk_hops += 1
-                dry += 1
-                continue
-            current = neighbor
-            walked += 1
-            result.walk_hops += 1
-            result.visited.append(neighbor)
-            hits = matching_pointers(neighbor)
-            if tracer.enabled:
-                tracer.event("walk", node=neighbor, fresh=len(hits))
-            for p in hits:
-                pointer_hop.setdefault(p.item_id, route_hops + walked)
-            pointers.extend(hits)
-            dry = 0 if hits else dry + 1
-
-        # Stage 2: sequential body fetches, one route per distinct body home.
-        by_home: dict[int, list] = {}
-        for p in pointers:
-            body_home = system.overlay.home(p.body_key)
-            by_home.setdefault(body_home, []).append(p)
-        fetch_origin = home
-        # Hits carry the fetch-relative hop count; the stage-1 hops at
-        # which each item's pointer was met are added at materialisation.
-        hits = Harvest()
-        # The displacement walk around a body home honors the caller's
-        # ``max_walk`` exactly like the stage-1 sweep and ``retrieve``;
-        # the old fixed max(patience, 4) cap is only the fallback.
-        fetch_walk_limit = max_walk if max_walk is not None else max(patience, 4)
-
-        def harvest_at(node_id: int, fetch_hops_here: int) -> int:
-            index = system.network.node(node_id).index
-            if index is None:
-                return 0
-            remaining = None if amount is None else amount - hits.found
-            ranking = index.query(
-                query, limit=remaining, require_all=require, min_score=min_score
-            )
-            return hits.fold(ranking, node_id, fetch_hops_here, amount)
-
-        for body_home in sorted(by_home, key=lambda h: min(p.item_id for p in by_home[h])):
-            if amount is not None and hits.found >= amount:
-                break
-            wanted = {p.item_id for p in by_home[body_home]}
-            if tracer.enabled:
-                tracer.event("fetch", body_home=body_home, promised=len(wanted))
-            try:
-                fetch = system.deliver_home(fetch_origin, body_home, kind="retrieve")
-            except BackpressureError:
-                # The body holder shed the fetch: its promised items are
-                # forfeited this query — a partial result, tagged.
-                result.degradation_level = max(result.degradation_level, 1)
-                result.complete = False
-                continue
-            result.fetch_hops += fetch.hops
-            result.reply_messages += 1  # the k′-items reply to the pointer home
-            terminal = fetch.home
-            assert terminal is not None
-            harvest_at(terminal, fetch.hops)
-            # Displacement (Fig. 2) may have pushed pointer-promised bodies
-            # onto the home's neighbors; extend the fetch with the standard
-            # closest-neighbor walk until every promised item is accounted
-            # for (bounded by patience, like the stage-1 sweep).
-            missing = wanted - hits.seen
-            if missing:
-                walked = 0
-                current = terminal
-                for neighbor in _walk_order(system, terminal, "both"):
-                    if not missing or walked >= fetch_walk_limit:
-                        break
-                    if amount is not None and hits.found >= amount:
-                        break
-                    try:
-                        system.network.send(current, neighbor, kind="retrieve")
-                    except (BackpressureError, MessageLossError):
-                        walked += 1
-                        result.fetch_hops += 1
-                        continue
-                    current = neighbor
-                    walked += 1
-                    result.fetch_hops += 1
-                    if harvest_at(neighbor, fetch.hops + walked):
-                        # A neighbor that contributes items sends a reply,
-                        # exactly as ``retrieve`` counts its walk replies —
-                        # §3.5.2 message totals are comparable across modes.
-                        result.reply_messages += 1
-                    missing -= hits.seen
-        result.discoveries = [
-            Discovery(iid, nid, score, pointer_hop.get(iid, route_hops) + at)
-            for iid, nid, score, at in zip(*hits.columns)
-        ]
-        if amount is not None and hits.found < amount:
-            result.complete = False
-        sp.set(
-            home=home,
-            route_hops=route_hops,
-            walk_hops=result.walk_hops,
-            fetch_hops=result.fetch_hops,
-            found=result.found,
-            complete=result.complete,
-        )
-        if result.degradation_level:
-            sp.set(degraded=result.degradation_level)
+    ((result, hits),) = _run(
+        system, (origin,), (query,), (start_key,), (direction,), amount,
+        pointers=True, **options,
+    )
+    result.discoveries = hits.discoveries(result.route_hops)
     return result
 
 

@@ -2,7 +2,7 @@
 
 from .engine import Simulator, ScheduledEvent
 from .metrics import MetricSink, HopHistogram
-from .node import PeerNode, StoredItem, DirectoryPointer, CapacityError
+from .node import PeerNode, StoredItem, CapacityError
 from .network import Network, DeadNodeError
 from .linkfaults import LinkFaultPlane, MessageLossError
 from .failures import fail_fraction, ChurnProcess, ChurnStats
@@ -14,7 +14,6 @@ __all__ = [
     "HopHistogram",
     "PeerNode",
     "StoredItem",
-    "DirectoryPointer",
     "CapacityError",
     "Network",
     "DeadNodeError",

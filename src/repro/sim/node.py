@@ -18,7 +18,7 @@ import numpy as np
 
 from ..vsm.index import LocalVsmIndex
 
-__all__ = ["StoredItem", "DirectoryPointer", "PeerNode", "CapacityError"]
+__all__ = ["StoredItem", "PeerNode", "CapacityError"]
 
 
 class CapacityError(RuntimeError):
@@ -55,21 +55,6 @@ class StoredItem:
         return self.replica_of is not None
 
 
-@dataclass(frozen=True)
-class DirectoryPointer:
-    """§3.5.2 directory pointer: keywords + where the item body lives.
-
-    Published at the item's Eq. 5 angle key, pointing at its Eq. 6
-    balanced key, so pointers aggregate by similarity while bodies
-    spread uniformly.
-    """
-
-    item_id: int
-    angle_key: int
-    body_key: int
-    keyword_ids: np.ndarray
-
-
 class PeerNode:
     """A peer with bounded item storage.
 
@@ -80,6 +65,12 @@ class PeerNode:
     held an item allocates nothing (``index`` is None), and it lives in
     this object, so a node removed from the ring takes its store with
     it.  Bulk stores and evictions are all-or-nothing.
+
+    §3.5.2 directory pointers are rows of a second index,
+    :attr:`pointers`, created on the first :meth:`add_pointer`: a row is
+    the item's own :class:`StoredItem`, whose ``publish_key`` names the
+    node holding the body, so the pointer sweep runs the same ``query``
+    as the item walk.
 
     Parameters
     ----------
@@ -115,7 +106,8 @@ class PeerNode:
         self.alive = True
         #: The item store; None until the first store.
         self.index: Optional[LocalVsmIndex] = None
-        self._pointers: dict[int, DirectoryPointer] = {}
+        #: The directory-pointer rows; None until the first pointer.
+        self.pointers: Optional[LocalVsmIndex] = None
 
     # -- storage ---------------------------------------------------------
     # ``len`` and membership read the store's id map without a call: they
@@ -225,17 +217,12 @@ class PeerNode:
 
     # -- directory pointers (§3.5.2) --------------------------------------
 
-    def add_pointer(self, pointer: DirectoryPointer) -> None:
-        self._pointers[pointer.item_id] = pointer
-
-    def pointers(self) -> Iterator[DirectoryPointer]:
-        return iter(self._pointers.values())
-
-    def pointer_count(self) -> int:
-        return len(self._pointers)
-
-    def drop_pointer(self, item_id: int) -> bool:
-        return self._pointers.pop(item_id, None) is not None
+    def add_pointer(self, item: StoredItem) -> None:
+        """Hold ``item``'s directory pointer; a republish replaces it."""
+        pointers = self.pointers
+        if pointers is None:
+            pointers = self.pointers = LocalVsmIndex()
+        pointers.add(item)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -437,6 +437,11 @@ class LocalVsmIndex:
         """The stored item for ``item_id`` (KeyError if absent)."""
         return self._item_objs[self._slots[item_id]]
 
+    def items_of(self, item_ids: Iterable[int]) -> list[StoredItem]:
+        """Bulk :meth:`item`, in the order given (KeyError if one is absent)."""
+        objs, slots = self._item_objs, self._slots
+        return [objs[slots[iid]] for iid in item_ids]
+
     def items_by_id(self) -> dict[int, StoredItem]:
         """A copy of the id → item map (node iteration, shadow seeding)."""
         objs = self._item_objs

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core.directory import pointer_for, publish_pointer
+from repro.core.directory import publish_pointer
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
@@ -41,15 +41,6 @@ def make_item(item_id, angle_key, body_key):
     )
 
 
-class TestPointerFor:
-    def test_fields(self):
-        p = pointer_for(make_item(7, angle_key=100, body_key=5000))
-        assert p.item_id == 7
-        assert p.angle_key == 100
-        assert p.body_key == 5000
-        assert list(p.keyword_ids) == [1, 2]
-
-
 class TestPublishPointer:
     def test_pointer_lands_at_angle_home(self):
         system = make_system(list(range(0, 10_000, 500)))
@@ -57,8 +48,19 @@ class TestPublishPointer:
         hops = publish_pointer(system, 8000, item)
         home = system.overlay.home(1234)
         node = system.network.node(home)
-        assert any(p.item_id == 7 for p in node.pointers())
+        assert 7 in node.pointers
         assert hops >= 0
+
+    def test_pointer_row_is_the_item(self):
+        """The row is the item itself: its keywords and weights answer the
+        stage-1 query, its ``publish_key`` names the body's home."""
+        system = make_system(list(range(0, 10_000, 500)))
+        item = make_item(7, angle_key=1234, body_key=8000)
+        publish_pointer(system, 8000, item)
+        node = system.network.node(system.overlay.home(1234))
+        assert node.pointers.item(7) is item
+        assert node.pointers.item(7).publish_key == 8000
+        assert node.index is None  # the angle home holds no body
 
     def test_pointer_messages_charged(self):
         system = make_system(list(range(0, 10_000, 500)))
@@ -69,5 +71,7 @@ class TestPublishPointer:
     def test_publish_emits_pointer_automatically(self):
         system = make_system(list(range(0, 10_000, 500)))
         system.publish(0, 3, [1, 2], [1.0, 1.0])
-        total_pointers = sum(n.pointer_count() for n in system.network.nodes())
+        total_pointers = sum(
+            len(n.pointers) for n in system.network.nodes() if n.pointers is not None
+        )
         assert total_pointers == 1

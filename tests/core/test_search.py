@@ -7,7 +7,6 @@ from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementS
 from repro.core.search import (
     Discovery,
     RetrieveResult,
-    _walk_order,
     find_item,
     retrieve,
     retrieve_with_pointers,
@@ -167,7 +166,7 @@ def reference_retrieve(
 ):
     """The pre-columnar, closure-and-generator ``retrieve``, kept as the
     oracle: one ``ScoredItem`` per hit, a ``Discovery`` built inside the
-    seen-set loop, liveness through ``_walk_order``.  Handles the same
+    seen-set loop, liveness filtered by a generator.  Handles the same
     hostile fabric as the loop it mirrors: a shed home diverts, a shed
     or lost walk consult is billed and skipped."""
     degradation = 0
@@ -207,7 +206,9 @@ def reference_retrieve(
     harvest(home, route_hops)
     dry = walked = 0
     current = home
-    for neighbor in _walk_order(system, home, direction):
+    is_alive = system.network.is_alive
+    frontier = system.overlay.walk_order(home, direction)
+    for neighbor in (nid for nid in frontier if is_alive(nid)):
         if amount is not None and len(result.discoveries) >= amount:
             break
         if max_walk is not None and walked >= max_walk:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pointer_oracle import oracle_retrieve_with_pointers
 from test_search import node_store
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
@@ -394,17 +395,12 @@ class TestFallbacks:
         assert any(r.degraded for r in bat)  # the storm really shed
 
     @pytest.mark.parametrize(
-        "reason", ["pointers", "admission", "link_faults", "replication", "retry"]
+        "reason", ["admission", "link_faults", "replication", "retry"]
     )
     def test_each_reason_announces_itself(self, reason):
         """An unshared run counts its queries under exactly its own
-        reason and bills what the sequential loop bills, nothing more.
-        Pointer mode is the facade's: ``retrieve_many`` runs §3.5.2
-        query by query."""
-        config = {
-            "pointers": dict(directory_pointers=True),
-            "replication": dict(replication_factor=2),
-        }.get(reason, {})
+        reason and bills what the sequential loop bills, nothing more."""
+        config = {"replication": dict(replication_factor=2)}.get(reason, {})
         rng, a, b = twin_worlds(33, obs=True, **config)
         for s in (a, b):
             if reason == "admission":
@@ -415,12 +411,8 @@ class TestFallbacks:
                 s.config = dataclasses.replace(s.config, retry_policy=RetryPolicy())
         queries = random_queries(rng, 8)
         origins = [a.random_origin(rng) for _ in queries]
-        if reason == "pointers":
-            seq = [a.retrieve(o, q, 2) for o, q in zip(origins, queries)]
-            bat = b.retrieve_many(origins, queries, 2)
-        else:
-            seq = [oracle_retrieve(a, o, q, 2) for o, q in zip(origins, queries)]
-            bat = retrieve_many(b, origins, queries, 2)
+        seq = [oracle_retrieve(a, o, q, 2) for o, q in zip(origins, queries)]
+        bat = retrieve_many(b, origins, queries, 2)
         assert [snap(r) for r in seq] == [snap(r) for r in bat]
         assert a.network.sink.snapshot() == b.network.sink.snapshot()
         counters = b.network.obs.metrics.counters
@@ -428,10 +420,27 @@ class TestFallbacks:
             k: v for k, v in counters.items() if k.startswith("retrieve.batch.fallback.")
         }
         assert fallbacks == {f"retrieve.batch.fallback.{reason}": 8}
-        if reason != "pointers":
-            # Unshared: every query routed, nothing replayed.
-            assert counters["retrieve.batch.routes"] == 8
-            assert counters["retrieve.batch.replayed"] == 0
+        # Unshared: every query routed, nothing replayed.
+        assert counters["retrieve.batch.routes"] == 8
+        assert counters["retrieve.batch.replayed"] == 0
+
+    def test_duplicated_pointer_storm_shares(self):
+        """Directory pointers are no fallback reason: the facade's
+        ``retrieve_many`` runs §3.5.2 through the engine, so a storm's
+        duplicates replay their route and pointer sweep, and the bill
+        is still what the hand-written protocol bills query by query."""
+        rng, a, b = twin_worlds(33, capacity=2, obs=True, directory_pointers=True)
+        queries = random_queries(rng, 16)
+        origin = a.random_origin(rng)
+        seq = [oracle_retrieve_with_pointers(a, origin, q, 2) for q in queries]
+        bat = b.retrieve_many(origin, queries, 2)
+        assert [snap(r) for r in seq] == [snap(r) for r in bat]
+        assert any(r.fetch_hops for r in bat)
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        counters = b.network.obs.metrics.counters
+        assert not any(k.startswith("retrieve.batch.fallback.") for k in counters)
+        assert counters["retrieve.batch.walks"] < len(queries)
+        assert counters["retrieve.batch.replayed"] > 0
 
 
 class TestHostileFabricsMatchTheOracle:

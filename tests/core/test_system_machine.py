@@ -1,7 +1,9 @@
 """System-level stateful test: any operation sequence keeps the system sound.
 
 One small ``Meteorograph`` at finite capacity, so both the per-item
-displacement chains and the batch cascade run, driven by interleaved
+displacement chains and the batch cascade run, with or without §3.5.2
+directory pointers (which route reads through the pointer sweep and
+body fetch), driven by interleaved
 publishes (``publish``; ``publish_corpus`` through the engine and
 through ``oracle_publish``, unshared or with the shared route), reads (``retrieve``,
 ``retrieve_many``, ``find``) and membership changes (remove, add under
@@ -48,8 +50,9 @@ class SystemMachine(RuleBasedStateMachine):
         seed=st.integers(0, 2**16),
         n_nodes=st.integers(4, 10),
         capacity=st.sampled_from([2, 3, 6]),
+        pointers=st.booleans(),
     )
-    def build(self, seed, n_nodes, capacity):
+    def build(self, seed, n_nodes, capacity, pointers):
         self.capacity = capacity
         self.rng = np.random.default_rng(seed)
         self.system = Meteorograph.build(
@@ -59,7 +62,9 @@ class SystemMachine(RuleBasedStateMachine):
             space=SPACE,
             sample=CORPUS,
             config=MeteorographConfig(
-                scheme=PlacementScheme.UNUSED_HASH, node_capacity=capacity
+                scheme=PlacementScheme.UNUSED_HASH,
+                node_capacity=capacity,
+                directory_pointers=pointers,
             ),
         )
         self.removed: list[int] = []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.node import CapacityError, DirectoryPointer, PeerNode, StoredItem
+from repro.sim.node import CapacityError, PeerNode, StoredItem
 
 
 def make_item(item_id: int, key: int = 100, kws=(1, 2)) -> StoredItem:
@@ -142,31 +142,31 @@ class TestStore:
 
 
 class TestPointers:
-    def make_pointer(self, item_id=1):
-        return DirectoryPointer(
-            item_id=item_id, angle_key=5, body_key=9, keyword_ids=np.array([1])
-        )
+    """§3.5.2 pointers are rows of a second index on the node: the
+    item's own ``StoredItem``, its ``publish_key`` naming the body."""
 
     def test_pointers_do_not_consume_capacity(self):
         node = PeerNode(5, capacity=1)
         node.store(make_item(1))
         for i in range(10):
-            node.add_pointer(self.make_pointer(i))
-        assert node.pointer_count() == 10
+            node.add_pointer(make_item(i, key=9))
+        assert len(node.pointers) == 10
         assert node.is_full  # still only one *item*
+        assert node.pointers is not node.index
 
-    def test_drop_pointer(self):
+    def test_pointer_store_created_on_first_pointer(self):
         node = PeerNode(5)
-        node.add_pointer(self.make_pointer(3))
-        assert node.drop_pointer(3)
-        assert not node.drop_pointer(3)
-        assert node.pointer_count() == 0
+        assert node.pointers is None
+        node.add_pointer(make_item(3, key=9))
+        assert node.pointers.item(3).publish_key == 9
+        assert node.index is None  # a pointer is not an item
 
     def test_pointer_overwrite_by_item_id(self):
         node = PeerNode(5)
-        node.add_pointer(self.make_pointer(3))
-        node.add_pointer(self.make_pointer(3))
-        assert node.pointer_count() == 1
+        node.add_pointer(make_item(3, key=9))
+        node.add_pointer(make_item(3, key=11, kws=(4,)))
+        assert len(node.pointers) == 1
+        assert node.pointers.item(3).publish_key == 11
 
 
 class TestLifecycle:
