@@ -142,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="incremental repair tick period (0 disables repair)",
     )
     faults.add_argument(
-        "--full-scan",
-        action="store_true",
-        help="use full-scan repair instead of the incremental engine",
-    )
-    faults.add_argument(
         "--no-retry",
         action="store_true",
         help="disable retry/backoff home delivery",
@@ -611,11 +606,8 @@ def _cmd_faults(args) -> int:
     system.publish_corpus(trace.corpus, rng)
     engine = None
     if args.repair_interval > 0 and system.replication is not None:
-        if args.full_scan:
-            system.replication.schedule(args.repair_interval)
-        else:
-            engine = RepairEngine(system).attach()
-            engine.schedule(args.repair_interval)
+        engine = RepairEngine(system).attach()
+        engine.schedule(args.repair_interval)
     if args.scenario == "batch-kill":
         scenario = make_scenario("batch-kill", fraction=args.fraction)
     elif args.scenario == "poisson":

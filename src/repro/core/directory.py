@@ -26,11 +26,23 @@ __all__ = ["publish_pointer"]
 def publish_pointer(system: "Meteorograph", origin: int, item: StoredItem) -> int:
     """Route the pointer from the body's home to the angle key's home.
 
+    A republish that moved the item's angle key first routes one more
+    ``pointer`` message to the earlier key's home and takes the earlier
+    row off it, so stage 1 cannot promise the old body key.
+
     Returns the number of ``pointer`` messages charged (the route hops).
     Pointers are small and unbounded per node (§3.5.2 argues their size
     is negligible), so no displacement applies.
     """
+    hops = 0
+    known = system._published.get(item.item_id)  # noqa: SLF001
+    if known is not None and known[0] != item.angle_key:
+        route = system.overlay.route(origin, known[0], kind="pointer")
+        pointers = system.network.node(route.home).pointers
+        if pointers is not None and item.item_id in pointers:
+            pointers.remove(item.item_id)
+        hops = route.hops
     route = system.overlay.route(origin, item.angle_key, kind="pointer")
     assert route.home is not None
     system.network.node(route.home).add_pointer(item)
-    return route.hops
+    return hops + route.hops

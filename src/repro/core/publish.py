@@ -149,7 +149,10 @@ def run_displacement_chain(
     increasing linear key distance from the home ("closest neighbor"
     frontier); each full node swaps the incoming item for its
     least-similar one and pushes the victim on.
-    Charges one ``displace`` message per chain hop.
+    Charges one ``displace`` message per chain hop.  Under replication
+    the ledger follows every copy: each store credits its node and each
+    eviction uncredits it, so a victim's credit moves with each push
+    and is gone if the victim drops.
     """
     result = PublishResult(item_id=item.item_id, home=home_id, route_hops=0)
     current = home_id
@@ -159,15 +162,21 @@ def run_displacement_chain(
     # a non-full home and must do zero neighbor-ordering work.
     frontier = None
     tracer = system.network.obs.tracer
+    ledger = system.replication
     while True:
         node = system.network.node(current)
         if not node.is_full:
             system.store_at(current, incoming)
+            if ledger is not None:
+                ledger.credit(incoming, current)
             return result
         victim = _pick_victim(system, node.index, incoming, policy)
         if victim.item_id != incoming.item_id:
             node.evict(victim.item_id)
             system.store_at(current, incoming)
+            if ledger is not None:
+                ledger.uncredit(victim.item_id, current)
+                ledger.credit(incoming, current)
         # else: incoming itself continues down the chain unstored.
         if budget is not None and budget <= 0:
             # Fig. 2: "if (c = 0) reply a publishing failure" — but the
@@ -246,7 +255,7 @@ def publish_item(
         result.route_hops = route_hops
         if config.directory_pointers:
             system.publish_pointer(home, item)
-        if system.replication is not None and result.success:
+        if system.replication is not None and result.dropped_item_id != item.item_id:
             system.replication.replicate(home, item)
         sp.set(
             home=result.home,

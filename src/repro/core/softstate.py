@@ -108,9 +108,8 @@ class SoftStateManager:
     def _purge_copies(self, item_id: int) -> int:
         """Remove every stored copy of an item (all nodes, incl. replicas).
 
-        Also withdraws the item's replication record so a subsequent
-        republish re-replicates from scratch instead of trusting stale
-        holder bookkeeping.
+        Also closes the item's replication record, so a subsequent
+        republish re-replicates from scratch.
         """
         purged = 0
         for node in self.system.network.nodes():
@@ -118,7 +117,7 @@ class SoftStateManager:
                 node.evict(item_id)
                 purged += 1
         if self.system.replication is not None:
-            self.system.replication.records.pop(item_id, None)
+            self.system.replication.forget_item(item_id)
         return purged
 
     def republish_all(self) -> int:

@@ -11,7 +11,8 @@ asserts the four machine-checked invariants of
 * **replicas** — no item stuck between one live copy and the factor;
 * **accounting** — the fault plane conserved its message classification
   (``charged = delivered + dropped + duplicated``);
-* **holder_index** — the repair engine's credit books balance.
+* **holder_index** — the replication ledger credits exactly the
+  copies the stores hold.
 
 To make the partition actually *diverge* state (the anti-entropy
 engine's reason to exist), 30% of the corpus is published mid-split:

@@ -8,12 +8,11 @@ running at a period shorter than the mean time to lose all replicas,
 availability stays near 1 even as cumulative departures pass 50% of the
 original population.
 
-Repair defaults to the incremental :class:`repro.maint.RepairEngine`
-(dirty-set ticks fed by the network's liveness notifications);
-``incremental=False`` reverts to the full-scan
-``ReplicationManager.repair``.  The two place copies identically (see
-``tests/maint/test_repair_engine.py``), so the availability rows do not
-depend on the choice — only the tick cost does, which is what
+Repair is the incremental :class:`repro.maint.RepairEngine`
+(dirty-set ticks fed by the network's liveness notifications).  It
+places copies identically to the full-scan ``ReplicationManager.repair``
+(see ``tests/maint/test_repair_engine.py``), so the availability rows
+do not depend on it — only the tick cost does, which is what
 ``run_repair_scale`` measures.
 """
 
@@ -43,7 +42,6 @@ def run_churn(
     queries_per_sample: int = 100,
     seed: int = 2024,
     with_repair: bool = True,
-    incremental: bool = True,
 ) -> RowSet:
     """Rows: (time, departed %, availability) sampled along the run."""
     from ..core import Meteorograph, MeteorographConfig
@@ -79,11 +77,8 @@ def run_churn(
         )
         engine = None
         if with_repair and system.replication is not None:
-            if incremental:
-                engine = RepairEngine(system).attach()
-                engine.schedule(repair_interval)
-            else:
-                system.replication.schedule(repair_interval)
+            engine = RepairEngine(system).attach()
+            engine.schedule(repair_interval)
 
         def sample_availability() -> None:
             alive = system.network.alive_count()
@@ -108,7 +103,7 @@ def run_churn(
         rs.notes["repair"] = with_repair
         rs.notes["departures"] = stats.failed
         if with_repair:
-            rs.notes["engine"] = "incremental" if incremental else "full-scan"
+            rs.notes["engine"] = "incremental"
         if engine is not None:
             rs.notes["repair_ticks"] = engine.ticks
             rs.notes["replicas_placed"] = engine.total_placed

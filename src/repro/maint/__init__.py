@@ -4,9 +4,11 @@ Cooperating parts (DESIGN.md, "Fault tolerance" / "Message plane
 faults"):
 
 * :class:`RepairEngine` — incremental dirty-set replica repair fed by
-  the network's liveness notifications.  The full-scan
-  ``ReplicationManager.repair`` is the same per-record step over every
-  record — the reference the engine's placements are tested against.
+  the network's liveness notifications.  It runs the replication
+  manager's one repair loop over the dirty items; the full-scan
+  ``ReplicationManager.repair`` runs it over every record — the
+  reference the engine's placements are tested against.  Who holds a
+  copy is recorded once, in the manager's ledger.
 * :class:`RetryPolicy` / :func:`route_with_retry` — bounded
   exponential backoff (deterministic jitter from the run seed) around
   publish/retrieve home delivery, degrading to the nearest live
@@ -17,7 +19,7 @@ faults"):
   change kind.
 * :mod:`repro.maint.invariants` — the chaos harness's machine-checked
   health conditions (reachability, replica counts, message-accounting
-  conservation, holder-index consistency).
+  conservation, the replication ledger's credited ⇔ stored contract).
 * :mod:`repro.maint.scenarios` — declarative fault scenarios (batch
   kill, Poisson churn, flapping nodes, correlated region failure,
   partitions, lossy links) driving :mod:`repro.sim.engine`, exposed as

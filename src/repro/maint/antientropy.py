@@ -42,7 +42,7 @@ Metrics: ``maint.antientropy.ticks`` / ``.reconciled`` / ``.replaced``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .repair import RepairEngine
 
@@ -136,7 +136,6 @@ class AntiEntropyEngine:
 
     def _reconcile(self, healed: set[int]) -> tuple[int, int, int]:
         """One full pass; returns ``(dirtied, replaced, reconciled)``."""
-        network = self.system.network
         overlay = self.system.overlay
         manager = self.manager
         # 1. Everything the healed side holds goes through the ordinary
@@ -144,10 +143,9 @@ class AntiEntropyEngine:
         #    the cut is repair's job, not ours.
         dirtied = 0
         for nid in healed:
-            held = self.repair.holder_index.get(nid)
-            if held:
-                self.repair.dirty.update(held)
-                dirtied += len(held)
+            held = manager.items_of(nid)
+            self.repair.dirty.update(held)
+            dirtied += len(held)
         # 2. Home reconciliation: re-place items whose live closest home
         #    changed (or was unreachable) during the split, so §3.3
         #    routing finds a copy where it lands.  A failed placement
@@ -156,22 +154,15 @@ class AntiEntropyEngine:
         replaced = 0
         reconciled = 0
         for item_id, record in manager.records.items():
-            key = record.item.publish_key
-            home = overlay.live_home(key)
+            home = overlay.live_home(record.item.publish_key)
             if home is None:
                 continue
-            live = [
-                h
-                for h in record.holders
-                if network.is_alive(h) and network.node(h).has_item(item_id)
-            ]
+            live = manager.live_holders(record)
             if not live or home in live:
                 continue
             reconciled += 1
             src = self._closest_live_source(live, home)
-            if manager._place_replica(  # noqa: SLF001 - shared placement body
-                src, home, record.item, record
-            ):
+            if manager.place_copy(src, home, record):
                 replaced += 1
             else:
                 self.repair.dirty.add(item_id)

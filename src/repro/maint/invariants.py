@@ -22,10 +22,11 @@ four checkable invariants over live state:
    plane classified every message it charged exactly once:
    ``charged == delivered + dropped + duplicated``.
 4. **Holder-index consistency** (:func:`check_holder_index`) — the
-   repair engine's holder index and its transpose agree entry for
-   entry, and every *live* credited holder really holds the item (no
-   dangling credit that would fool a future repair into sourcing from
-   a node without the copy).
+   replication ledger's contract, *credited ⇔ stored*: an item's record
+   and its holders' entries agree, no removed node is credited, and a
+   registered node is credited with exactly the items its store holds
+   (a dangling credit would fool a future repair into sourcing from a
+   node without the copy; a missing one hides a copy from repair).
 
 :func:`check_all` runs whichever of the four apply and returns their
 reports; the ``chaos`` CLI verb gates CI on ``all(ok)``.
@@ -86,17 +87,6 @@ class InvariantReport:
         }
 
 
-def _live_holders(system: "Meteorograph", item_id: int, holders) -> list[int]:
-    network = system.network
-    return [
-        h
-        for h in holders
-        if h in network
-        and network.is_alive(h)
-        and network.node(h).has_item(item_id)
-    ]
-
-
 def check_reachability(
     system: "Meteorograph", *, window: Optional[int] = None
 ) -> InvariantReport:
@@ -117,7 +107,7 @@ def check_reachability(
     network = system.network
     lost = 0
     for item_id, record in manager.records.items():
-        live = _live_holders(system, item_id, record.holders)
+        live = manager.live_holders(record)
         if not live:
             lost += 1
             continue
@@ -158,7 +148,7 @@ def check_replica_counts(system: "Meteorograph") -> InvariantReport:
     lost = 0
     over = 0
     for item_id, record in manager.records.items():
-        live = _live_holders(system, item_id, record.holders)
+        live = manager.live_holders(record)
         n = len(live)
         if n == 0:
             lost += 1
@@ -193,35 +183,40 @@ def check_accounting(plane: Optional[LinkFaultPlane]) -> InvariantReport:
 def check_holder_index(
     system: "Meteorograph", repair: Optional[RepairEngine]
 ) -> InvariantReport:
-    """Holder index ↔ transpose lockstep; no dangling live credits."""
+    """The replication ledger's contract: its two directions agree, and
+    every credited registered node holds the item."""
     report = InvariantReport(name="holder_index", ok=True)
     if repair is None:
         return report
+    manager = repair.manager
     network = system.network
-    transpose = repair._item_holders  # noqa: SLF001 - invariant introspection
-    for node_id, held in repair.holder_index.items():
-        for item_id in held:
+    for item_id, record in manager.records.items():
+        for node_id in record.holders:
             report.checked += 1
-            if node_id not in transpose.get(item_id, ()):
+            if item_id not in manager.items_of(node_id):
                 report.note(
-                    f"index credits node {node_id} with item {item_id} "
-                    "but the transpose does not"
+                    f"record of item {item_id} credits node {node_id} "
+                    "but the node's entry does not"
                 )
-            elif (
-                node_id in network
-                and network.is_alive(node_id)
-                and not network.node(node_id).has_item(item_id)
-            ):
+            elif node_id not in network or not network.node(node_id).has_item(item_id):
                 report.note(
-                    f"live node {node_id} credited with item {item_id} "
-                    "it does not hold"
+                    f"node {node_id} credited with item {item_id} it does not hold"
                 )
-    for item_id, holders in transpose.items():
-        for node_id in holders:
-            if item_id not in repair.holder_index.get(node_id, ()):
+    for node_id, held in manager.held.items():
+        for item_id in held:
+            record = manager.records.get(item_id)
+            if record is None or node_id not in record.holders:
                 report.note(
-                    f"transpose credits item {item_id} to node {node_id} "
-                    "but the index does not"
+                    f"node {node_id}'s entry credits item {item_id} "
+                    "but the item's record does not"
+                )
+    for node in network.nodes():
+        held = manager.items_of(node.node_id)
+        for item_id in node.item_ids():
+            if item_id not in held:
+                report.note(
+                    f"node {node.node_id} holds item {item_id} "
+                    "the ledger does not credit"
                 )
     return report
 

@@ -4,21 +4,20 @@ The full-scan :meth:`repro.core.replication.ReplicationManager.repair`
 examines every record per maintenance tick — O(published items) even
 when a single node failed — which is what capped churn experiments near
 10⁴ items (ROADMAP: ~4 ms/event at demo scale).  The
-:class:`RepairEngine` turns that around: it maintains a **holder
-index** (node id → item ids it holds a copy of) and a **dirty set** of
+:class:`RepairEngine` turns that around: it keeps a **dirty set** of
 item ids whose copy count may have changed, fed by
 
-* the network's liveness notifications (fail / recover / remove) — a
-  holder's death marks exactly its items dirty;
-* the replication manager's ``on_copy_placed`` hook — keeps the holder
-  index current as publishes and repairs place copies;
-* the ``on_under_replicated`` hook — publish-time shortfalls (targets
-  full or dead) enter the dirty set so the engine retries them exactly
-  like the full scan would.
+* the network's liveness notifications (fail / recover / heal) — a
+  holder's transition marks exactly the items the replication ledger
+  credits to it;
+* the manager's ``on_under_replicated`` hook — publish-time shortfalls
+  (targets full or dead) and the items of a removed node, which the
+  ledger has already uncredited by the time the engine would hear the
+  ``remove``.
 
-A :meth:`tick` then repairs only the dirty items, in record-insertion
-order, through the *same* per-record body the full scan uses
-(``ReplicationManager.repair_record``) — so on any run whose liveness
+A :meth:`tick` runs the manager's one repair loop
+(``ReplicationManager.repair_each``) over the dirty items in record
+rank order — the full scan's order — so on any run whose liveness
 transitions all flow through the :class:`~repro.sim.network.Network`
 (batch kills, Poisson churn, flapping, region failures: everything in
 :mod:`repro.maint.scenarios`), the engine's placements are identical to
@@ -35,13 +34,16 @@ Metrics (when the system is observable): ``maint.repair_tick`` timer,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Collection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.meteorograph import Meteorograph
     from ..sim.engine import PeriodicTask
 
 __all__ = ["RepairEngine"]
+
+_RANK = attrgetter("rank")
 
 
 class RepairEngine:
@@ -53,8 +55,8 @@ class RepairEngine:
         engine.schedule(interval)          # periodic ticks, or
         engine.tick()                      # one repair pass now
 
-    ``attach`` seeds the holder index from the replication records that
-    already exist, so attaching after a corpus publish is fine.
+    The holders live in the manager's ledger, so attaching after a
+    corpus publish is fine.
     """
 
     def __init__(self, system: "Meteorograph") -> None:
@@ -65,21 +67,8 @@ class RepairEngine:
             )
         self.system = system
         self.manager = system.replication
-        #: node id -> item ids the node holds a copy of.  Entries of
-        #: dead nodes are retained (their items resurface on recovery)
-        #: and dropped only on permanent removal.
-        self.holder_index: dict[int, set[int]] = {}
-        #: item id -> credited holders: the transpose of
-        #: ``holder_index``, kept in lockstep so :meth:`holders_of` is
-        #: O(holders) instead of a walk over every node's held set.
-        self._item_holders: dict[int, set[int]] = {}
         #: item ids whose live copy count may have changed.
         self.dirty: set[int] = set()
-        #: item id -> record-insertion rank; ticks repair dirty items in
-        #: this order so placements match the full scan's dict-order
-        #: iteration.
-        self._order: dict[int, int] = {}
-        self._next_rank = 0
         self._attached = False
         self.ticks = 0
         self.total_placed = 0
@@ -87,17 +76,10 @@ class RepairEngine:
     # -- wiring ------------------------------------------------------------
 
     def attach(self) -> "RepairEngine":
-        """Subscribe to the network and manager; seed the holder index."""
+        """Subscribe to the network's liveness feed and the manager."""
         if self._attached:
             raise RuntimeError("RepairEngine already attached")
         self._attached = True
-        for item_id, record in self.manager.records.items():
-            self._order[item_id] = self._next_rank
-            self._next_rank += 1
-            for holder in record.holders:
-                self.holder_index.setdefault(holder, set()).add(item_id)
-                self._item_holders.setdefault(item_id, set()).add(holder)
-        self.manager.on_copy_placed = self._on_copy_placed
         self.manager.on_under_replicated = self._mark_dirty
         self.system.network.subscribe_liveness(self._on_liveness)
         return self
@@ -111,40 +93,22 @@ class RepairEngine:
 
     # -- notification sinks ------------------------------------------------
 
-    def _on_copy_placed(self, item_id: int, node_id: int) -> None:
-        if item_id not in self._order:
-            self._order[item_id] = self._next_rank
-            self._next_rank += 1
-        self.holder_index.setdefault(node_id, set()).add(item_id)
-        self._item_holders.setdefault(item_id, set()).add(node_id)
-
-    def _mark_dirty(self, item_id: int) -> None:
-        self.dirty.add(item_id)
+    def _mark_dirty(self, item_ids: Collection[int]) -> None:
+        self.dirty.update(item_ids)
         obs = self.system.network.obs
         if obs.enabled:
-            obs.metrics.counter("maint.dirty_marked")
+            obs.metrics.counter("maint.dirty_marked", len(item_ids))
 
     def _on_liveness(self, node_id: int, change: str) -> None:
-        if change == "partition":
-            # A split changes reachability, not liveness or disk state:
-            # copies are all still live, so nothing is dirty yet.  The
-            # divergence accrues *during* the split and is reconciled on
-            # the matching "heal" (below, plus the anti-entropy engine).
-            return
-        if change == "remove":
-            held = self.holder_index.pop(node_id, None)
+        # "partition" changes reachability, not liveness or disk state:
+        # copies are all still live, so nothing is dirty yet.  The
+        # divergence accrues *during* the split and is reconciled on the
+        # matching "heal" (here, plus the anti-entropy engine).
+        # "remove" reaches the dirty set through the manager's hook.
+        if change in ("fail", "recover", "heal"):
+            held = self.manager.items_of(node_id)
             if held:
-                holders = self._item_holders
-                for item_id in held:
-                    holders[item_id].discard(node_id)
-        else:  # "fail"/"recover"/"heal": copies stay on disk either way
-            held = self.holder_index.get(node_id)
-        if not held:
-            return
-        self.dirty.update(held)
-        obs = self.system.network.obs
-        if obs.enabled:
-            obs.metrics.counter("maint.dirty_marked", len(held))
+                self._mark_dirty(held)
 
     # -- repair ------------------------------------------------------------
 
@@ -169,25 +133,11 @@ class RepairEngine:
         if not self.dirty:
             return 0
         records = self.manager.records
-        factor = self.manager.factor
-        order = self._order
-        pending = sorted(self.dirty, key=lambda i: order.get(i, 1 << 62))
+        pending = [records[i] for i in self.dirty if i in records]
+        pending.sort(key=_RANK)
         self.dirty.clear()
-        placed = 0
-        repaired = 0
-        for item_id in pending:
-            record = records.get(item_id)
-            if record is None:
-                continue
-            n, live_after = self.manager.repair_record(item_id, record)
-            placed += n
-            if n:
-                repaired += 1
-            if 0 < live_after < factor:
-                # Could not restore the factor this tick (no live home,
-                # or every candidate full/dead) — retry next tick, like
-                # the full scan re-examines it every pass.
-                self.dirty.add(item_id)
+        placed, repaired, short = self.manager.repair_each(pending)
+        self.dirty.update(short)
         if obs.enabled and placed:
             obs.metrics.counter("maint.replicas_placed", placed)
             obs.metrics.counter("maint.items_repaired", repaired)
@@ -202,10 +152,6 @@ class RepairEngine:
     @property
     def dirty_size(self) -> int:
         return len(self.dirty)
-
-    def holders_of(self, item_id: int) -> set[int]:
-        """Nodes the index currently credits with a copy of ``item_id``."""
-        return set(self._item_holders.get(item_id, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

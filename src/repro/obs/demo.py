@@ -121,7 +121,7 @@ def traced_session(
     # small failure batch halfway through, so repair has work to do and
     # the profiler sees a non-trivial queue.
     assert system.replication is not None
-    system.replication.schedule(1.0)
+    sim.schedule_every(1.0, system.replication.repair)
     sim.schedule(
         2.5, lambda: fail_fraction(system.network, 0.05, rng)
     )

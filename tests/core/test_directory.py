@@ -75,3 +75,26 @@ class TestPublishPointer:
             len(n.pointers) for n in system.network.nodes() if n.pointers is not None
         )
         assert total_pointers == 1
+
+    def test_republish_under_a_new_angle_withdraws_the_old_row(self):
+        """A republish that moves the angle key takes the earlier row
+        off the old angle home with one more billed ``pointer`` route."""
+        system = make_system(list(range(0, 10_000, 250)))
+        system.publish(0, 1, [3], [1.0])
+        before = system.network.sink.count("pointer")
+        system.publish(0, 1, list(range(3, 11)), [1.0] * 8)
+        rows = [
+            n.node_id
+            for n in system.network.nodes()
+            if n.pointers is not None and 1 in n.pointers
+        ]
+        assert len(rows) == 1
+        item = system.network.node(rows[0]).pointers.item(1)
+        assert list(item.keyword_ids) == list(range(3, 11))
+        assert rows[0] == system.overlay.home(item.angle_key)
+        origin = system.overlay.home(system.published_key_of(1))
+        routes = [
+            system.overlay.route(origin, key, kind="probe").hops
+            for key in (system.item_keys(np.array([3]), np.ones(1))[0], item.angle_key)
+        ]
+        assert system.network.sink.count("pointer") - before == sum(routes)

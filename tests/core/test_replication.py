@@ -171,14 +171,9 @@ class TestRepair:
         holders = [n.node_id for n in network.nodes() if n.has_item(1)]
         network.fail_nodes(holders[:1])
         overlay.stabilize()
-        system.replication.schedule(interval=5.0)
+        sim.schedule_every(5.0, system.replication.repair)
         sim.run(until=6.0)
         assert system.replication.live_copies(1) >= 2
-
-    def test_schedule_requires_simulator(self):
-        system = make_system(NODES, replication=2)
-        with pytest.raises(RuntimeError):
-            system.replication.schedule(1.0)
 
     def test_schedule_returns_stoppable_task(self):
         from repro.sim.engine import PeriodicTask, Simulator
@@ -186,7 +181,7 @@ class TestRepair:
         system = make_system(NODES, replication=2)
         sim = system.network.simulator = Simulator()
         system.publish(NODES[0], 1, [3], [1.0])
-        task = system.replication.schedule(interval=5.0)
+        task = sim.schedule_every(5.0, system.replication.repair)
         assert isinstance(task, PeriodicTask)
         sim.run(until=6.0)
         assert task.fire_count == 1
@@ -198,3 +193,52 @@ class TestRepair:
         # Stopped: no further repair pass fired, the lost copy stays lost.
         assert task.fire_count == 1
         assert system.replication.live_copies(1) == 1
+
+
+def stored_holders(system, item_id) -> set[int]:
+    return {n.node_id for n in system.network.nodes() if n.has_item(item_id)}
+
+
+class TestLedger:
+    """The manager's ledger: credited ⇔ stored, both directions agree."""
+
+    def test_node_entries_transpose_the_records(self):
+        system = make_system(NODES, replication=3)
+        for i in range(6):
+            system.publish(0, i, [3, 4 + i], [1.0, 0.5])
+        mgr = system.replication
+        for item_id, record in mgr.records.items():
+            assert record.holders == stored_holders(system, item_id)
+            for node_id in record.holders:
+                assert item_id in mgr.items_of(node_id)
+        credits = sum(len(held) for held in mgr.held.values())
+        assert credits == sum(len(r.holders) for r in mgr.records.values())
+
+    def test_displaced_copies_move_their_credit(self):
+        """At finite capacity the displacement chain evicts and pushes
+        copies; each credit follows its copy, and the primary is
+        credited where it landed, not at the route's home."""
+        from repro.maint import RepairEngine, check_holder_index
+
+        system = make_system(NODES, replication=2, capacity=2)
+        engine = RepairEngine(system).attach()
+        for i in range(12):
+            system.publish(0, i, [3, 4 + i % 3], [1.0, 0.5 + i / 20])
+        report = check_holder_index(system, engine)
+        assert report.ok, report.samples
+        for item_id, record in system.replication.records.items():
+            assert record.holders == stored_holders(system, item_id)
+
+    def test_republish_refreshes_the_record(self):
+        """A republish under a new key repairs the new vector at the new
+        key's homes, not the first publish's."""
+        system = make_system(NODES, replication=2)
+        system.publish(0, 1, [3], [1.0])
+        old_key = system.published_key_of(1)
+        system.publish(0, 1, list(range(3, 11)), [1.0] * 8)
+        new_key = system.published_key_of(1)
+        assert new_key != old_key
+        record = system.replication.records[1]
+        assert record.item.publish_key == new_key
+        assert list(record.item.keyword_ids) == list(range(3, 11))
+        assert record.primary == system.overlay.home(new_key)

@@ -3,15 +3,22 @@
 One small ``Meteorograph`` at finite capacity, so both the per-item
 displacement chains and the batch cascade run, with or without §3.5.2
 directory pointers (which route reads through the pointer sweep and
-body fetch), driven by interleaved
+body fetch), at replication factor 1, 2 or 3 (a replicated system gets
+an attached ``RepairEngine``), driven by interleaved
 publishes (``publish``; ``publish_corpus`` through the engine and
 through ``oracle_publish``, unshared or with the shared route), reads (``retrieve``,
-``retrieve_many``, ``find``) and membership changes (remove, add under
-a fresh id, rejoin under a removed one, fail, recover, ``stabilize``).
+``retrieve_many``, ``find``), membership changes (remove, add under
+a fresh id, rejoin under a removed one, fail, recover, ``stabilize``)
+and repair ticks.
 
 After every step:
 
-* ``check_all`` holds;
+* ``check_all`` holds — the replication ledger's contract
+  (``holder_index``: credited ⇔ stored) and message accounting.
+  ``reachability`` and ``replica_counts`` are quiescence conditions
+  (after repair, without full nodes) that a mid-run step of a
+  finite-capacity ring legitimately breaks: a replica push skips a full
+  target, and a failure leaves items short until the next tick;
 * every discovery a read returned is held by the node it names;
 * every item a live node holds is found by ``find`` with no walk limit.
 
@@ -33,6 +40,7 @@ from hypothesis.stateful import (
 from publish_oracle import oracle_publish
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
+from repro.maint import RepairEngine
 from repro.maint.invariants import check_all
 from repro.overlay.idspace import KeySpace
 from repro.workload import WorldCupParams, generate_trace
@@ -51,8 +59,9 @@ class SystemMachine(RuleBasedStateMachine):
         n_nodes=st.integers(4, 10),
         capacity=st.sampled_from([2, 3, 6]),
         pointers=st.booleans(),
+        replication=st.sampled_from([1, 2, 3]),
     )
-    def build(self, seed, n_nodes, capacity, pointers):
+    def build(self, seed, n_nodes, capacity, pointers, replication):
         self.capacity = capacity
         self.rng = np.random.default_rng(seed)
         self.system = Meteorograph.build(
@@ -65,8 +74,10 @@ class SystemMachine(RuleBasedStateMachine):
                 scheme=PlacementScheme.UNUSED_HASH,
                 node_capacity=capacity,
                 directory_pointers=pointers,
+                replication_factor=replication,
             ),
         )
+        self.repair = RepairEngine(self.system).attach() if replication > 1 else None
         self.removed: list[int] = []
         #: Every read since the last invariant check: (item, node) pairs.
         self.discoveries: list[tuple[int, int]] = []
@@ -178,12 +189,18 @@ class SystemMachine(RuleBasedStateMachine):
     def stabilize(self):
         self.system.overlay.stabilize()
 
+    @precondition(lambda self: self.repair is not None)
+    @rule()
+    def repair_tick(self):
+        self.repair.tick()
+
     # -- invariants -----------------------------------------------------------
 
     @invariant()
     def invariants_hold(self):
-        reports = check_all(self.system)
-        assert all(r.ok for r in reports.values()), reports
+        reports = check_all(self.system, repair=self.repair)
+        for name in ("holder_index", "accounting"):
+            assert reports[name].ok, reports[name]
 
     @invariant()
     def discoveries_are_held(self):

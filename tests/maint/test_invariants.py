@@ -134,6 +134,6 @@ class TestHolderIndex:
         repair = RepairEngine(system).attach()
         item_id, record = _first_record(system)
         holder = next(iter(record.holders))
-        repair._item_holders[item_id].discard(holder)  # noqa: SLF001
+        system.replication.held[holder].discard(item_id)  # record not told
         report = check_holder_index(system, repair)
         assert not report.ok

@@ -62,12 +62,19 @@ class TestEquivalence:
                 [FlappingNodes(count=6, period=10.0, stop=40.0)],
                 np.random.default_rng(5),
             )
-        full.replication.schedule(4.0)
+        full.network.simulator.schedule_every(4.0, full.replication.repair)
         engine.schedule(4.0)
         full.network.simulator.run(until=60.0)
         incr.network.simulator.run(until=60.0)
         assert engine.ticks > 0
         assert holders_snapshot(incr) == holders_snapshot(full)
+
+
+def some_holder(system) -> tuple[int, set[int]]:
+    """A node credited with copies, and the items credited to it."""
+    records = system.replication.records
+    victim = next(iter(next(iter(records.values())).holders))
+    return victim, {i for i, r in records.items() if victim in r.holders}
 
 
 class TestDirtySet:
@@ -83,25 +90,29 @@ class TestDirtySet:
 
     def test_failure_dirties_only_held_items(self, engine_system):
         system, engine = engine_system
-        victim = next(iter(engine.holder_index))
-        held = set(engine.holder_index[victim])
+        victim, held = some_holder(system)
         system.network.fail_node(victim)
         assert engine.dirty == held
 
     def test_recovery_redirties_held_items(self, engine_system):
         system, engine = engine_system
-        victim = next(iter(engine.holder_index))
-        held = set(engine.holder_index[victim])
+        victim, held = some_holder(system)
         system.network.fail_node(victim)
         engine.tick()
         system.network.recover_node(victim)
         # The recovered node's items resurface for re-examination.
         assert engine.dirty >= held
 
-    def test_attach_seeds_holder_index_from_records(self, engine_system):
+    def test_removal_uncredits_and_dirties_held_items(self, engine_system):
+        """A removed node leaves the ledger at once: no record credits
+        it (a rejoin under its id starts empty) and its items are dirty."""
         system, engine = engine_system
-        for item_id, record in system.replication.records.items():
-            assert engine.holders_of(item_id) == record.holders
+        victim, held = some_holder(system)
+        system.overlay.remove_node(victim)
+        assert engine.dirty == held
+        for record in system.replication.records.values():
+            assert victim not in record.holders
+        assert victim not in system.replication.held
 
     def test_double_attach_rejected(self, engine_system):
         _, engine = engine_system

@@ -101,7 +101,6 @@ class TestFaultsVerb:
                 "--queries", "30",
                 "--fraction", "0.9",
                 "--no-retry",
-                "--full-scan",
                 "--check", "1.01",  # unsatisfiable threshold
             ]
         )
