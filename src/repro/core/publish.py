@@ -253,10 +253,12 @@ def publish_item(
                 policy=config.replacement_policy,
             )
         result.route_hops = route_hops
-        if config.directory_pointers:
-            system.publish_pointer(home, item)
-        if system.replication is not None and result.dropped_item_id != item.item_id:
-            system.replication.replicate(home, item)
+        if result.dropped_item_id != item.item_id:
+            # An item the chain dropped has no body: no row may name it.
+            if config.directory_pointers:
+                system.publish_pointer(home, item)
+            if system.replication is not None:
+                system.replication.replicate(home, item)
         sp.set(
             home=result.home,
             route_hops=route_hops,

@@ -26,8 +26,8 @@ origins with the standard ``factor × 4`` walk allowance) sampled after
 quiescence; ``lost`` counts items whose copies were all churned away
 (bounded by the paper's ``1 − p^k``, not an invariant violation).
 
-The ``chaos`` CLI verb runs a single configurable cell of this
-experiment with a ``--check`` CI gate.
+The ``chaos`` gate row (``meteorograph check chaos``) runs one cell
+of this experiment as a CI gate.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ plots.  Benchmarks and the CLI both consume these.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ __all__ = [
     "format_table",
     "scale_factor",
     "default_trace",
+    "shared_trace",
     "sample_of",
     "build_system",
     "publish_all",
@@ -96,6 +98,25 @@ def scale_factor(default: float = 1.0) -> float:
     return float(os.environ.get("REPRO_SCALE", default))
 
 
+@functools.lru_cache(maxsize=None)
+def shared_trace(n_items: int, n_keywords: int, seed: int) -> WorldCupTrace:
+    """One generated trace per parameter set, shared by every caller.
+
+    Its numpy arrays are read-only: a caller that writes into the shared
+    corpus fails loudly instead of corrupting the next experiment.
+    """
+    trace = generate_trace(
+        WorldCupParams(n_items=n_items, n_keywords=n_keywords), seed=seed
+    )
+    m = trace.corpus.matrix
+    for arr in (
+        m.data, m.indices, m.indptr, trace.keyword_weights,
+        *(v for v in vars(trace.popularity).values() if isinstance(v, np.ndarray)),
+    ):
+        arr.flags.writeable = False
+    return trace
+
+
 def default_trace(
     *,
     n_items: int = 20_000,
@@ -103,13 +124,12 @@ def default_trace(
     seed: int = 19980724,
     scale: Optional[float] = None,
 ) -> WorldCupTrace:
-    """The experiments' shared synthetic trace (scaled Table 1 shape)."""
+    """The experiments' shared synthetic trace (scaled Table 1 shape),
+    generated once per resolved parameter set (see :func:`shared_trace`)."""
     s = scale_factor() if scale is None else scale
-    params = WorldCupParams(
-        n_items=max(200, int(n_items * s)),
-        n_keywords=max(100, int(n_keywords * s)),
+    return shared_trace(
+        max(200, int(n_items * s)), max(100, int(n_keywords * s)), seed
     )
-    return generate_trace(params, seed=seed)
 
 
 def sample_of(

@@ -8,7 +8,7 @@ curves stay ordered (paper: 20% / 30% / 45%).
 
 The failure wave is a :class:`repro.maint.BatchKill` scenario driven
 through the event engine — the same declarative machinery the ``faults``
-CLI verb and the churn experiment use.  Its default behaviour
+gate row and the churn experiment use.  Its default behaviour
 stabilizes the overlay after the wave (repairs routing state over live
 nodes), matching §3.6's assumption that Tornado routing delivers
 queries to the numerically closest *live* home, where a surviving

@@ -36,7 +36,9 @@ from ..core import PlacementScheme
 from ..workload import WorldCupTrace
 from .common import RowSet, build_system, default_trace, publish_all, timer
 
-__all__ = ["run_lsh_frontier", "exact_top_k", "frontier_cell"]
+__all__ = [
+    "run_lsh_frontier", "exact_top_k", "frontier_cell", "frontier_queries", "frontier_pair",
+]
 
 #: The storage-budget sweep (bands for LSH, replication factor for the
 #: baseline).
@@ -104,6 +106,51 @@ def frontier_cell(
     }
 
 
+def frontier_queries(corpus, queries: int, k: int, seed: int) -> tuple[list, list]:
+    """``queries`` corpus rows sampled without replacement (in id
+    order) and their exact top-k truths."""
+    qrng = np.random.default_rng(seed)
+    qids = np.sort(qrng.choice(corpus.n_items, size=min(queries, corpus.n_items), replace=False))
+    storm = [corpus.vector(int(i)) for i in qids]
+    return storm, [exact_top_k(corpus, q, k) for q in storm]
+
+
+def frontier_pair(
+    trace: WorldCupTrace,
+    storm: list,
+    truths: list[list[int]],
+    *,
+    n_nodes: int,
+    k: int,
+    bands: int,
+    band_bits: int,
+    probe_width: int,
+    seed: int,
+) -> tuple[dict, dict, object, list[int]]:
+    """One L of the sweep at equal storage: the absolute-angle cell
+    (replication L, one walk over ``L·(1 + W)`` nodes), then the
+    cosine-LSH cell. Returns both cells, the LSH system and its origins."""
+    cells = []
+    for scheme, lsh, overrides in (
+        (PlacementScheme.UNUSED_HASH, False, dict(replication_factor=bands)),
+        (PlacementScheme.NONE, True, dict(
+            naming_scheme="cosine-lsh", lsh_bands=bands, lsh_band_bits=band_bits,
+            lsh_seed=seed, lsh_probe_width=probe_width,
+        )),
+    ):
+        system = build_system(
+            trace, n_nodes, scheme, rng=np.random.default_rng(seed), **overrides
+        )
+        publish_all(system, trace, np.random.default_rng(seed + 1))
+        orng = np.random.default_rng(seed + 2)
+        origins = [system.random_origin(orng) for _ in storm]
+        cells.append(frontier_cell(
+            system, storm, truths, origins, k,
+            lsh=lsh, visit_budget=bands * (1 + probe_width),
+        ))
+    return cells[0], cells[1], system, origins
+
+
 def run_lsh_frontier(
     trace: WorldCupTrace | None = None,
     *,
@@ -128,46 +175,17 @@ def run_lsh_frontier(
         ("scheme", "L", "recall@k", "msgs/query", "found/query", "stored"),
     )
     with timer(rs):
-        qrng = np.random.default_rng(seed)
-        qids = np.sort(qrng.choice(corpus.n_items, size=min(queries, corpus.n_items), replace=False))
-        storm = [corpus.vector(int(i)) for i in qids]
-        truths = [exact_top_k(corpus, q, k) for q in storm]
+        storm, truths = frontier_queries(corpus, queries, k, seed)
         for L in bands:
-            budget = L * (1 + probe_width)
-            base_rng = np.random.default_rng(seed)
-            base = build_system(
-                tr, n_nodes, PlacementScheme.UNUSED_HASH, rng=base_rng,
-                replication_factor=L,
+            b, c, _, _ = frontier_pair(
+                tr, storm, truths, n_nodes=n_nodes, k=k, bands=L,
+                band_bits=band_bits, probe_width=probe_width, seed=seed,
             )
-            publish_all(base, tr, np.random.default_rng(seed + 1))
-            orng = np.random.default_rng(seed + 2)
-            base_origins = [base.random_origin(orng) for _ in storm]
-            b = frontier_cell(
-                base, storm, truths, base_origins, k,
-                lsh=False, visit_budget=budget,
-            )
-            rs.add(
-                "absolute-angle", L, round(b["recall"], 4),
-                round(b["messages"], 2), round(b["found"], 2), b["stored"],
-            )
-            lsh_rng = np.random.default_rng(seed)
-            lsh_sys = build_system(
-                tr, n_nodes, PlacementScheme.NONE, rng=lsh_rng,
-                naming_scheme="cosine-lsh", lsh_bands=L,
-                lsh_band_bits=band_bits, lsh_seed=seed,
-                lsh_probe_width=probe_width,
-            )
-            publish_all(lsh_sys, tr, np.random.default_rng(seed + 1))
-            orng = np.random.default_rng(seed + 2)
-            lsh_origins = [lsh_sys.random_origin(orng) for _ in storm]
-            c = frontier_cell(
-                lsh_sys, storm, truths, lsh_origins, k,
-                lsh=True, visit_budget=budget,
-            )
-            rs.add(
-                "cosine-lsh", L, round(c["recall"], 4),
-                round(c["messages"], 2), round(c["found"], 2), c["stored"],
-            )
+            for name, cell in (("absolute-angle", b), ("cosine-lsh", c)):
+                rs.add(
+                    name, L, round(cell["recall"], 4), round(cell["messages"], 2),
+                    round(cell["found"], 2), cell["stored"],
+                )
         rs.notes["N"] = n_nodes
         rs.notes["queries"] = len(storm)
         rs.notes["k"] = k

@@ -85,7 +85,7 @@ class AbsoluteAngleScheme:
     called (``absolute_angle_from_arrays`` → ``angle_to_key`` →
     ``CdfEqualizer.remap``/``remap_many``), so keys are bit-identical
     to the old inline code; the ``kernel.angles`` / ``kernel.remap``
-    timers fire from here now, keeping the ``stats --check`` instrument
+    timers fire from here now, keeping the ``stats`` gate row's instrument
     contract intact.
     """
 

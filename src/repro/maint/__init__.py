@@ -22,8 +22,8 @@ faults"):
   conservation, the replication ledger's credited ⇔ stored contract).
 * :mod:`repro.maint.scenarios` — declarative fault scenarios (batch
   kill, Poisson churn, flapping nodes, correlated region failure,
-  partitions, lossy links) driving :mod:`repro.sim.engine`, exposed as
-  the ``faults`` / ``chaos`` CLI verbs.
+  partitions, lossy links) driving :mod:`repro.sim.engine`, checked by
+  the ``faults`` / ``chaos`` gate rows (``meteorograph check``).
 """
 
 from .antientropy import AntiEntropyEngine

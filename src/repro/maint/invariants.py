@@ -29,7 +29,7 @@ four checkable invariants over live state:
    node without the copy; a missing one hides a copy from repair).
 
 :func:`check_all` runs whichever of the four apply and returns their
-reports; the ``chaos`` CLI verb gates CI on ``all(ok)``.
+reports; the ``chaos`` gate row gates CI on ``all(ok)``.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ RepairEngine`'s dirty set sees every one of them (and the new
 same way).  ``spare`` protects ids that must survive (bootstrap /
 querying nodes).
 
-Scenarios are exposed on the command line as the ``faults`` verb
-(``meteorograph faults --scenario flapping ...``) via
-:data:`BUILTIN_SCENARIOS`.
+Scenarios are built by name from :data:`BUILTIN_SCENARIOS` with
+:func:`make_scenario`; the ``faults`` gate row runs ``batch-kill``
+(``meteorograph check faults``).
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ def run_scenarios(
     return stats
 
 
-#: CLI-exposed scenario constructors, keyed by ``faults --scenario`` name.
+#: Scenario constructors, keyed by the name :func:`make_scenario` takes.
 BUILTIN_SCENARIOS: dict[str, type[Scenario]] = {
     "batch-kill": BatchKill,
     "poisson": PoissonChurn,
@@ -442,7 +442,7 @@ BUILTIN_SCENARIOS: dict[str, type[Scenario]] = {
 
 
 def make_scenario(name: str, **params: object) -> Scenario:
-    """Instantiate a builtin scenario by name (the ``faults`` verb's hook)."""
+    """Instantiate a builtin scenario by name (the ``faults`` gate row's hook)."""
     try:
         cls = BUILTIN_SCENARIOS[name]
     except KeyError:

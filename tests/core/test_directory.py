@@ -98,3 +98,29 @@ class TestPublishPointer:
             for key in (system.item_keys(np.array([3]), np.ones(1))[0], item.angle_key)
         ]
         assert system.network.sink.count("pointer") - before == sum(routes)
+
+    def test_a_publish_that_drops_its_own_item_places_no_pointer(self):
+        """At capacity 1 with no displacement budget every later publish
+        drops its own item; a pointer row for it would name no body."""
+        config = MeteorographConfig(
+            scheme=PlacementScheme.NONE,
+            directory_pointers=True,
+            node_capacity=1,
+            hop_budget=0,
+        )
+        rng = np.random.default_rng(0)
+        system = Meteorograph.build(8, DIM, rng=rng, config=config)
+        origin = system.random_origin(rng)
+        results = [
+            system.publish(origin, i, [3, 4 + i], [1.0, 0.5]) for i in range(6)
+        ]
+        dropped = {r.item_id for r in results if r.dropped_item_id == r.item_id}
+        assert dropped == {1, 2, 3, 4, 5}
+        held = {i for n in system.network.nodes() for i in n.item_ids()}
+        rows = {
+            i
+            for n in system.network.nodes()
+            if n.pointers is not None
+            for i in n.pointers.items_by_id()
+        }
+        assert rows == held == {0}

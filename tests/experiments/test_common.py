@@ -43,6 +43,20 @@ class TestDefaultTrace:
         tr = default_trace()
         assert tr.corpus.n_items >= 200
 
+    def test_one_trace_per_parameter_set(self):
+        tr = default_trace(n_items=300, n_keywords=120, scale=1.0)
+        assert default_trace(n_items=300, n_keywords=120, scale=1.0) is tr
+        assert default_trace(n_items=300, n_keywords=120, scale=1.0, seed=5) is not tr
+        fresh = generate_trace(WorldCupParams(n_items=300, n_keywords=120), seed=19980724)
+        assert (tr.corpus.matrix != fresh.corpus.matrix).nnz == 0
+
+    def test_shared_arrays_are_read_only(self):
+        tr = default_trace(n_items=300, n_keywords=120, scale=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            tr.corpus.matrix.data[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            tr.keyword_weights[0] = 0.0
+
 
 class TestSampleOf:
     def test_fraction(self, trace, rng):

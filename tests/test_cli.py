@@ -1,11 +1,14 @@
 """Unit tests for the CLI."""
 
+import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import ALL_EXPERIMENTS
+from repro.gates import GATES, Pred, failures, run_gate
 
 
 class TestParser:
@@ -52,12 +55,16 @@ class TestObservabilityVerbs:
         assert "hop " in out or "walk " in out
 
     def test_stats_renders_tables_and_check_passes(self, capsys):
-        assert main(["stats", "fig7", "--scale", "0.1", "--check"]) == 0
+        assert main(["stats", "fig7", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "== counters ==" in out
         assert "net.sent.publish" in out
         assert "== timers (wall / cpu, ms) ==" in out
-        assert "stats --check OK" in out
+        # The stats row runs this session at its CI size (scale 0.1).
+        assert main(["check", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "net.sent.publish: " in out
+        assert "stats OK in" in out
 
     def test_stats_out_writes_snapshot(self, capsys, tmp_path):
         out_dir = tmp_path / "obs"
@@ -66,202 +73,196 @@ class TestObservabilityVerbs:
         assert (out_dir / "metrics.csv").exists()
 
 
-class TestFaultsVerb:
-    def test_parses_with_defaults(self):
-        args = build_parser().parse_args(["faults"])
-        assert args.scenario == "poisson"
-        assert args.check is None
+#: Each smoke row at a size that runs in well under a second.
+SMALL = {
+    "stats": dict(scale=0.1),
+    "faults": dict(nodes=80, items=200, queries=40, fraction=0.3, horizon=10.0),
+    "chaos": dict(n_nodes=80, items=300, queries=60, horizon=15.0, quiesce=10.0, seed=3),
+    "overload": dict(n_nodes=120, items=2000, queries=30),
+    "build": dict(items=600, nodes=80, chunk_rows=97),
+    "qps": dict(items=2000, nodes=120, queries=200, window=64),
+    "lsh": dict(items=400, nodes=40, queries=8, bands=3, band_bits=5),
+}
 
-    def test_batch_kill_smoke(self, capsys):
-        assert (
-            main(
-                [
-                    "faults",
-                    "--scenario", "batch-kill",
-                    "--nodes", "80",
-                    "--items", "200",
-                    "--queries", "40",
-                    "--fraction", "0.3",
-                    "--horizon", "10",
-                ]
-            )
-            == 0
-        )
+
+def _at_and_past(pred):
+    """Facts at the predicate's bound and just past it, as (passing,
+    failing); a strict bound passes one step inside and fails on it."""
+    if isinstance(pred.rhs, str):
+        base, bound = {pred.rhs: 10.0}, 10.0
+    else:
+        base, bound = {}, pred.rhs
+    if isinstance(bound, bool):
+        return {**base, pred.fact: bound}, {**base, pred.fact: not bound}
+    if pred.op == "==":
+        return {**base, pred.fact: bound}, {**base, pred.fact: bound + 1}
+    inward = -math.inf if pred.op in (">", ">=") else math.inf
+    inside = math.nextafter(bound, -inward)
+    past = math.nextafter(bound, inward)
+    if pred.op in (">=", "<="):
+        return {**base, pred.fact: bound}, {**base, pred.fact: past}
+    return {**base, pred.fact: inside}, {**base, pred.fact: bound}
+
+
+class TestGateTable:
+    """The table's predicates and bounds, with no simulation."""
+
+    def test_smoke_and_figure_rows(self):
+        assert list(GATES)[:7] == list(SMALL)
+        assert len(GATES) == 32
+        assert all(g.derive is None for g in list(GATES.values())[:7])
+
+    @pytest.mark.parametrize("gate_id", list(GATES))
+    def test_each_predicate_fails_just_past_its_bound(self, gate_id):
+        gate = GATES[gate_id]
+        assert gate.predicates
+        for pred in gate.predicates:
+            alone = replace(gate, predicates=(pred,), max_seconds=None)
+            passing, failing = _at_and_past(pred)
+            assert failures(alone, passing) == [], pred
+            assert failures(alone, failing) == [pred.label], pred
+
+    @pytest.mark.parametrize("gate_id", [g for g in GATES if GATES[g].max_seconds])
+    def test_wall_time_bound(self, gate_id):
+        gate = replace(GATES[gate_id], predicates=())
+        assert failures(gate, {}, elapsed=gate.max_seconds) == []
+        late = math.nextafter(gate.max_seconds, math.inf)
+        assert failures(gate, {}, elapsed=late) == ["wall time <= 120s"]
+
+    def test_undefined_fact_leaves_its_predicate_unchecked(self):
+        fit = replace(GATES["fig10b"], predicates=(Pred("R²", ">", 0.8),))
+        assert failures(fit, {"R²": None}) == []
+
+
+def _small(monkeypatch, gate_id, *predicates):
+    """Point ``check <gate_id>`` at the row's small size; ``predicates``
+    replace the row's own. Without them the speedup floors go: they are
+    host time, calibrated at the row's own size."""
+    gate = GATES[gate_id]
+    preds = predicates or tuple(p for p in gate.predicates if p.fact != "speedup")
+    small = replace(gate, knobs={**gate.knobs, **SMALL[gate_id]}, predicates=preds)
+    monkeypatch.setitem(GATES, gate_id, small)
+    return small
+
+
+class TestCheckVerb:
+    def test_unknown_gate_exits_2(self, capsys):
+        assert main(["check", "nope"]) == 2
+        assert "unknown gate(s): nope" in capsys.readouterr().err
+
+    def test_all_runs_every_row(self, capsys, monkeypatch):
+        import repro.gates as gates
+
+        seen = []
+
+        def fake_run(gate):
+            seen.append(gate.id)
+            return {"fact": 1.0}, (), 0.0
+
+        monkeypatch.setattr(gates, "run_gate", fake_run)
+        monkeypatch.setattr(gates, "failures", lambda gate, facts, elapsed: [])
+        assert main(["check", "all"]) == 0
         out = capsys.readouterr().out
-        assert "availability" in out
-        assert "incremental ticks" in out
+        assert seen == list(GATES)
+        assert f"check: {len(GATES)}/{len(GATES)} rows OK" in out
 
-    def test_check_failure_returns_nonzero(self, capsys):
-        rc = main(
-            [
-                "faults",
-                "--scenario", "batch-kill",
-                "--nodes", "60",
-                "--items", "150",
-                "--queries", "30",
-                "--fraction", "0.9",
-                "--no-retry",
-                "--check", "1.01",  # unsatisfiable threshold
-            ]
-        )
-        assert rc == 1
-        assert "FAILED" in capsys.readouterr().err
+
+class TestFaultsVerb:
+    """The ``faults`` row: batch kill under repair and retry."""
+
+    def test_batch_kill_smoke(self, capsys, monkeypatch):
+        _small(monkeypatch, "faults")
+        assert main(["check", "faults"]) == 0
+        out = capsys.readouterr().out
+        assert "availability: " in out
+        assert "repair ticks: " in out
+        assert "faults OK in" in out
+
+    def test_check_failure_returns_nonzero(self, capsys, monkeypatch):
+        _small(monkeypatch, "faults", Pred("availability", ">=", 1.01))
+        assert main(["check", "faults"]) == 1
+        assert "faults FAILED" in capsys.readouterr().err
 
 
 class TestChaosVerb:
-    def test_parses_with_defaults(self):
-        args = build_parser().parse_args(["chaos"])
-        assert args.drop == 0.05
-        assert args.min_avail == 0.85
-        assert not args.check
+    """The ``chaos`` row: the four invariants after a fault mix."""
 
-    def test_smoke_with_check(self, capsys):
-        assert (
-            main(
-                [
-                    "chaos",
-                    "--nodes", "80",
-                    "--items", "300",
-                    "--queries", "60",
-                    "--horizon", "15",
-                    "--quiesce", "10",
-                    "--seed", "3",
-                    "--check",
-                ]
-            )
-            == 0
-        )
+    def test_smoke_with_check(self, capsys, monkeypatch):
+        _small(monkeypatch, "chaos")
+        assert main(["check", "chaos"]) == 0
         out = capsys.readouterr().out
-        assert "invariant reachability: ok" in out
-        assert "invariant accounting: ok" in out
-        assert "chaos --check OK" in out
+        assert "invariant reachability holds: True" in out
+        assert "invariant accounting holds: True" in out
+        assert "chaos OK in" in out
 
-    def test_check_failure_returns_nonzero(self, capsys):
-        rc = main(
-            [
-                "chaos",
-                "--nodes", "60",
-                "--items", "150",
-                "--queries", "30",
-                "--horizon", "10",
-                "--quiesce", "5",
-                "--check",
-                "--min-avail", "1.01",  # unsatisfiable threshold
-            ]
-        )
-        assert rc == 1
-        assert "chaos --check FAILED" in capsys.readouterr().err
-
-    def test_new_scenarios_reachable_from_faults_verb(self, capsys):
-        assert (
-            main(
-                [
-                    "faults",
-                    "--scenario", "partition",
-                    "--nodes", "60",
-                    "--items", "150",
-                    "--queries", "30",
-                    "--horizon", "10",
-                ]
-            )
-            == 0
-        )
-        assert "availability" in capsys.readouterr().out
+    def test_check_failure_returns_nonzero(self, capsys, monkeypatch):
+        _small(monkeypatch, "chaos", Pred("availability", ">=", 1.01))
+        assert main(["check", "chaos"]) == 1
+        assert "chaos FAILED" in capsys.readouterr().err
 
 
 class TestOverloadVerb:
-    def test_parses_with_defaults(self):
-        args = build_parser().parse_args(["overload"])
-        assert args.nodes == 400
-        assert args.skew == 1.2
-        assert args.service_rate is None
-        assert not args.check
+    """The ``overload`` row: admission control under a Zipf storm."""
 
-    def test_storm_smoke(self, capsys):
-        assert (
-            main(
-                [
-                    "overload",
-                    "--nodes", "120",
-                    "--items", "2000",
-                    "--queries", "30",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "max inbox depth" in out
-        assert "shed rate" in out
+    def test_storm_smoke(self, monkeypatch):
+        gate = _small(monkeypatch, "overload")
+        facts, _, _ = run_gate(gate)
+        assert facts["protected max inbox"] <= facts["queue cap"]
+        assert "shed rate" in facts
+        assert failures(gate, facts) == []
 
-    def test_check_pass_and_fail(self, capsys):
-        base = [
-            "overload",
-            "--nodes", "120",
-            "--items", "2000",
-            "--queries", "30",
-            "--check",
-        ]
-        assert main(base + ["--max-shed", "1.0", "--min-avail", "0.0"]) == 0
-        assert "overload --check OK" in capsys.readouterr().out
-        rc = main(base + ["--min-avail", "1.01"])  # unsatisfiable threshold
-        assert rc == 1
+    def test_check_pass_and_fail(self, capsys, monkeypatch):
+        _small(monkeypatch, "overload")
+        assert main(["check", "overload"]) == 0
+        assert "overload OK in" in capsys.readouterr().out
+        _small(monkeypatch, "overload", Pred("availability", ">=", 1.01))
+        assert main(["check", "overload"]) == 1
         assert "FAILED" in capsys.readouterr().err
 
 
 class TestBuildVerb:
-    def test_parses_with_defaults(self):
-        args = build_parser().parse_args(["build"])
-        assert args.items == 4000
-        assert args.chunk_rows == 512
-        assert not args.check
+    """The ``build`` row: chunked ≡ whole keys, corpus publish ≡ batches
+    of one."""
 
-    def test_build_smoke_and_check(self, capsys):
-        base = [
-            "build",
-            "--items", "600",
-            "--nodes", "80",
-            "--chunk-rows", "97",
-        ]
-        assert main(base + ["--check"]) == 0
+    def test_build_smoke_and_check(self, capsys, monkeypatch):
+        _small(monkeypatch, "build")
+        assert main(["check", "build"]) == 0
         out = capsys.readouterr().out
-        assert "bit-identical: True" in out
-        assert "placements True" in out
-        assert "build --check OK" in out
+        assert "chunked keys bit-identical: True" in out
+        assert "placements match batches of one: True" in out
+        assert "build OK in" in out
 
-    def test_check_failure_returns_nonzero(self, capsys):
-        rc = main(
-            [
-                "build",
-                "--items", "600",
-                "--nodes", "80",
-                "--check",
-                "--min-speedup", "1000",  # unsatisfiable threshold
-            ]
-        )
-        assert rc == 1
-        assert "FAILED" in capsys.readouterr().err
+    def test_check_failure_returns_nonzero(self, capsys, monkeypatch):
+        _small(monkeypatch, "build", Pred("speedup", ">=", 1000))
+        assert main(["check", "build"]) == 1
+        assert "speedup >= 1000" in capsys.readouterr().err
+
+
+class TestQpsRow:
+    """The ``qps`` row: windows ≡ query by query."""
+
+    def test_small_run_matches_query_by_query(self, monkeypatch):
+        gate = _small(monkeypatch, "qps")
+        facts, _, _ = run_gate(gate)
+        assert facts["batch found"] == facts["sequential found"] > 0
+        assert facts["batch messages"] == facts["sequential messages"] > 0
+        assert failures(gate, facts) == []
 
 
 class TestLshVerb:
-    ARGS = [
-        "lsh", "--items", "400", "--nodes", "40", "--queries", "8",
-        "--bands", "3", "--band-bits", "5", "--check",
-    ]
+    """The ``lsh`` row: scalar ≡ batch multi-probe, at most k each."""
 
-    def test_parses_with_defaults(self):
-        args = build_parser().parse_args(["lsh"])
-        assert (args.bands, args.probe_width, args.k) == (4, 2, 10)
-        assert args.check is False
-
-    def test_small_check_passes(self, capsys):
-        assert main(self.ARGS) == 0
+    def test_small_check_passes(self, capsys, monkeypatch):
+        _small(monkeypatch, "lsh")
+        assert main(["check", "lsh"]) == 0
         out = capsys.readouterr().out
-        assert "multi-probe scalar==batch: items True, messages True" in out
-        assert "lsh --check OK" in out
+        assert "scalar == batch items: True" in out
+        assert "scalar == batch messages: True" in out
+        assert "lsh OK in" in out
 
     def test_check_fails_on_an_overfull_result(self, capsys, monkeypatch):
         """The merge must cut to k; a result holding k + 1 discoveries
-        fails the gate even when scalar and batch agree on it."""
+        fails the row even when scalar and batch agree on it."""
         import repro.lsh.probe as probe
 
         def overfull(fn):
@@ -275,10 +276,29 @@ class TestLshVerb:
         monkeypatch.setattr(
             probe, "multi_probe_retrieve_many", overfull(probe.multi_probe_retrieve_many)
         )
-        assert main(self.ARGS) == 1
+        _small(monkeypatch, "lsh")
+        assert main(["check", "lsh"]) == 1
         captured = capsys.readouterr()
-        assert "items True, messages True" in captured.out
-        assert "more than k=10 discoveries" in captured.err
+        assert "scalar == batch items: True" in captured.out
+        assert "scalar == batch messages: True" in captured.out
+        assert "lsh FAILED" in captured.err
+        assert "more than k" in captured.err
+
+
+class TestGateVerbsRemoved:
+    """Gates run only as ``check`` rows."""
+
+    @pytest.mark.parametrize("verb", ["faults", "chaos", "overload", "build", "qps", "lsh"])
+    def test_verb_is_gone(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+
+    def test_stats_has_no_check_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--check"])
+        assert exc.value.code == 2
 
 
 class TestScaleVerbRemoved:

@@ -25,11 +25,18 @@ literal (an f-string's ``{reason}`` reads as the row's ``<reason>``)
 needs a row, and each row naming such an instrument — a row may name
 several, joined by `` / `` — needs a literal that still emits it.
 
+Three gate-table checks keep the docs on ``src/repro/gates.py``: every
+``meteorograph check <id>`` a doc shows must name a row (or ``all``);
+every row id must appear, in backticks, in DESIGN.md §4's index; and
+every EXPERIMENTS.md entry (a ``##`` section or a ``**Title (`id`).**``
+paragraph) that states a verdict must name the row that re-checks it
+as ``meteorograph check <id>``.
+
 Two reverse checks catch a doc that outlives what it names: every
-``--flag`` a documented ``meteorograph <verb> …``
-command passes (README, EXPERIMENTS, OBSERVABILITY, the verify skill)
-must be an option of that verb's subparser in
-``repro.cli.build_parser()``; and every module those docs and DESIGN.md
+documented ``meteorograph <verb> …`` command (README, EXPERIMENTS,
+OBSERVABILITY, the verify skill) must name a verb of
+``repro.cli.build_parser()`` and pass only options of that verb's
+subparser; and every module those docs and DESIGN.md
 name must still be a file — a dotted ``repro.<pkg>.<module>`` path
 walks ``src/repro/`` package by package and must end on a ``.py``
 module (a trailing ``.Class`` / ``._CONST`` / function after the module
@@ -95,7 +102,7 @@ def _documented_commands(text: str) -> list[list[str]]:
     return [c.split() for c in candidates if "<" not in c]
 
 
-def _cli_flag_errors(verbs: dict[str, set[str]]) -> list[str]:
+def _cli_flag_errors(verbs: dict[str, set[str]], gates: set[str]) -> list[str]:
     failed = []
     for rel in _COMMAND_DOCS:
         path = ROOT / rel
@@ -104,12 +111,22 @@ def _cli_flag_errors(verbs: dict[str, set[str]]) -> list[str]:
         for tokens in _documented_commands(path.read_text()):
             while tokens and "=" in tokens[0] and not tokens[0].startswith("-"):
                 tokens = tokens[1:]  # PYTHONPATH=src …
-            if tokens[:3] in (["python", "-m", "repro"], ["python", "-m", "repro.cli"]):
+            cli = tokens[:3] in (["python", "-m", "repro"], ["python", "-m", "repro.cli"])
+            if cli:
                 tokens = tokens[3:]
             elif tokens[:1] == ["meteorograph"]:
-                tokens = tokens[1:]
+                tokens, cli = tokens[1:], True
+            if cli and tokens and tokens[0] not in verbs and not tokens[0].startswith("-"):
+                failed.append(f"{rel} shows `{tokens[0]}` as a CLI verb but there is none")
             if not tokens or tokens[0] not in verbs:
                 continue
+            if tokens[0] == "check":
+                failed.extend(
+                    f"{rel} shows `check {tok}` but src/repro/gates.py has no "
+                    "such row"
+                    for tok in tokens[1:]
+                    if not tok.startswith("-") and tok != "all" and tok not in gates
+                )
             for tok in tokens[1:]:
                 m = _FLAG.match(tok)
                 if m and m.group(1) not in verbs[tokens[0]]:
@@ -117,6 +134,41 @@ def _cli_flag_errors(verbs: dict[str, set[str]]) -> list[str]:
                         f"{rel} shows `{tokens[0]} … {m.group(1)}` but the "
                         f"`{tokens[0]}` verb has no such option"
                     )
+    return failed
+
+
+#: A verdict-bearing EXPERIMENTS.md entry names its row this way.
+_CHECK_REF = re.compile(r"meteorograph check ([a-z0-9-]+)")
+#: Where an EXPERIMENTS.md entry starts: a heading or a titled paragraph.
+_ENTRY_START = re.compile(r"^(?:## |\*\*[^*\n]+\(`[a-z0-9_]+`\)\.?\*\*)", re.M)
+
+
+def _gate_doc_errors(gates: set[str], design: str, experiments: str) -> list[str]:
+    """Row ids ↔ DESIGN.md §4's index, and verdicts ↔ rows."""
+    section = design.split("\n## 4.", 1)[-1].split("\n## ", 1)[0]
+    failed = [
+        f"gate row `{gid}` is missing from DESIGN.md §4's index"
+        for gid in sorted(gates)
+        if f"`{gid}`" not in section
+    ]
+    starts = [m.start() for m in _ENTRY_START.finditer(experiments)]
+    for lo, hi in zip(starts, starts[1:] + [len(experiments)]):
+        entry = experiments[lo:hi]
+        if "Verdict" not in entry:
+            continue
+        title = entry.splitlines()[0].strip("#* ")
+        named = _CHECK_REF.findall(entry)
+        if not named:
+            failed.append(
+                f"EXPERIMENTS.md entry `{title}` states a verdict but names "
+                "no `meteorograph check <id>` row"
+            )
+        failed.extend(
+            f"EXPERIMENTS.md entry `{title}` names `check {gid}` but "
+            "src/repro/gates.py has no such row"
+            for gid in named
+            if gid not in gates
+        )
     return failed
 
 
@@ -270,6 +322,7 @@ def main() -> int:
         failed.extend(_core_instrument_errors(obs_text, prefix))
 
     from repro.cli import build_parser
+    from repro.gates import GATES
 
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -279,9 +332,11 @@ def main() -> int:
             {
                 verb: {opt for act in sub._actions for opt in act.option_strings}
                 for verb, sub in subparsers.choices.items()
-            }
+            },
+            set(GATES),
         )
     )
+    failed.extend(_gate_doc_errors(set(GATES), (ROOT / "DESIGN.md").read_text(), text))
 
     failed.extend(_module_path_errors())
 
