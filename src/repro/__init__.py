@@ -45,7 +45,6 @@ from .core import (
     absolute_angle,
     absolute_angles,
     angle_to_key,
-    vector_to_key,
 )
 from .overlay import (
     KeySpace,
@@ -64,7 +63,7 @@ from .sim import (
     HopHistogram,
     fail_fraction,
 )
-from .vsm import SparseVector, Corpus, Dictionary, LocalVsmIndex, LsiIndex
+from .vsm import SparseVector, Corpus, Dictionary, LocalVsmIndex
 from .workload import (
     WorldCupParams,
     WorldCupTrace,
@@ -98,7 +97,6 @@ __all__ = [
     "absolute_angle",
     "absolute_angles",
     "angle_to_key",
-    "vector_to_key",
     "KeySpace",
     "TornadoOverlay",
     "ChordOverlay",
@@ -116,7 +114,6 @@ __all__ = [
     "Corpus",
     "Dictionary",
     "LocalVsmIndex",
-    "LsiIndex",
     "WorldCupParams",
     "WorldCupTrace",
     "generate_trace",

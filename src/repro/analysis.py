@@ -1,34 +1,19 @@
-"""Closed-form cost models from the paper, for model-vs-measured checks.
+"""Closed-form models from the paper, for model-vs-measured checks.
 
-The paper states four analytic results; this module writes them down as
-functions so the benchmark suite can overlay them on measurements:
+The gate rows overlay these on measurements:
 
 * routing: a lookup takes ``O(log N)`` hops — concretely
   ``log_{2^b} N`` for a ``2^b``-way tree (§1, §4.1);
-* similarity search: ``(1 + k/c)·O(log N)`` messages with directory
-  pointers (§3.5.2);
-* flooding: an idealised Gnutella flood needs ``N − 1`` messages, a
-  real one ``N·d`` edge messages (footnote 1);
 * reliability: losing an item needs all ``k`` replicas gone —
-  availability ``1 − p^k`` at failure fraction ``p`` (§3.6).
-
-Plus the crossover solver for footnote 2's "Meteorograph wins while
-``k ≪ N·c``" claim.
+  availability ``1 − p^k`` at failure fraction ``p`` (§3.6);
+* fairness: the Gini coefficient of per-node query load.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "expected_route_hops",
-    "similarity_search_messages",
-    "flood_messages",
-    "availability",
-    "crossover_k",
-    "model_error",
-    "gini",
-]
+__all__ = ["expected_route_hops", "availability", "gini"]
 
 
 def expected_route_hops(n_nodes: int, digit_bits: int = 2) -> float:
@@ -40,30 +25,6 @@ def expected_route_hops(n_nodes: int, digit_bits: int = 2) -> float:
     return math.log(n_nodes, 2**digit_bits)
 
 
-def similarity_search_messages(
-    k: int, c: float, n_nodes: int, digit_bits: int = 2
-) -> float:
-    """§3.5.2: (1 + k/c)·O(log N) messages to discover k similar items.
-
-    ``c`` is per-node mean storage (items per node).  The model assumes
-    matching bodies cluster c-per-node; uniform spread degrades toward
-    ``(1 + k)·log N`` (see EXPERIMENTS.md F10b).
-    """
-    if k < 0 or c <= 0:
-        raise ValueError("need k >= 0 and c > 0")
-    log_n = expected_route_hops(n_nodes, digit_bits)
-    return (1.0 + k / c) * log_n
-
-
-def flood_messages(n_nodes: int, degree: int | None = None) -> int:
-    """Footnote 1: idealised flood = N−1; real flood = N·d edge messages."""
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    if degree is None:
-        return n_nodes - 1
-    return n_nodes * degree
-
-
 def availability(fail_fraction: float, replicas: int) -> float:
     """§3.6: P(at least one of k copies survives) = 1 − p^k."""
     if not 0.0 <= fail_fraction <= 1.0:
@@ -71,25 +32,6 @@ def availability(fail_fraction: float, replicas: int) -> float:
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     return 1.0 - fail_fraction**replicas
-
-
-def crossover_k(n_nodes: int, c: float, digit_bits: int = 2) -> float:
-    """The k at which Meteorograph's message cost meets the ideal flood's.
-
-    Solves (1 + k/c)·log N = N − 1; footnote 2's "k ≪ N·c" win region
-    is everything below this.
-    """
-    log_n = expected_route_hops(n_nodes, digit_bits)
-    if log_n == 0:
-        return 0.0
-    return c * ((n_nodes - 1) / log_n - 1.0)
-
-
-def model_error(measured: float, predicted: float) -> float:
-    """Relative error |measured − predicted| / predicted (predicted > 0)."""
-    if predicted <= 0:
-        raise ValueError(f"predicted must be > 0, got {predicted}")
-    return abs(measured - predicted) / predicted
 
 
 def gini(values) -> float:

@@ -5,25 +5,10 @@ from .angles import (
     absolute_angle,
     absolute_angle_from_arrays,
     absolute_angles,
-    angle_bounds,
-    axis_angles,
 )
-from .naming import CdfEqualizer, Knee, angle_to_key, corpus_to_keys, vector_to_key
-from .knees import (
-    PAPER_REMAP_KNEES,
-    empirical_cdf,
-    equalizer_from_sample,
-    fit_knees,
-    paper_equalizer,
-)
-from .loadbalance import (
-    PAPER_HOT_REGIONS,
-    HotRegion,
-    HotRegionNamer,
-    detect_hot_regions,
-    paper_hot_regions,
-    uniform_namer,
-)
+from .naming import CdfEqualizer, Knee, angle_to_key, corpus_to_keys
+from .knees import empirical_cdf, equalizer_from_sample, fit_knees
+from .loadbalance import HotRegion, HotRegionNamer, detect_hot_regions, uniform_namer
 from .publish import PublishResult, ReplacementPolicy, run_displacement_chain
 from .search import (
     Discovery,
@@ -47,23 +32,16 @@ __all__ = [
     "absolute_angle",
     "absolute_angle_from_arrays",
     "absolute_angles",
-    "angle_bounds",
-    "axis_angles",
     "CdfEqualizer",
     "Knee",
     "angle_to_key",
     "corpus_to_keys",
-    "vector_to_key",
-    "PAPER_REMAP_KNEES",
     "empirical_cdf",
     "equalizer_from_sample",
     "fit_knees",
-    "paper_equalizer",
-    "PAPER_HOT_REGIONS",
     "HotRegion",
     "HotRegionNamer",
     "detect_hot_regions",
-    "paper_hot_regions",
     "uniform_namer",
     "PublishResult",
     "ReplacementPolicy",

@@ -44,31 +44,14 @@ from ..vsm.sparse import Corpus, SparseVector
 __all__ = [
     "RIGHT_ANGLE",
     "DEFAULT_CHUNK_ROWS",
-    "axis_angles",
     "absolute_angle",
     "absolute_angle_from_arrays",
     "absolute_angles",
-    "angle_bounds",
 ]
 
 #: π/2 — the contribution of every zero component, and the absolute
 #: angle of the zero vector.
 RIGHT_ANGLE = math.pi / 2.0
-
-
-def axis_angles(vector: SparseVector) -> np.ndarray:
-    """θᵢ for the *nonzero* components of ``vector`` (radians).
-
-    The angles for zero components are all π/2 and are not materialised
-    (there may be millions of them in universal-dictionary mode).
-    """
-    norm = vector.norm()
-    if norm == 0.0:
-        return np.empty(0)
-    ratios = np.abs(vector.values) / norm
-    # Guard the domain against floating-point overshoot (|v|/|d| can
-    # exceed 1 by an ulp when the vector has a single component).
-    return np.arccos(np.clip(ratios, -1.0, 1.0))
 
 
 def absolute_angle_from_arrays(
@@ -171,28 +154,3 @@ def absolute_angles(corpus: Corpus, *, chunk_rows: int | None = None) -> np.ndar
             data[indptr[lo] : indptr[hi]], indptr[lo : hi + 1] - indptr[lo], dim
         )
     return out
-
-
-def angle_bounds(nnz: int, dim: int) -> tuple[float, float]:
-    """Tight [min, max] of the absolute angle for a vector with ``nnz``
-    nonzero components in dimension ``dim``.
-
-    * The maximum is approached as weights concentrate: all-but-one
-      angle → π/2 and one → 0, giving ``π/2·sqrt((m−1)/m)``; with equal
-      weights every θᵢ = arccos(1/√nnz).  The true max over weight
-      choices is the concentrated case.
-    * The minimum is the equal-weight configuration (by symmetry and
-      convexity of arccos² on [0,1] this minimises the quadratic mean).
-
-    Used by property tests to sanity-check the closed form, and by the
-    docs to explain the Fig. 3 skew quantitatively.
-    """
-    if not 1 <= nnz <= dim:
-        raise ValueError(f"need 1 <= nnz <= dim, got nnz={nnz}, dim={dim}")
-    zeros_term = (dim - nnz) * RIGHT_ANGLE**2
-    # Equal weights: every nonzero angle is arccos(1/sqrt(nnz)).
-    eq = math.acos(1.0 / math.sqrt(nnz))
-    lo = math.sqrt((zeros_term + nnz * eq * eq) / dim)
-    # Concentrated: one component carries all weight.
-    hi = math.sqrt((zeros_term + (nnz - 1) * RIGHT_ANGLE**2) / dim)
-    return (min(lo, hi), max(lo, hi))

@@ -118,7 +118,9 @@ def cascade_placement(
             i_id = incoming.item_id
             ak = incoming.angle_key
             victim = None
-            if cap is not None and len(smap) >= cap:
+            # A node holding the incoming id replaces it in place below,
+            # full or not: no victim, no push.
+            if cap is not None and len(smap) >= cap and i_id not in smap:
                 # Full node under ANGLE: the victim is max() over
                 # [min-extreme, max-extreme, incoming] ranked by
                 # (|angle - incoming.angle|, item_id) — first-wins on
@@ -145,6 +147,7 @@ def cascade_placement(
             if budget is not None and budget <= 0:
                 res.success = False
                 res.dropped_item_id = victim.item_id
+                res.dropped_angle_key = victim.angle_key
                 failures += 1
                 break
             fr = frontiers.get(home)
@@ -159,6 +162,7 @@ def cascade_placement(
             if frontier_i >= len(flist):
                 res.success = False
                 res.dropped_item_id = victim.item_id
+                res.dropped_angle_key = victim.angle_key
                 failures += 1
                 break
             next_id = flist[frontier_i]

@@ -13,36 +13,51 @@ walk over pointer rows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from ..sim.node import StoredItem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .meteorograph import Meteorograph
 
-__all__ = ["publish_pointer"]
+__all__ = ["publish_pointer", "withdraw_pointer"]
 
 
-def publish_pointer(system: "Meteorograph", origin: int, item: StoredItem) -> int:
+def publish_pointer(
+    system: "Meteorograph",
+    origin: int,
+    item: StoredItem,
+    previous_angle_key: Optional[int] = None,
+) -> int:
     """Route the pointer from the body's home to the angle key's home.
 
-    A republish that moved the item's angle key first routes one more
-    ``pointer`` message to the earlier key's home and takes the earlier
-    row off it, so stage 1 cannot promise the old body key.
+    A republish that moved the item's angle key (``previous_angle_key``
+    is the key of its earlier row) first withdraws the earlier row, so
+    stage 1 cannot promise the old body key.
 
     Returns the number of ``pointer`` messages charged (the route hops).
     Pointers are small and unbounded per node (§3.5.2 argues their size
     is negligible), so no displacement applies.
     """
     hops = 0
-    known = system._published.get(item.item_id)  # noqa: SLF001
-    if known is not None and known[0] != item.angle_key:
-        route = system.overlay.route(origin, known[0], kind="pointer")
-        pointers = system.network.node(route.home).pointers
-        if pointers is not None and item.item_id in pointers:
-            pointers.remove(item.item_id)
-        hops = route.hops
+    if previous_angle_key is not None and previous_angle_key != item.angle_key:
+        hops = withdraw_pointer(system, origin, item.item_id, previous_angle_key)
     route = system.overlay.route(origin, item.angle_key, kind="pointer")
     assert route.home is not None
     system.network.node(route.home).add_pointer(item)
     return hops + route.hops
+
+
+def withdraw_pointer(
+    system: "Meteorograph", origin: int, item_id: int, angle_key: int
+) -> int:
+    """Route one ``pointer`` message from ``origin`` to the home of
+    ``angle_key`` and take ``item_id``'s row off it, if it is there.
+
+    Returns the route's hops.
+    """
+    route = system.overlay.route(origin, angle_key, kind="pointer")
+    pointers = system.network.node(route.home).pointers
+    if pointers is not None and item_id in pointers:
+        pointers.remove(item_id)
+    return route.hops

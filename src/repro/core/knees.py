@@ -6,10 +6,9 @@ sampled key CDF — the "points of knees" the paper identifies by eye.
 simplification (Douglas–Peucker style) over the empirical CDF, pinning
 the endpoints at (0, 0) and (1, ℜ) as Eq. 6 requires.
 
-The constants the paper quotes for its World Cup trace are exposed as
-``PAPER_REMAP_KNEES`` (five knees over ℜ = 10⁸) so the exact published
-remap can be replayed; the fitted knees are what the experiments use by
-default, since our synthetic trace has its own (same-shaped) skew.
+The experiments fit knees to their own (same-shaped) synthetic trace;
+the five knees the paper quotes for its World Cup trace live in
+``tests/core/test_knees.py``, which replays the published remap.
 """
 
 from __future__ import annotations
@@ -18,31 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..overlay.idspace import KeySpace, PAPER_MODULUS
+from ..overlay.idspace import KeySpace
 from .naming import CdfEqualizer, Knee
 
 __all__ = [
     "empirical_cdf",
     "fit_knees",
     "equalizer_from_sample",
-    "PAPER_REMAP_KNEES",
-    "paper_equalizer",
 ]
-
-#: §3.4.1: "five points of knees are selected" for the paper's trace
-#: (the text lists (0.079, 2^16) twice; the duplicate is dropped).
-PAPER_REMAP_KNEES: tuple[Knee, ...] = (
-    Knee(0.0, 0),
-    Knee(0.079, 2**16),
-    Knee(0.75, 2**18),
-    Knee(0.957, 2**20),
-    Knee(1.0, PAPER_MODULUS),
-)
-
-
-def paper_equalizer() -> CdfEqualizer:
-    """The paper's exact Eq.-6 remap (requires the ℜ = 10⁸ key space)."""
-    return CdfEqualizer(PAPER_REMAP_KNEES, KeySpace(PAPER_MODULUS))
 
 
 def empirical_cdf(keys: Sequence[int] | np.ndarray, space: KeySpace) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ density then tracks item density and per-node load flattens.
 
 :func:`detect_hot_regions` automates the paper's by-eye region/knee
 selection from a sampled (already remapped) key distribution; the
-paper's hard-coded B and C regions are exported for replaying the
-published configuration on the ℜ = 10⁸ space.
+paper's hand-picked B and C regions live in
+``tests/core/test_loadbalance.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..overlay.idspace import KeySpace, PAPER_MODULUS
+from ..overlay.idspace import KeySpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
@@ -35,8 +35,6 @@ __all__ = [
     "detect_hot_regions",
     "uniform_namer",
     "HotRegionNamer",
-    "PAPER_HOT_REGIONS",
-    "paper_hot_regions",
 ]
 
 
@@ -86,33 +84,6 @@ class HotRegion:
         ys = np.asarray(self.ys, dtype=np.float64)
         total = ys[-1] - ys[0]
         return np.diff(ys) / total
-
-
-#: §3.4.2's hand-picked regions for the paper's trace (ℜ = 10⁸).  Region
-#: B has 12 knees, region C six; ``ys`` are the Fig. 4 CDF percentages.
-PAPER_HOT_REGIONS: tuple[HotRegion, ...] = (
-    HotRegion(
-        xs=(
-            20_000_000, 25_000_000, 30_000_000, 35_000_000, 40_000_000,
-            45_000_000, 50_000_000, 55_000_000, 60_000_000, 65_000_000,
-            70_000_000, 75_000_000,
-        ),
-        ys=(18, 31, 38, 46, 52, 57, 62, 66, 69, 72, 73, 75),
-    ),
-    HotRegion(
-        xs=(75_000_000, 80_000_000, 85_000_000, 90_000_000, 95_000_000, 100_000_000),
-        ys=(75, 86, 91, 94, 95, 100),
-    ),
-)
-
-
-def paper_hot_regions(space: KeySpace | None = None) -> tuple[HotRegion, ...]:
-    """The paper's B and C regions; validates the expected key space."""
-    if space is not None and space.modulus != PAPER_MODULUS:
-        raise ValueError(
-            f"paper hot regions assume modulus {PAPER_MODULUS}, got {space.modulus}"
-        )
-    return PAPER_HOT_REGIONS
 
 
 def detect_hot_regions(

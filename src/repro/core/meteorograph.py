@@ -58,6 +58,7 @@ from .search import (
 from .search_batch import origins_of, retrieve_many
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..lsh.scheme import NamingScheme
     from ..maint.retry import RetryPolicy
     from ..overlay.base import RouteResult
     from ..overload.admission import OverloadPolicy
@@ -98,11 +99,6 @@ class MeteorographConfig:
     overlay_kind: Literal["tornado", "chord"] = "tornado"
     digit_bits: int = 2
     leaf_set_size: int = 4
-    #: Knee budget for the Eq. 6 fit (the paper hand-picked 5).
-    max_remap_knees: int = 8
-    hot_region_bins: int = 128
-    hot_region_threshold: float = 1.5
-    hot_region_max_subknees: int = 12
     #: True routes every join through the bootstrap protocol (charges
     #: join messages); False inserts nodes directly — faster builds for
     #: experiments that only measure query costs.
@@ -182,6 +178,7 @@ class Meteorograph:
         #: The naming seam: every key this facade hands out comes from
         #: here (see :mod:`repro.lsh.scheme`).  Imported lazily so the
         #: ``repro.core`` import graph stays acyclic.
+        self.naming: "NamingScheme"
         if config.naming_scheme == "cosine-lsh":
             if config.scheme is not PlacementScheme.NONE:
                 raise ValueError(
@@ -287,20 +284,12 @@ class Meteorograph:
             with obs.metrics.timer("kernel.angles"):
                 angle_keys = corpus_to_keys(sample, sp)
             with obs.metrics.timer("kernel.equalizer_fit"):
-                equalizer = equalizer_from_sample(
-                    angle_keys, sp, max_knees=cfg.max_remap_knees
-                )
+                equalizer = equalizer_from_sample(angle_keys, sp)
             with obs.metrics.timer("kernel.remap"):
                 balanced = equalizer.remap_many(angle_keys)
             if cfg.scheme.uses_hot_regions:
                 with obs.metrics.timer("kernel.hot_regions"):
-                    regions = detect_hot_regions(
-                        balanced,
-                        sp,
-                        bins=cfg.hot_region_bins,
-                        threshold=cfg.hot_region_threshold,
-                        max_subknees=cfg.hot_region_max_subknees,
-                    )
+                    regions = detect_hot_regions(balanced, sp)
                 if regions:
                     namer = HotRegionNamer(sp, regions, obs=obs if obs.enabled else None)
             first_hop = FirstHopSelector(sample, balanced, angle_keys)
@@ -368,23 +357,18 @@ class Meteorograph:
     def item_keys(self, keyword_ids: np.ndarray, weights: np.ndarray) -> tuple[int, int]:
         """(angle key, primary publish key) of one item vector.
 
-        Multi-key schemes publish to :meth:`item_keys_all`'s full list;
+        Multi-key schemes publish to ``naming.keys_for``'s full list;
         this keeps the historical single-key view (band 0).
         """
         angle_key, publish_keys = self.naming.keys_for(keyword_ids, weights)
         return angle_key, publish_keys[0]
 
-    def item_keys_all(
-        self, keyword_ids: np.ndarray, weights: np.ndarray
-    ) -> tuple[int, list[int]]:
-        """(angle key, all ``naming.n_keys`` publish keys) of one item."""
-        return self.naming.keys_for(keyword_ids, weights)
-
-    def corpus_keys(
+    def corpus_keys_multi(
         self, corpus: Corpus, *, chunk_rows: Optional[int] = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`item_keys` over a corpus (primary keys only;
-        see :meth:`corpus_keys_multi` for the full key matrix).
+        """(angle keys ``(n,)``, publish keys ``(n, naming.n_keys)``) —
+        the scheme's full fan-out; column 0 is :meth:`item_keys`'s
+        primary key.
 
         Corpora larger than :data:`repro.core.angles.DEFAULT_CHUNK_ROWS`
         rows stream the angle pass in chunks automatically (bounded
@@ -392,14 +376,6 @@ class Meteorograph:
         chunk size (or a value ≥ the corpus to force the whole-corpus
         pass).
         """
-        angle_keys, key_mat = self.corpus_keys_multi(corpus, chunk_rows=chunk_rows)
-        return angle_keys, key_mat[:, 0]
-
-    def corpus_keys_multi(
-        self, corpus: Corpus, *, chunk_rows: Optional[int] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(angle keys ``(n,)``, publish keys ``(n, naming.n_keys)``) —
-        the scheme's full fan-out, chunk-streamed like :meth:`corpus_keys`."""
         if corpus.dim != self.dim:
             raise ValueError(f"corpus dim {corpus.dim} != system dim {self.dim}")
         if chunk_rows is None and corpus.n_items > DEFAULT_CHUNK_ROWS:
@@ -442,7 +418,12 @@ class Meteorograph:
                     self.notifications.on_stored(node_id, item)
 
     def publish_pointer(self, origin: int, item: StoredItem) -> int:
-        return _publish_pointer(self, origin, item)
+        """Place ``item``'s §3.5.2 pointer row, withdrawing the row an
+        earlier publish left under another angle key."""
+        known = self._published.get(item.item_id)
+        return _publish_pointer(
+            self, origin, item, None if known is None else known[0]
+        )
 
     def deliver_home(self, origin: int, key: int, *, kind: str = "route") -> "RouteResult":
         """Route a message to the home of ``key``, fault-tolerantly.
@@ -524,11 +505,6 @@ class Meteorograph:
         )
         return result
 
-    def publish_vector(
-        self, origin: int, item_id: int, vector: SparseVector, **kwargs
-    ) -> PublishResult:
-        return self.publish(origin, item_id, vector.indices, vector.values, **kwargs)
-
     def publish_corpus(
         self,
         corpus: Corpus,
@@ -548,7 +524,7 @@ class Meteorograph:
         route; unshared, each row is published from its own uniformly
         random live node.  ``origin`` pins the origin either way, and
         ``item_ids`` renames rows (default: row index).  ``chunk_rows``
-        streams the key pipeline (see :meth:`corpus_keys`).
+        streams the key pipeline (see :meth:`corpus_keys_multi`).
 
         ``batch=True`` asserts that the configuration shares routes and
         raises :class:`ValueError` if it does not.  It is kept only for

@@ -23,10 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from ..overlay.idspace import KeySpace
-from ..vsm.sparse import Corpus, SparseVector
-from .angles import absolute_angle, absolute_angles
+from ..vsm.sparse import Corpus
+from .angles import absolute_angles
 
-__all__ = ["angle_to_key", "vector_to_key", "corpus_to_keys", "Knee", "CdfEqualizer"]
+__all__ = ["angle_to_key", "corpus_to_keys", "Knee", "CdfEqualizer"]
 
 
 def angle_to_key(theta: float, space: KeySpace) -> int:
@@ -39,11 +39,6 @@ def angle_to_key(theta: float, space: KeySpace) -> int:
         raise ValueError(f"theta must be in [0, π], got {theta}")
     key = int((theta / math.pi) * space.modulus)
     return min(key, space.modulus - 1)
-
-
-def vector_to_key(vector: SparseVector, space: KeySpace) -> int:
-    """Eq. 5: the angle key of one vector."""
-    return angle_to_key(absolute_angle(vector), space)
 
 
 def corpus_to_keys(

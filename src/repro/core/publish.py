@@ -61,6 +61,7 @@ from ..overload.degrade import divert_publish
 from ..sim.linkfaults import MessageLossError
 from ..sim.node import StoredItem
 from ..vsm.sparse import SparseVector
+from .directory import withdraw_pointer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..vsm.index import LocalVsmIndex
@@ -99,6 +100,8 @@ class PublishResult:
     route_hops: int
     displacement_hops: int = 0
     dropped_item_id: Optional[int] = None
+    #: The dropped item's Eq. 5 angle key, where its pointer row lives.
+    dropped_angle_key: Optional[int] = None
     success: bool = True
     #: node ids touched by the displacement chain, in order (excludes home).
     chain: list[int] = field(default_factory=list)
@@ -133,6 +136,14 @@ def _pick_victim(
     )
 
 
+def _drop(result: PublishResult, victim: StoredItem) -> PublishResult:
+    """Record that the chain ended by dropping ``victim``."""
+    result.success = False
+    result.dropped_item_id = victim.item_id
+    result.dropped_angle_key = victim.angle_key
+    return result
+
+
 def run_displacement_chain(
     system: "Meteorograph",
     home_id: int,
@@ -148,7 +159,9 @@ def run_displacement_chain(
     configuration refuses the cascade.  The chain visits nodes in
     increasing linear key distance from the home ("closest neighbor"
     frontier); each full node swaps the incoming item for its
-    least-similar one and pushes the victim on.
+    least-similar one and pushes the victim on.  A node that already
+    holds the incoming id replaces that copy in place, full or not (the
+    ``PeerNode.store`` contract): no victim, no push.
     Charges one ``displace`` message per chain hop.  Under replication
     the ledger follows every copy: each store credits its node and each
     eviction uncredits it, so a victim's credit moves with each push
@@ -165,7 +178,7 @@ def run_displacement_chain(
     ledger = system.replication
     while True:
         node = system.network.node(current)
-        if not node.is_full:
+        if not node.is_full or node.has_item(incoming.item_id):
             system.store_at(current, incoming)
             if ledger is not None:
                 ledger.credit(incoming, current)
@@ -184,26 +197,20 @@ def run_displacement_chain(
             # what drops is the chain's final displaced *victim*, never
             # the in-flight incoming item (unless the policy picked the
             # incoming itself as least similar).
-            result.success = False
-            result.dropped_item_id = victim.item_id
-            return result
+            return _drop(result, victim)
         if frontier is None:
             frontier = system.overlay.closest_neighbors(home_id, alive_only=True)
         next_id = next(frontier, None)
         if next_id is None:
             # No node left in the overlay can take the victim.
-            result.success = False
-            result.dropped_item_id = victim.item_id
-            return result
+            return _drop(result, victim)
         try:
             system.network.send(current, next_id, kind="displace")
         except MessageLossError:
             # The displacement push was charged but lost in flight: the
             # victim drops here, exactly the budget-exhaustion outcome —
             # the in-flight incoming item was already swapped in above.
-            result.success = False
-            result.dropped_item_id = victim.item_id
-            return result
+            return _drop(result, victim)
         if tracer.enabled:
             tracer.event("displace", src=current, dst=next_id, item=victim.item_id)
         result.displacement_hops += 1
@@ -253,12 +260,25 @@ def publish_item(
                 policy=config.replacement_policy,
             )
         result.route_hops = route_hops
-        if result.dropped_item_id != item.item_id:
+        dropped = result.dropped_item_id
+        if dropped != item.item_id:
             # An item the chain dropped has no body: no row may name it.
             if config.directory_pointers:
                 system.publish_pointer(home, item)
             if system.replication is not None:
                 system.replication.replicate(home, item)
+            if dropped is not None and config.directory_pointers:
+                # A displaced victim dropped: withdraw its row from the
+                # drop node unless a replica of it survives.
+                ledger = system.replication
+                record = None if ledger is None else ledger.records.get(dropped)
+                if record is None or not record.holders:
+                    withdraw_pointer(
+                        system,
+                        result.chain[-1] if result.chain else home,
+                        dropped,
+                        result.dropped_angle_key,
+                    )
         sp.set(
             home=result.home,
             route_hops=route_hops,

@@ -25,7 +25,6 @@ __all__ = [
     "write_rowset",
     "write_manifest",
     "update_manifest",
-    "read_rowset_csv",
     "write_spans",
 ]
 
@@ -128,13 +127,3 @@ def write_spans(tracer, out_dir: str | Path, name: str = "spans") -> Path:
     payload = {"roots": len(roots), "spans": roots}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def read_rowset_csv(path: str | Path) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
-    """Read back a rowset CSV as (headers, string rows)."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [tuple(r) for r in reader]
-    if not rows:
-        raise ValueError(f"empty rowset file {path}")
-    return rows[0], rows[1:]

@@ -7,13 +7,11 @@ end-to-end latency of a route well below hops × average-RTT.  This
 module supplies the substrate for measuring that: an embedding of nodes
 into a latency space and path-latency accounting.
 
-Two standard embeddings:
-
-* :class:`EuclideanPlane` — uniform random points in a square; latency
-  = euclidean distance (the classic simulation stand-in for RTT);
-* :class:`TransitStubLike` — clustered points (stub domains around
-  transit cores), giving the bimodal intra/inter-domain latency
-  distribution real traces show.
+The embedding the proximity experiment uses is
+:class:`TransitStubLike`: clustered points (stub domains around transit
+cores), giving the bimodal intra/inter-domain latency distribution real
+traces show.  The tests' uniform-square plane lives in
+``tests/latency_plane.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["LatencyMap", "EuclideanPlane", "TransitStubLike", "path_latency"]
+__all__ = ["LatencyMap", "TransitStubLike", "path_latency"]
 
 
 class LatencyMap:
@@ -62,21 +60,6 @@ class LatencyMap:
             if d < best_d or (d == best_d and (best is None or c < best)):
                 best, best_d = c, d
         return best
-
-
-class EuclideanPlane(LatencyMap):
-    """Uniform random placement in a ``side × side`` square."""
-
-    def __init__(self, side: float = 100.0) -> None:
-        super().__init__()
-        if side <= 0:
-            raise ValueError(f"side must be > 0, got {side}")
-        self.side = side
-
-    def place_random(self, node_ids: Sequence[int], rng: np.random.Generator) -> None:
-        pts = rng.uniform(0.0, self.side, size=(len(node_ids), 2))
-        for nid, p in zip(node_ids, pts):
-            self.place(nid, p)
 
 
 class TransitStubLike(LatencyMap):

@@ -5,7 +5,7 @@ this library usually starts from text.  This module provides the
 standard pipeline — tokenise, normalise, stop-word filter, TF-IDF
 weight — targeting a (universal) :class:`~repro.vsm.dictionary.Dictionary`
 so documents become :class:`~repro.vsm.sparse.SparseVector` items ready
-for :meth:`Meteorograph.publish_vector`.
+for :meth:`Meteorograph.publish` (``vector.indices``, ``vector.values``).
 
 Deliberately dependency-free (regex tokeniser, no stemming library);
 the tokenizer is pluggable for anything fancier.

@@ -2,7 +2,7 @@
 
 from .zipf import ZipfSampler, zipf_pmf
 from .worldcup import WorldCupParams, WorldCupTrace, generate_trace, PAPER_SCALE
-from .stats import TraceStats, trace_statistics, basket_size_profile, table1_rows
+from .stats import TraceStats, trace_statistics, basket_size_profile
 from .queries import (
     nth_popular_keyword,
     keyword_query,
@@ -11,7 +11,6 @@ from .queries import (
     GroundTruth,
     keyword_ground_truth,
 )
-from .loader import LoadedTrace, load_pairs_csv, load_basket_lines, baskets_to_corpus
 
 __all__ = [
     "ZipfSampler",
@@ -23,15 +22,10 @@ __all__ = [
     "TraceStats",
     "trace_statistics",
     "basket_size_profile",
-    "table1_rows",
     "nth_popular_keyword",
     "keyword_query",
     "item_query",
     "multi_keyword_query",
     "GroundTruth",
     "keyword_ground_truth",
-    "LoadedTrace",
-    "load_pairs_csv",
-    "load_basket_lines",
-    "baskets_to_corpus",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..vsm.sparse import Corpus
 
-__all__ = ["TraceStats", "trace_statistics", "basket_size_profile", "table1_rows"]
+__all__ = ["TraceStats", "trace_statistics", "basket_size_profile"]
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,3 @@ def basket_size_profile(corpus: Corpus) -> np.ndarray:
     objects accessed.
     """
     return np.sort(corpus.nnz_per_item())[::-1]
-
-
-def table1_rows(corpus: Corpus) -> list[tuple[str, str]]:
-    """Convenience: the formatted Table 1 rows for a corpus."""
-    return trace_statistics(corpus).as_rows()

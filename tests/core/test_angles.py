@@ -1,4 +1,9 @@
-"""Unit + property tests for absolute angles (Eq. 1–5)."""
+"""Unit + property tests for absolute angles (Eq. 1–5).
+
+The per-axis angles θᵢ of Eq. 2–3 and the closed-form [min, max] of
+the absolute angle for a given sparsity are the reference the tests
+hold ``repro.core.angles`` to; they live here, not in the package.
+"""
 
 import math
 
@@ -12,12 +17,47 @@ from repro.core.angles import (
     absolute_angle,
     absolute_angle_from_arrays,
     absolute_angles,
-    angle_bounds,
-    axis_angles,
 )
 from repro.vsm.sparse import Corpus, SparseVector
 
 DIM = 16
+
+
+def axis_angles(vector: SparseVector) -> np.ndarray:
+    """θᵢ for the *nonzero* components of ``vector`` (radians).
+
+    The angles for zero components are all π/2 and are not materialised
+    (there may be millions of them in universal-dictionary mode).
+    """
+    norm = vector.norm()
+    if norm == 0.0:
+        return np.empty(0)
+    ratios = np.abs(vector.values) / norm
+    # Guard the domain against floating-point overshoot (|v|/|d| can
+    # exceed 1 by an ulp when the vector has a single component).
+    return np.arccos(np.clip(ratios, -1.0, 1.0))
+
+
+def angle_bounds(nnz: int, dim: int) -> tuple[float, float]:
+    """Tight [min, max] of the absolute angle for a vector with ``nnz``
+    nonzero components in dimension ``dim``.
+
+    * The maximum is approached as weights concentrate: all-but-one
+      angle → π/2 and one → 0, giving ``π/2·sqrt((m−1)/m)``; with equal
+      weights every θᵢ = arccos(1/√nnz).  The true max over weight
+      choices is the concentrated case.
+    * The minimum is the equal-weight configuration (by symmetry and
+      convexity of arccos² on [0,1] this minimises the quadratic mean).
+    """
+    if not 1 <= nnz <= dim:
+        raise ValueError(f"need 1 <= nnz <= dim, got nnz={nnz}, dim={dim}")
+    zeros_term = (dim - nnz) * RIGHT_ANGLE**2
+    # Equal weights: every nonzero angle is arccos(1/sqrt(nnz)).
+    eq = math.acos(1.0 / math.sqrt(nnz))
+    lo = math.sqrt((zeros_term + nnz * eq * eq) / dim)
+    # Concentrated: one component carries all weight.
+    hi = math.sqrt((zeros_term + (nnz - 1) * RIGHT_ANGLE**2) / dim)
+    return (min(lo, hi), max(lo, hi))
 
 
 def vec(mapping, dim=DIM):
@@ -36,6 +76,15 @@ class TestAxisAngles:
 
     def test_zero_vector_empty(self):
         assert axis_angles(vec({})).size == 0
+
+    def test_absolute_angle_is_their_quadratic_mean(self):
+        # Eq. 1 over all m axes: every zero component contributes π/2.
+        v = vec({0: 1.0, 3: 2.0, 7: 0.5})
+        theta_sq = axis_angles(v) ** 2
+        expect = math.sqrt(
+            ((DIM - theta_sq.size) * RIGHT_ANGLE**2 + theta_sq.sum()) / DIM
+        )
+        assert absolute_angle(v) == pytest.approx(expect)
 
 
 class TestAbsoluteAngle:

@@ -326,7 +326,7 @@ class TestStaleRing:
         origin = live[int(np.random.default_rng(seed).integers(0, len(live)))]
         results = system.publish_corpus(trace.corpus, np.random.default_rng(seed), origin=origin)
         bill = system.network.sink.count("publish")
-        first_key = int(system.corpus_keys(trace.corpus)[1].min())
+        first_key = int(system.corpus_keys_multi(trace.corpus)[1][:, 0].min())
         route = system.overlay.route(origin, first_key)
         assert bill <= route.hops + len(live)
         assert sum(r.route_hops for r in results) == bill
@@ -336,7 +336,7 @@ class TestStaleRing:
         _, loop_sys, _ = stale_ring(10)
         shared = shared_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         loop = oracle_publish(loop_sys, trace.corpus, np.random.default_rng(3))
-        keys = shared_sys.corpus_keys(trace.corpus)[1].tolist()
+        keys = shared_sys.corpus_keys_multi(trace.corpus)[1][:, 0].tolist()
         assert [r.home for r in shared] == [shared_sys.overlay.live_home(k) for k in keys]
         # Stalled per-item routes place elsewhere: the boundary is real.
         assert sum(a.home != b.home for a, b in zip(shared, loop)) > 0

@@ -83,8 +83,8 @@ def build_system(corpus, **kwargs):
 class TestSystemWiring:
     def test_corpus_keys_chunk_knob(self, corpus):
         system = build_system(corpus)
-        a_whole, p_whole = system.corpus_keys(corpus)
-        a_chunk, p_chunk = system.corpus_keys(corpus, chunk_rows=19)
+        a_whole, p_whole = system.corpus_keys_multi(corpus)
+        a_chunk, p_chunk = system.corpus_keys_multi(corpus, chunk_rows=19)
         assert np.array_equal(a_whole, a_chunk)
         assert np.array_equal(p_whole, p_chunk)
 
@@ -105,10 +105,10 @@ class TestSystemWiring:
             return real(c, space, chunk_rows=chunk_rows)
 
         monkeypatch.setattr(naming_mod, "corpus_to_keys", spy)
-        system.corpus_keys(corpus)  # small: no chunking
+        system.corpus_keys_multi(corpus)  # small: no chunking
         monkeypatch.setattr(mg, "DEFAULT_CHUNK_ROWS", 100)
-        system.corpus_keys(corpus)  # now "large": auto-chunks at 100
-        system.corpus_keys(corpus, chunk_rows=7)  # explicit wins
+        system.corpus_keys_multi(corpus)  # now "large": auto-chunks at 100
+        system.corpus_keys_multi(corpus, chunk_rows=7)  # explicit wins
         assert seen == [None, 100, 7]
 
     def test_publish_corpus_chunked_same_placements(self, corpus):

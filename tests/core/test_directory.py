@@ -124,3 +124,64 @@ class TestPublishPointer:
             for i in n.pointers.items_by_id()
         }
         assert rows == held == {0}
+
+    def test_a_dropped_victim_loses_its_pointer_row(self):
+        """At capacity 1 with no displacement budget, items 1 and 2 each
+        displace the stored item, which drops at the home: its row is
+        withdrawn with one more billed ``pointer`` route from there."""
+        config = MeteorographConfig(
+            scheme=PlacementScheme.NONE,
+            directory_pointers=True,
+            node_capacity=1,
+            hop_budget=0,
+        )
+        rng = np.random.default_rng(0)
+        system = Meteorograph.build(8, DIM, rng=rng, config=config)
+        origin = system.random_origin(rng)
+        results, bills = [], []
+        for item_id, kws in ((0, list(range(3, 9))), (1, [3]), (2, [3, 9])):
+            before = system.network.sink.count("pointer")
+            results.append(system.publish(origin, item_id, kws, [1.0] * len(kws)))
+            bills.append(system.network.sink.count("pointer") - before)
+        assert [r.dropped_item_id for r in results] == [None, 0, 1]
+        held = {i for n in system.network.nodes() for i in n.item_ids()}
+        rows = {
+            i
+            for n in system.network.nodes()
+            if n.pointers is not None
+            for i in n.pointers.items_by_id()
+        }
+        assert rows == held == {2}
+        home = results[2].home
+        expect = sum(
+            system.overlay.route(home, key, kind="probe").hops
+            for key in (
+                system.item_keys(np.array([3, 9]), np.ones(2))[0],
+                results[2].dropped_angle_key,
+            )
+        )
+        assert bills[2] == expect
+
+    def test_a_dropped_victim_with_a_replica_keeps_its_row(self):
+        """The row stays while another copy of the victim is held."""
+        config = MeteorographConfig(
+            scheme=PlacementScheme.NONE,
+            directory_pointers=True,
+            node_capacity=1,
+            hop_budget=0,
+            replication_factor=2,
+        )
+        rng = np.random.default_rng(0)
+        system = Meteorograph.build(8, DIM, rng=rng, config=config)
+        origin = system.random_origin(rng)
+        system.publish(origin, 0, list(range(3, 9)), [1.0] * 6)
+        result = system.publish(origin, 1, [3], [1.0])
+        assert result.dropped_item_id == 0
+        assert system.replication.records[0].holders
+        rows = {
+            i
+            for n in system.network.nodes()
+            if n.pointers is not None
+            for i in n.pointers.items_by_id()
+        }
+        assert 0 in rows

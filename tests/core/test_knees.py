@@ -1,18 +1,37 @@
-"""Unit tests for knee fitting and the Eq. 6 equalization pipeline."""
+"""Unit tests for knee fitting and the Eq. 6 equalization pipeline.
+
+The paper's own remap — the five knees §3.4.1 quotes for its trace over
+ℜ = 10⁸ — is kept here as the reference the equalizer must replay.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.knees import (
-    PAPER_REMAP_KNEES,
-    empirical_cdf,
-    equalizer_from_sample,
-    fit_knees,
-    paper_equalizer,
-)
+from repro.core.knees import empirical_cdf, equalizer_from_sample, fit_knees
+from repro.core.naming import CdfEqualizer, Knee
 from repro.overlay.idspace import KeySpace, PAPER_MODULUS
 
 SPACE = KeySpace(100_000)
+
+#: §3.4.1: "five points of knees are selected" for the paper's trace
+#: (the text lists (0.079, 2^16) twice; the duplicate is dropped).
+PAPER_REMAP_KNEES: tuple[Knee, ...] = (
+    Knee(0.0, 0),
+    Knee(0.079, 2**16),
+    Knee(0.75, 2**18),
+    Knee(0.957, 2**20),
+    Knee(1.0, PAPER_MODULUS),
+)
+
+
+def paper_equalizer() -> CdfEqualizer:
+    """The paper's exact Eq.-6 remap (requires the ℜ = 10⁸ key space)."""
+    return CdfEqualizer(PAPER_REMAP_KNEES, KeySpace(PAPER_MODULUS))
+
+
+def paper_equalizer() -> CdfEqualizer:
+    """The paper's exact Eq.-6 remap (requires the ℜ = 10⁸ key space)."""
+    return CdfEqualizer(PAPER_REMAP_KNEES, KeySpace(PAPER_MODULUS))
 
 
 def skewed_sample(n=5000, seed=0):

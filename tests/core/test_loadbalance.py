@@ -1,19 +1,47 @@
-"""Unit tests for hot-region detection and node naming (Eq. 7, Fig. 5)."""
+"""Unit tests for hot-region detection and node naming (Eq. 7, Fig. 5).
+
+The paper's hand-picked B and C regions of §3.4.2 are kept here as the
+reference Eq. 7's degrees of hotness are checked on.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.loadbalance import (
-    PAPER_HOT_REGIONS,
     HotRegion,
     HotRegionNamer,
     detect_hot_regions,
-    paper_hot_regions,
     uniform_namer,
 )
 from repro.overlay.idspace import KeySpace, PAPER_MODULUS
 
 SPACE = KeySpace(100_000)
+
+#: §3.4.2's hand-picked regions for the paper's trace (ℜ = 10⁸).  Region
+#: B has 12 knees, region C six; ``ys`` are the Fig. 4 CDF percentages.
+PAPER_HOT_REGIONS: tuple[HotRegion, ...] = (
+    HotRegion(
+        xs=(
+            20_000_000, 25_000_000, 30_000_000, 35_000_000, 40_000_000,
+            45_000_000, 50_000_000, 55_000_000, 60_000_000, 65_000_000,
+            70_000_000, 75_000_000,
+        ),
+        ys=(18, 31, 38, 46, 52, 57, 62, 66, 69, 72, 73, 75),
+    ),
+    HotRegion(
+        xs=(75_000_000, 80_000_000, 85_000_000, 90_000_000, 95_000_000, 100_000_000),
+        ys=(75, 86, 91, 94, 95, 100),
+    ),
+)
+
+
+def paper_hot_regions(space: KeySpace | None = None) -> tuple[HotRegion, ...]:
+    """The paper's B and C regions; validates the expected key space."""
+    if space is not None and space.modulus != PAPER_MODULUS:
+        raise ValueError(
+            f"paper hot regions assume modulus {PAPER_MODULUS}, got {space.modulus}"
+        )
+    return PAPER_HOT_REGIONS
 
 
 class TestHotRegion:

@@ -76,12 +76,12 @@ class TestKeys:
     def test_item_keys_consistent_with_corpus_keys(self, tiny_trace):
         system = build_small_system(tiny_trace)
         corpus = tiny_trace.corpus
-        angle_keys, publish_keys = system.corpus_keys(corpus)
+        angle_keys, key_mat = system.corpus_keys_multi(corpus)
         for i in (0, 5, 17):
             v = corpus.vector(i)
             a, p = system.item_keys(v.indices, v.values)
             assert a == angle_keys[i]
-            assert p == publish_keys[i]
+            assert p == key_mat[i, 0]
 
     def test_query_key_applies_equalizer(self, tiny_trace):
         system = build_small_system(tiny_trace, scheme=PlacementScheme.UNUSED_HASH)
@@ -96,7 +96,7 @@ class TestKeys:
     def test_corpus_dim_mismatch_rejected(self, tiny_trace, small_trace):
         system = build_small_system(tiny_trace)
         with pytest.raises(ValueError):
-            system.corpus_keys(small_trace.corpus)
+            system.corpus_keys_multi(small_trace.corpus)
 
 
 class TestPublishRetrieve:
@@ -138,7 +138,7 @@ class TestPublishRetrieve:
     def test_publish_vector_api(self, tiny_trace, rng):
         system = build_small_system(tiny_trace, n_nodes=20)
         v = tiny_trace.corpus.vector(0)
-        res = system.publish_vector(system.random_origin(rng), 0, v)
+        res = system.publish(system.random_origin(rng), 0, v.indices, v.values)
         assert res.success
 
     def test_hop_budget_default_from_config(self, tiny_trace, rng):
@@ -147,7 +147,7 @@ class TestPublishRetrieve:
         v0 = tiny_trace.corpus.vector(0)
         v1 = tiny_trace.corpus.vector(1)
         origin = system.random_origin(rng)
-        first = system.publish_vector(origin, 0, v0)
+        first = system.publish(origin, 0, v0.indices, v0.values)
         assert first.success
 
     def test_use_first_hop_requires_sample(self, tiny_trace, rng):

@@ -1,4 +1,8 @@
-"""Unit + property tests for key naming (Eq. 4–6)."""
+"""Unit + property tests for key naming (Eq. 4–6).
+
+``vector_to_key`` — Eq. 5 for one vector, through the scalar angle —
+is the oracle the vectorised ``corpus_to_keys`` is checked against.
+"""
 
 import math
 
@@ -7,11 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.naming import CdfEqualizer, Knee, angle_to_key, corpus_to_keys, vector_to_key
+from repro.core.angles import absolute_angle
+from repro.core.naming import CdfEqualizer, Knee, angle_to_key, corpus_to_keys
 from repro.overlay.idspace import KeySpace
 from repro.vsm.sparse import Corpus, SparseVector
 
 SPACE = KeySpace(10_000)
+
+
+def vector_to_key(vector: SparseVector, space: KeySpace) -> int:
+    """Eq. 5: the angle key of one vector."""
+    return angle_to_key(absolute_angle(vector), space)
 
 
 class TestAngleToKey:
@@ -36,8 +46,6 @@ class TestAngleToKey:
 
     def test_vector_to_key_composes(self):
         v = SparseVector.from_mapping({0: 1.0, 3: 2.0}, 8)
-        from repro.core.angles import absolute_angle
-
         assert vector_to_key(v, SPACE) == angle_to_key(absolute_angle(v), SPACE)
 
     def test_corpus_to_keys_matches_scalar(self):

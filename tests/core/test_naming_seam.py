@@ -69,21 +69,21 @@ class TestKeyBitIdentity:
             ref_angle = angle_to_key(theta, system.space)
             ref_publish = eq.remap(ref_angle)
             assert system.item_keys(kw, w) == (ref_angle, ref_publish)
-            assert system.item_keys_all(kw, w) == (ref_angle, [ref_publish])
+            assert system.naming.keys_for(kw, w) == (ref_angle, [ref_publish])
 
     def test_corpus_keys_match_reference(self, corpus):
         system = build(corpus)
-        angle_keys, publish_keys = system.corpus_keys(corpus)
+        angle_keys, key_mat = system.corpus_keys_multi(corpus)
         ref_angles = corpus_to_keys(corpus, system.space)
         assert np.array_equal(angle_keys, ref_angles)
         assert np.array_equal(
-            publish_keys, system.equalizer.remap_many(ref_angles)
+            key_mat[:, 0], system.equalizer.remap_many(ref_angles)
         )
 
     def test_corpus_keys_no_equalizer_is_identity(self, corpus):
         system = build(corpus, PlacementScheme.NONE)
-        angle_keys, publish_keys = system.corpus_keys(corpus)
-        assert np.array_equal(angle_keys, publish_keys)
+        angle_keys, key_mat = system.corpus_keys_multi(corpus)
+        assert np.array_equal(angle_keys, key_mat[:, 0])
 
     def test_query_key_matches_item_key(self, corpus):
         # Queries and items with identical content must name the same

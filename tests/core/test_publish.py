@@ -9,6 +9,7 @@ from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
 from repro.sim.node import StoredItem
+from repro.vsm.sparse import Corpus, SparseVector
 
 DIM = 32
 SPACE = KeySpace(10_000)
@@ -187,3 +188,38 @@ class TestPublishItem:
         before = system.network.sink.count("publish")
         res = system.publish(0, 1, [5], [2.0])
         assert system.network.sink.count("publish") - before == res.route_hops
+
+
+@pytest.mark.parametrize("engine", ["chain", "cascade"])
+def test_republish_onto_a_full_home_replaces_in_place(engine):
+    """A full node that holds the incoming id replaces that copy: it
+    picks no victim and sends no ``displace`` message, in both the
+    per-item chain and the batch cascade."""
+    dim = 4  # low enough for a second row to home on another node
+    config = MeteorographConfig(
+        scheme=PlacementScheme.NONE, node_capacity=2, hop_budget=0
+    )
+    rng = np.random.default_rng(0)
+    system = Meteorograph.build(8, dim, rng=rng, config=config)
+    origin = system.random_origin(rng)
+    system.publish(origin, 0, [3], [1.0])
+    system.publish(origin, 1, [2, 3], [0.3, 1.0])
+    home = system.overlay.home(system.published_key_of(0))
+    assert sorted(system.network.node(home).item_ids()) == [0, 1]
+    before = system.network.sink.count("displace")
+    if engine == "chain":
+        result = system.publish(origin, 0, [3], [1.0])
+    else:
+        # A second row homed elsewhere makes the batch shared; the full
+        # home sends it through the cascade.
+        corpus = Corpus.from_vectors(
+            [
+                SparseVector.from_mapping({3: 1.0}, dim),
+                SparseVector.from_mapping(dict.fromkeys(range(dim), 1.0), dim),
+            ]
+        )
+        assert system.overlay.home(system.corpus_keys_multi(corpus)[1][1, 0]) != home
+        result = system.publish_corpus(corpus, rng, item_ids=[0, 9], origin=origin)[0]
+    assert result.success and result.displacement_hops == 0
+    assert system.network.sink.count("displace") == before
+    assert sorted(system.network.node(home).item_ids()) == [0, 1]

@@ -4,7 +4,8 @@ One small ``Meteorograph`` at finite capacity, so both the per-item
 displacement chains and the batch cascade run, with or without §3.5.2
 directory pointers (which route reads through the pointer sweep and
 body fetch), at replication factor 1, 2 or 3 (a replicated system gets
-an attached ``RepairEngine``), driven by interleaved
+an attached ``RepairEngine``) and a displacement hop budget of none, 0
+or 2 (so chains drop victims), driven by interleaved
 publishes (``publish``; ``publish_corpus`` through the engine and
 through ``oracle_publish``, unshared or with the shared route), reads (``retrieve``,
 ``retrieve_many``, ``find``), membership changes (remove, add under
@@ -20,7 +21,11 @@ After every step:
   finite-capacity ring legitimately breaks: a replica push skips a full
   target, and a failure leaves items short until the next tick;
 * every discovery a read returned is held by the node it names;
-* every item a live node holds is found by ``find`` with no walk limit.
+* every item a live node holds is found by ``find`` with no walk limit;
+* every pointer row names an item some registered node holds, or one
+  that left with a removed node — until a node joins, fails or
+  recovers: rows do not migrate, so a later withdrawal may route past
+  the node that keeps one.
 
 The example budget scales with the Hypothesis profile: tier-1 runs half
 the default one, ``HYPOTHESIS_PROFILE=ci`` ten times that.
@@ -60,8 +65,9 @@ class SystemMachine(RuleBasedStateMachine):
         capacity=st.sampled_from([2, 3, 6]),
         pointers=st.booleans(),
         replication=st.sampled_from([1, 2, 3]),
+        hop_budget=st.sampled_from([None, 0, 2]),
     )
-    def build(self, seed, n_nodes, capacity, pointers, replication):
+    def build(self, seed, n_nodes, capacity, pointers, replication, hop_budget):
         self.capacity = capacity
         self.rng = np.random.default_rng(seed)
         self.system = Meteorograph.build(
@@ -75,10 +81,16 @@ class SystemMachine(RuleBasedStateMachine):
                 node_capacity=capacity,
                 directory_pointers=pointers,
                 replication_factor=replication,
+                hop_budget=hop_budget,
             ),
         )
         self.repair = RepairEngine(self.system).attach() if replication > 1 else None
         self.removed: list[int] = []
+        #: Items that left with a removed node (their rows may stay).
+        self.left: set[int] = set()
+        #: Whether a node joined, failed or recovered.  Rows stay where
+        #: they were placed, so a later withdrawal may route past them.
+        self.membership_changed = False
         #: Every read since the last invariant check: (item, node) pairs.
         self.discoveries: list[tuple[int, int]] = []
 
@@ -113,9 +125,11 @@ class SystemMachine(RuleBasedStateMachine):
         if path == "engine":
             self.system.publish_corpus(corpus, self.rng, item_ids=sorted(chosen))
         else:
+            # The engine never shares a route under pointers, so there the
+            # sweep is no reference: it would place and withdraw no rows.
+            sweep = path == "oracle-sweep" and not self.system.config.directory_pointers
             oracle_publish(
-                self.system, corpus, self.rng, item_ids=sorted(chosen),
-                sweep=path == "oracle-sweep",
+                self.system, corpus, self.rng, item_ids=sorted(chosen), sweep=sweep
             )
 
     # -- reads ----------------------------------------------------------------
@@ -156,6 +170,7 @@ class SystemMachine(RuleBasedStateMachine):
         """Remove a live node, the fullest first for small ``i``."""
         network = self.system.network
         nid = self.pick(sorted(self.live(), key=lambda n: -len(network.node(n))), i)
+        self.left.update(network.node(nid).item_ids())
         self.system.overlay.remove_node(nid)
         self.removed.append(nid)
 
@@ -165,6 +180,7 @@ class SystemMachine(RuleBasedStateMachine):
         while nid in self.system.overlay.ring or nid in self.removed:
             nid = int(self.rng.integers(0, SPACE.modulus))
         self.system.overlay.add_node(nid, capacity=self.capacity)
+        self.membership_changed = True
 
     @precondition(lambda self: self.removed)
     @rule(i=picks)
@@ -172,11 +188,13 @@ class SystemMachine(RuleBasedStateMachine):
         """Add a removed node back under its old id."""
         nid = self.removed.pop(i % len(self.removed))
         self.system.overlay.add_node(nid, capacity=self.capacity)
+        self.membership_changed = True
 
     @precondition(lambda self: len(self.live()) > 2)
     @rule(i=picks)
     def fail(self, i):
         self.system.network.fail_node(self.pick(self.live(), i))
+        self.membership_changed = True
 
     @rule(i=picks)
     def recover(self, i):
@@ -184,6 +202,7 @@ class SystemMachine(RuleBasedStateMachine):
         dead = [nid for nid in self.system.overlay.ring if not network.is_alive(nid)]
         if dead:
             network.recover_node(self.pick(dead, i))
+            self.membership_changed = True
 
     @rule()
     def stabilize(self):
@@ -208,6 +227,17 @@ class SystemMachine(RuleBasedStateMachine):
         for item_id, node_id in self.discoveries:
             assert network.node(node_id).has_item(item_id), (item_id, node_id)
         self.discoveries.clear()
+
+    @invariant()
+    def pointer_rows_name_bodies(self):
+        if self.membership_changed:
+            return
+        nodes = list(self.system.network.nodes())
+        held = {i for n in nodes for i in n.item_ids()}
+        for node in nodes:
+            if node.pointers is not None:
+                for item_id in node.pointers.items_by_id():
+                    assert item_id in held or item_id in self.left, (item_id, node.node_id)
 
     @invariant()
     def held_items_are_found(self):

@@ -163,7 +163,7 @@ class TestNullTwinCallsPerOperation:
                     one, np.random.default_rng(0), item_ids=[fresh_id], origin=origin
                 )
                 if corpus_call
-                else system.publish_vector(origin, fresh_id, vector),
+                else system.publish(origin, fresh_id, vector.indices, vector.values),
             )
             runs.append((sink.total - before, got))
         _assert_flat(runs)

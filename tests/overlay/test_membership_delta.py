@@ -16,13 +16,13 @@ default one, ``HYPOTHESIS_PROFILE=ci`` ten times as many examples.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from latency_plane import EuclideanPlane
 from test_route_oracle import reference_leaf_set
 
 from repro.overlay.idspace import PAPER_MODULUS, KeySpace, SortedKeyRing
 from repro.overlay.routing import prefix_row
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
-from repro.sim.topology import EuclideanPlane
 
 #: Membership steps; every step is followed by a few routes.
 STEP_KINDS = ("add", "add_many", "remove", "fail", "fail", "recover", "recover", "stabilize")

@@ -15,13 +15,13 @@ from bisect import bisect_left
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from latency_plane import EuclideanPlane
 
 from repro.overlay.base import RouteResult
 from repro.overlay.idspace import PAPER_MODULUS, KeySpace
 from repro.overlay.tornado import _MAX_ROUTE_HOPS, TornadoOverlay
 from repro.sim.linkfaults import LinkFaultPlane, MessageLossError
 from repro.sim.network import Network
-from repro.sim.topology import EuclideanPlane
 
 # -- the oracle ---------------------------------------------------------------
 

@@ -117,7 +117,9 @@ class TestPublishDiversion:
         nominal = published.overlay.home(publish_key)
         _saturate(adm, nominal)
         item_id = small_trace.corpus.n_items + 1
-        res = published.publish_vector(_origin(published, avoid=nominal), item_id, vec)
+        res = published.publish(
+            _origin(published, avoid=nominal), item_id, vec.indices, vec.values
+        )
         assert res.success
         assert res.home != nominal
         # The diverted copy is really there.
@@ -139,7 +141,7 @@ class TestPublishDiversion:
             _, pkey = published.item_keys(vec.indices, vec.values)
             item_id = small_trace.corpus.n_items + 2
             origin = _origin(published, avoid=published.overlay.home(pkey))
-            res = published.publish_vector(origin, item_id, vec)
+            res = published.publish(origin, item_id, vec.indices, vec.values)
             assert not res.success
             assert res.dropped_item_id == item_id
             counters = published.obs.metrics.counters

@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
+from latency_plane import EuclideanPlane
 
-from repro.sim.topology import (
-    EuclideanPlane,
-    LatencyMap,
-    TransitStubLike,
-    path_latency,
-)
+from repro.sim.topology import LatencyMap, TransitStubLike, path_latency
 
 
 class TestLatencyMap:

@@ -1,17 +1,60 @@
-"""Unit tests for the closed-form cost models."""
+"""Unit tests for the paper's closed-form cost models.
+
+``repro.analysis`` holds the models the gate rows overlay on
+measurements.  The paper's other analytic results — §3.5.2's
+similarity-search cost, footnote 1's flood cost and footnote 2's
+crossover — are written down here, where the tests pin them; nothing
+outside the tests evaluates them.
+"""
 
 import math
 
 import pytest
 
-from repro.analysis import (
-    availability,
-    crossover_k,
-    expected_route_hops,
-    flood_messages,
-    model_error,
-    similarity_search_messages,
-)
+from repro.analysis import availability, expected_route_hops
+
+
+def similarity_search_messages(
+    k: int, c: float, n_nodes: int, digit_bits: int = 2
+) -> float:
+    """§3.5.2: (1 + k/c)·O(log N) messages to discover k similar items.
+
+    ``c`` is per-node mean storage (items per node).  The model assumes
+    matching bodies cluster c-per-node; uniform spread degrades toward
+    ``(1 + k)·log N`` (see EXPERIMENTS.md F10b).
+    """
+    if k < 0 or c <= 0:
+        raise ValueError("need k >= 0 and c > 0")
+    log_n = expected_route_hops(n_nodes, digit_bits)
+    return (1.0 + k / c) * log_n
+
+
+def flood_messages(n_nodes: int, degree: int | None = None) -> int:
+    """Footnote 1: idealised flood = N−1; real flood = N·d edge messages."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    if degree is None:
+        return n_nodes - 1
+    return n_nodes * degree
+
+
+def crossover_k(n_nodes: int, c: float, digit_bits: int = 2) -> float:
+    """The k at which Meteorograph's message cost meets the ideal flood's.
+
+    Solves (1 + k/c)·log N = N − 1; footnote 2's "k ≪ N·c" win region
+    is everything below this.
+    """
+    log_n = expected_route_hops(n_nodes, digit_bits)
+    if log_n == 0:
+        return 0.0
+    return c * ((n_nodes - 1) / log_n - 1.0)
+
+
+def model_error(measured: float, predicted: float) -> float:
+    """Relative error |measured − predicted| / predicted (predicted > 0)."""
+    if predicted <= 0:
+        raise ValueError(f"predicted must be > 0, got {predicted}")
+    return abs(measured - predicted) / predicted
 
 
 class TestRouteHops:

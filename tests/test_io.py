@@ -1,11 +1,23 @@
 """Unit tests for result persistence."""
 
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.common import RowSet
-from repro.io import read_rowset_csv, update_manifest, write_manifest, write_rowset
+from repro.io import update_manifest, write_manifest, write_rowset
+
+
+def read_rowset_csv(path: str | Path) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    """Read back a rowset CSV as (headers, string rows)."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [tuple(r) for r in reader]
+    if not rows:
+        raise ValueError(f"empty rowset file {path}")
+    return rows[0], rows[1:]
 
 
 def sample_rowset():

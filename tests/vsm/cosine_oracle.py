@@ -1,33 +1,19 @@
-"""Similarity measures over keyword vectors (§2).
+"""Brute-force cosine semantics (§2), the oracle for ranked local search.
 
 The paper's similarity predicate: the angle between a query vector and
 an item vector, from the normalised dot product; two vectors are
 *similar* when the angle falls below a threshold τ.  Ranked search
-("top-ten items similar to a query") uses the same cosine ordering.
+("top-ten items similar to a query") uses the same cosine ordering,
+which ``LocalVsmIndex.query`` must reproduce (``test_index.py``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .sparse import Corpus, SparseVector
-
-__all__ = [
-    "cosine_similarity",
-    "angle_between",
-    "is_similar",
-    "rank_by_cosine",
-    "top_k_items",
-    "matches_all_keywords",
-]
-
-
-def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
-    """Normalised dot product in [0, 1] for non-negative vectors."""
-    return a.cosine(b)
+from repro.vsm.sparse import Corpus, SparseVector
 
 
 def angle_between(a: SparseVector, b: SparseVector) -> float:
@@ -70,8 +56,3 @@ def top_k_items(corpus: Corpus, query: SparseVector, k: int) -> list[tuple[int, 
     part = np.argpartition(-sims, k - 1)[:k]
     order = part[np.lexsort((part, -sims[part]))]
     return [(int(i), float(sims[i])) for i in order]
-
-
-def matches_all_keywords(vector: SparseVector, keyword_ids: Sequence[int]) -> bool:
-    """Exact multi-keyword match (the <kw1, kw2, ...> query of §1)."""
-    return vector.contains_all(keyword_ids)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from cosine_oracle import top_k_items
 
 from repro.sim.node import StoredItem
 from repro.vsm.index import LocalVsmIndex, Ranking, ScoredItem
-from repro.vsm.sparse import SparseVector
+from repro.vsm.sparse import Corpus, SparseVector
 
 DIM = 20
 
@@ -67,21 +68,12 @@ class TestQuery:
     def test_ranking_matches_bruteforce_cosine(self):
         idx = self.build()
         q = query({0: 1.0, 1: 1.0})
-        hits = idx.query(q)
-        got = [(h.item.item_id, h.score) for h in hits]
-        # Brute force over all items.
-        def cos(m):
-            v = SparseVector.from_mapping(m, DIM)
-            return v.cosine(q)
-
-        expect = sorted(
-            [
-                (1, cos({0: 1.0, 1: 1.0})),
-                (2, cos({0: 1.0})),
-                (4, cos({0: 1.0, 1: 1.0, 2: 1.0})),
-            ],
-            key=lambda t: (-t[1], t[0]),
-        )
+        got = [(h.item.item_id, h.score) for h in idx.query(q)]
+        # The oracle ranks the same four rows (item id = row + 1); the
+        # index returns only items sharing a keyword with the query.
+        rows = ({0: 1.0, 1: 1.0}, {0: 1.0}, {5: 1.0}, {0: 1.0, 1: 1.0, 2: 1.0})
+        corpus = Corpus.from_vectors([query(m) for m in rows])
+        expect = [(row + 1, s) for row, s in top_k_items(corpus, q, 4) if s > 0]
         assert [i for i, _ in got] == [i for i, _ in expect]
         for (gi, gs), (ei, es) in zip(got, expect):
             assert gs == pytest.approx(es)

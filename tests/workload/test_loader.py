@@ -1,10 +1,127 @@
-"""Unit tests for real-trace loading."""
+"""Loading real market-basket traces, and its unit tests.
 
+The paper builds its workload from the World Cup '98 access log by
+treating clients as items and Web objects as keywords.  Two text
+formats reach a :class:`~repro.vsm.sparse.Corpus` with densely
+re-indexed ids plus the id maps:
+
+* **pairs CSV** — one ``client_id,object_id`` access per line
+  (duplicates collapse to set membership, like the paper's matrix);
+* **basket lines** — one client per line: ``client_id: obj obj obj``.
+
+No experiment, example or tool loads a real trace (every run uses the
+synthetic ``generate_trace``), so the loader lives here, beside the
+only code that exercises it.
+"""
+
+import csv
 import io
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional, TextIO
 
 import pytest
 
-from repro.workload.loader import baskets_to_corpus, load_basket_lines, load_pairs_csv
+from repro.vsm.sparse import Corpus
+
+
+@dataclass
+class LoadedTrace:
+    """A corpus plus the original-id ↔ dense-id maps."""
+
+    corpus: Corpus
+    client_ids: list  # dense item id → original client id
+    object_ids: list  # dense keyword id → original object id
+
+    @property
+    def n_clients(self) -> int:
+        return self.corpus.n_items
+
+    @property
+    def n_objects(self) -> int:
+        return self.corpus.dim
+
+
+def baskets_to_corpus(baskets: dict) -> LoadedTrace:
+    """Build a dense corpus from {client id: iterable of object ids}."""
+    if not baskets:
+        raise ValueError("no clients in trace")
+    client_ids = sorted(baskets)
+    object_set: set = set()
+    for objs in baskets.values():
+        object_set.update(objs)
+    if not object_set:
+        raise ValueError("no objects in trace")
+    object_ids = sorted(object_set)
+    obj_dense = {o: i for i, o in enumerate(object_ids)}
+    rows = [
+        sorted(obj_dense[o] for o in set(baskets[c])) for c in client_ids
+    ]
+    corpus = Corpus.from_baskets(rows, len(object_ids))
+    return LoadedTrace(corpus=corpus, client_ids=client_ids, object_ids=object_ids)
+
+
+def load_pairs_csv(
+    source: str | Path | TextIO,
+    *,
+    delimiter: str = ",",
+    skip_header: bool = False,
+    max_rows: Optional[int] = None,
+) -> LoadedTrace:
+    """Load ``client,object`` access pairs (the flattened-log format).
+
+    Blank lines and lines starting with ``#`` are skipped; duplicate
+    accesses collapse (the paper's matrix is binary membership).
+    ``max_rows`` caps ingestion for sampling very large logs.
+    """
+    own = isinstance(source, (str, Path))
+    fh: TextIO = open(source, newline="") if own else source  # type: ignore[arg-type]
+    try:
+        reader = csv.reader(fh, delimiter=delimiter)
+        baskets: dict = {}
+        seen = 0
+        for lineno, row in enumerate(reader, start=1):
+            if skip_header and lineno == 1:
+                continue
+            if not row or (row[0].startswith("#")):
+                continue
+            if len(row) < 2:
+                raise ValueError(f"line {lineno}: expected 2 fields, got {row!r}")
+            client, obj = row[0].strip(), row[1].strip()
+            if not client or not obj:
+                raise ValueError(f"line {lineno}: empty field in {row!r}")
+            baskets.setdefault(client, set()).add(obj)
+            seen += 1
+            if max_rows is not None and seen >= max_rows:
+                break
+    finally:
+        if own:
+            fh.close()
+    return baskets_to_corpus(baskets)
+
+
+def load_basket_lines(source: str | Path | TextIO) -> LoadedTrace:
+    """Load ``client: obj obj obj`` basket lines."""
+    own = isinstance(source, (str, Path))
+    fh: TextIO = open(source) if own else source  # type: ignore[arg-type]
+    try:
+        baskets: dict = {}
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if ":" not in line:
+                raise ValueError(f"line {lineno}: missing ':' separator")
+            client, _, rest = line.partition(":")
+            client = client.strip()
+            objs = rest.split()
+            if not client or not objs:
+                raise ValueError(f"line {lineno}: empty client or basket")
+            baskets.setdefault(client, set()).update(objs)
+    finally:
+        if own:
+            fh.close()
+    return baskets_to_corpus(baskets)
 
 
 class TestPairsCsv:

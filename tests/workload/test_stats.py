@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.vsm.sparse import Corpus
-from repro.workload.stats import basket_size_profile, table1_rows, trace_statistics
+from repro.workload.stats import basket_size_profile, trace_statistics
 
 
 def corpus():
@@ -29,9 +29,6 @@ class TestTraceStatistics:
         rows = trace_statistics(corpus()).as_rows()
         assert len(rows) == 5
         assert rows[0] == ("Number of clients", "4")
-
-    def test_table1_rows_convenience(self):
-        assert table1_rows(corpus()) == trace_statistics(corpus()).as_rows()
 
 
 class TestBasketProfile:

@@ -43,6 +43,16 @@ module (a trailing ``.Class`` / ``._CONST`` / function after the module
 is not followed), and a ``<dir>/<file>.py`` path must exist under
 ``src/repro/``, ``src/`` or the repo root.
 
+One orphan check keeps ``src/`` to what the system reaches: every
+public top-level function or class under ``src/repro/``, and every
+public method of ``Meteorograph``, needs a referrer — a use outside its
+own definition, a package ``__init__``'s re-export lines, ``__all__``
+and any ``tests/`` directory, in ``src/``, ``examples/``, ``bench/`` or
+``tools/`` (a name, an attribute, an import or an identifier-shaped
+string such as a wrapper's ``"item_keys"``) — or its name in backticks
+in DESIGN.md §3.  A symbol that only tests reach belongs under
+``tests/`` or nowhere.
+
 Run as ``python tools/check_docs.py`` from the repo root (CI does;
 ``repro`` must be importable — ``pip install -e .`` or
 ``PYTHONPATH=src``).
@@ -51,9 +61,11 @@ Run as ``python tools/check_docs.py`` from the repo root (CI does;
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -256,6 +268,74 @@ def _core_instrument_errors(obs_text: str, prefix: str) -> list[str]:
     return failed
 
 
+#: Where a public symbol's referrers may live (``tests/`` dirs excluded).
+_REFERRER_DIRS = ("src", "examples", "bench", "tools")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_used(node: ast.AST) -> Counter:
+    """Identifiers ``node`` mentions: names, attributes, imported names
+    and identifier-shaped string literals (wrapping by name)."""
+    used: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            used[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            used[n.name.rpartition(".")[2]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                used[n.value] += 1
+    return used
+
+
+def _orphan_symbol_errors(root: Path = ROOT) -> list[str]:
+    """Public symbols under ``root/src/repro`` that nothing outside tests
+    reaches and DESIGN.md §3 does not list (see the module docstring)."""
+    pkg = root / "src" / "repro"
+    used: Counter = Counter()
+    #: (file, name, the names its own definition uses)
+    symbols: list[tuple[Path, str, Counter]] = []
+    for top in _REFERRER_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            is_init = path.name == "__init__.py"
+            for stmt in ast.parse(path.read_text()).body:
+                if is_init and isinstance(stmt, ast.ImportFrom):
+                    continue  # a re-export is not a use
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+                ):
+                    continue
+                own = _names_used(stmt)
+                used.update(own)
+                if not isinstance(stmt, _DEFS) or not path.is_relative_to(pkg):
+                    continue
+                if not stmt.name.startswith("_"):
+                    symbols.append((path, stmt.name, own))
+                if stmt.name == "Meteorograph":
+                    symbols.extend(
+                        (path, f"Meteorograph.{m.name}", _names_used(m))
+                        for m in stmt.body
+                        if isinstance(m, _DEFS) and not m.name.startswith("_")
+                    )
+    design = (root / "DESIGN.md").read_text()
+    inventory = design.split("\n## 3.", 1)[-1].split("\n## ", 1)[0]
+    failed = []
+    for path, name, own in symbols:
+        short = name.rpartition(".")[2]
+        if used[short] > own[short] or f"`{name}`" in inventory:
+            continue
+        failed.append(
+            f"{path.relative_to(root)} defines `{name}`, which nothing outside "
+            "tests reaches and DESIGN.md §3 does not list: delete it, move it "
+            "under tests/, or give it a §3 row"
+        )
+    return failed
+
+
 def main() -> int:
     try:
         from repro.experiments import ALL_EXPERIMENTS
@@ -339,6 +419,7 @@ def main() -> int:
     failed.extend(_gate_doc_errors(set(GATES), (ROOT / "DESIGN.md").read_text(), text))
 
     failed.extend(_module_path_errors())
+    failed.extend(_orphan_symbol_errors())
 
     manifest_path = ROOT / "results" / "manifest.json"
     if manifest_path.exists():
