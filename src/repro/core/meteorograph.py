@@ -27,12 +27,14 @@ from typing import TYPE_CHECKING, Literal, Optional, Sequence
 
 import numpy as np
 
+from ..maint.retry import route_with_retry
 from ..obs import NULL_OBS, Observability, SimProfiler
 from ..overlay.base import Overlay
 from ..overlay.chord import ChordOverlay
 from ..overlay.idspace import KeySpace
 from ..overlay.membership import Bootstrap
 from ..overlay.tornado import TornadoOverlay
+from ..overload.admission import BackpressureError
 from ..sim.engine import Simulator
 from ..sim.metrics import MetricSink
 from ..sim.network import Network
@@ -428,25 +430,33 @@ class Meteorograph:
     def deliver_home(self, origin: int, key: int, *, kind: str = "route") -> "RouteResult":
         """Route a message to the home of ``key``, fault-tolerantly.
 
-        The single chokepoint every publish/retrieve/find route goes
-        through.  Without a configured ``retry_policy`` this is exactly
-        ``overlay.route``; with one, delivery retries with backoff and
+        The one home delivery: every publish/retrieve/find route, and
+        every backed-off publish re-attempt, goes through it.  Without a
+        configured ``retry_policy`` the route is exactly
+        ``overlay.route``; with one, it retries with backoff and
         degrades to the nearest live key-neighbor (see
         :mod:`repro.maint.retry`).  With an admission controller
-        attached, delivery additionally consults the destination's
-        circuit breaker and may raise
-        :class:`repro.overload.BackpressureError` — callers divert (see
-        :mod:`repro.overload.degrade`).
+        attached, an open breaker at the nominal home fast-fails with
+        :class:`repro.overload.BackpressureError` before any route
+        message is spent (``overload.breaker_fastfail``), a saturated
+        node on the path may shed the message the same way — callers
+        divert (see :mod:`repro.overload.degrade`) — and a delivered
+        route closes its home's breaker.
         """
-        if self.network.admission is not None:
-            from ..overload.degrade import deliver_guarded
-
-            return deliver_guarded(self, origin, key, kind=kind)
+        adm = self.network.admission
+        if adm is not None:
+            home = self.overlay.home(key)
+            if not adm.breaker.allow(home):
+                if adm.obs.enabled:
+                    adm.obs.metrics.counter("overload.breaker_fastfail")
+                raise BackpressureError(home, kind, reason="breaker-open")
         if self.config.retry_policy is None:
-            return self.overlay.route(origin, key, kind=kind)
-        from ..maint.retry import route_with_retry
-
-        return route_with_retry(self, origin, key, kind=kind)
+            route = self.overlay.route(origin, key, kind=kind)
+        else:
+            route = route_with_retry(self, origin, key, kind=kind)
+        if adm is not None and route.home is not None:
+            adm.breaker.record_delivery(route.home)
+        return route
 
     def register_published_many(
         self, item_ids: np.ndarray, angle_keys: np.ndarray, publish_keys: np.ndarray

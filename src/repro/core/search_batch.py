@@ -18,8 +18,9 @@ instead of the node's items under the pointer sweep's stop rules, and
 per body home, inside the same ``retrieve`` span.
 
 **Sharing.**  In a *replayable* configuration — no admission control,
-link faults, replication or retry policy — routing is deterministic and
-the walk is read-only, so a storm's duplicates are replays, not
+link faults or retry policy — routing is deterministic and the walk is
+read-only (replica copies are rows of the nodes' indexes like any
+other), so a storm's duplicates are replays, not
 approximations: the route is memoised per ``(key, origin)`` and the
 walk per ``(home, content, direction)``, and a memo hit bills its
 messages with one :meth:`~repro.sim.network.Network.charge_bulk`
@@ -270,7 +271,6 @@ def _unshared_reason(system: "Meteorograph") -> Optional[str]:
     return (
         "admission" if network.admission is not None
         else "link_faults" if network.link_faults is not None
-        else "replication" if system.replication is not None
         else "retry" if system.config.retry_policy is not None
         else None
     )

@@ -17,8 +17,8 @@ the *leading* hyperplanes — the §3.3 closest-neighbor walk over ring
 neighbors is then exactly the NearBucket probe of overlay-adjacent
 buckets.
 
-Determinism: hyperplanes derive from ``splitmix64``-mixed per-band
-seeds feeding ``PCG64`` generators, so the same ``seed`` reproduces
+Determinism: hyperplanes derive from per-band seeds mixed by
+:func:`repro.sim.hashing.splitmix64` feeding ``PCG64`` generators, so the same ``seed`` reproduces
 the same planes (and therefore the same keys) across processes; the
 signature pass is row-local, so chunked runs are **bit-identical** to
 the whole-corpus pass (the `core/angles.py`
@@ -34,9 +34,9 @@ import numpy as np
 from ..core import naming as _naming
 from ..core.angles import DEFAULT_CHUNK_ROWS, absolute_angle_from_arrays
 from ..core.naming import angle_to_key
-from ..maint.retry import splitmix64
 from ..obs import NULL_OBS
 from ..overlay.idspace import KeySpace
+from ..sim.hashing import splitmix64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..vsm.sparse import Corpus, SparseVector

@@ -18,11 +18,13 @@ exponential backoff:
    (the §3.6 failover target, where a surviving replica lives if any
    does) and the detour is recorded.
 
-Backoff waits are **simulated time**: with ``advance_time=True`` and a
-simulator attached the wait actually runs the event engine (letting
-scheduled repair/stabilize ticks heal the overlay between attempts);
-the default merely records the would-be delay, keeping the count-based
-experiments re-entrancy-free.
+Backoff waits are recorded, not slept: a delivery never re-enters the
+simulator's event loop from inside a query callback.
+
+:meth:`RetryPolicy.waits` is the one backoff ladder.  The route retry
+here re-routes from the stall point after each wait; a shed publish
+(:func:`repro.overload.degrade.divert_publish`) advances the admission
+clock instead, so its saturated home drains while it waits.
 
 Metrics: ``maint.retries`` / ``maint.detours`` /
 ``maint.delivery_failed`` / ``maint.retry_gave_up`` counters,
@@ -32,33 +34,19 @@ Metrics: ``maint.retries`` / ``maint.detours`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..overlay.base import RouteResult
+from ..sim.hashing import splitmix64
 from ..sim.linkfaults import MessageLossError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.meteorograph import Meteorograph
+    from ..obs import Observability
 
-__all__ = ["RetryPolicy", "route_with_retry", "splitmix64"]
+__all__ = ["RetryPolicy", "route_with_retry"]
 
 _MASK64 = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    """One splitmix64 step — the deterministic jitter kernel.
-
-    Shared with :mod:`repro.overload.breaker`, whose half-open probe
-    selection must be exactly as seed-reproducible as backoff jitter.
-    """
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-_splitmix64 = splitmix64  # historical private name, kept for callers/tests
 
 
 @dataclass(frozen=True)
@@ -85,11 +73,6 @@ class RetryPolicy:
     #: only by ``max_attempts``.  Keeps overload diverts from stalling a
     #: query behind a full exponential ladder.
     max_total_delay: Optional[float] = None
-    #: Run the attached simulator for the backoff window, so scheduled
-    #: maintenance (repair ticks, stabilize) executes between attempts.
-    #: Off by default: the count-based experiments must not re-enter
-    #: the event loop from inside a query callback.
-    advance_time: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -108,7 +91,7 @@ class RetryPolicy:
 
     def jitter_unit(self, attempt: int, token: int = 0) -> float:
         """Deterministic uniform-ish draw in [0, 1) for one attempt."""
-        h = _splitmix64(
+        h = splitmix64(
             (self.seed & _MASK64)
             ^ ((token & _MASK64) * 0xD1342543DE82EF95 & _MASK64)
             ^ ((attempt + 1) * 0x2545F4914F6CDD1D & _MASK64)
@@ -119,6 +102,31 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (0-based)."""
         base = min(self.max_delay, self.base_delay * (2.0**attempt))
         return base * (1.0 + self.jitter * self.jitter_unit(attempt, token))
+
+    def waits(self, obs: "Observability", key: int) -> Iterator[float]:
+        """The backoff ladder of one delivery toward ``key``: each wait
+        before re-attempt 1, 2, … that ``max_attempts`` and the
+        ``max_total_delay`` budget admit.  The caller stops drawing once
+        a re-attempt lands; a budget stop counts once, as
+        ``maint.retry_gave_up``."""
+        spent = 0.0
+        for attempt in range(1, self.max_attempts):
+            d = self.delay(attempt - 1, token=key)
+            if self.max_total_delay is not None and spent + d > self.max_total_delay:
+                if obs.enabled:
+                    obs.metrics.counter("maint.retry_gave_up")
+                    if obs.tracer.enabled:
+                        obs.tracer.event(
+                            "retry_budget", key=key, attempt=attempt, spent=round(spent, 4)
+                        )
+                return
+            spent += d
+            if obs.enabled:
+                obs.metrics.counter("maint.retries")
+                obs.metrics.observe("maint.backoff_delay", d)
+                if obs.tracer.enabled:
+                    obs.tracer.event("retry", key=key, attempt=attempt, delay=round(d, 4))
+            yield d
 
 
 def _delivered(system: "Meteorograph", route: RouteResult) -> bool:
@@ -152,37 +160,10 @@ def route_with_retry(
     obs = network.obs
     with obs.metrics.timer("maint.deliver"):
         route = system.overlay.route(origin, key, kind=kind)
+        if _delivered(system, route):
+            return route
         attempt = 1
-        total_delay = 0.0
-        while not _delivered(system, route) and attempt < policy.max_attempts:
-            d = policy.delay(attempt - 1, token=key)
-            if (
-                policy.max_total_delay is not None
-                and total_delay + d > policy.max_total_delay
-            ):
-                # Backoff budget exhausted: stop retrying and degrade
-                # straight to the fallback below.
-                if obs.enabled:
-                    obs.metrics.counter("maint.retry_gave_up")
-                    if obs.tracer.enabled:
-                        obs.tracer.event(
-                            "retry_budget",
-                            key=key,
-                            attempt=attempt,
-                            spent=round(total_delay, 4),
-                        )
-                break
-            total_delay += d
-            if obs.enabled:
-                obs.metrics.counter("maint.retries")
-                obs.metrics.observe("maint.backoff_delay", d)
-                if obs.tracer.enabled:
-                    obs.tracer.event(
-                        "retry", key=key, attempt=attempt, delay=round(d, 4)
-                    )
-            sim = network.simulator
-            if policy.advance_time and sim is not None:
-                sim.run(until=sim.now + d)
+        for _ in policy.waits(obs, key):
             retry_from = (
                 route.home
                 if route.home is not None and network.is_alive(route.home)
@@ -194,8 +175,8 @@ def route_with_retry(
             retry.origin = origin
             route = retry
             attempt += 1
-        if _delivered(system, route):
-            return route
+            if _delivered(system, route):
+                return route
         # Graceful degradation: deliver to the nearest live key-neighbor
         # (the §3.6 failover target) and record the detour.
         fallback = system.overlay.live_home(key)

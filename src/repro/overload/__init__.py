@@ -10,9 +10,11 @@ where maint survives nodes *dying*, this package survives nodes
 * :mod:`~repro.overload.breaker` — per-destination circuit breakers
   (closed → open → half-open, splitmix64-deterministic probing) that
   stop queries from even spending routes on nodes that keep shedding;
+  :meth:`Meteorograph.deliver_home`, the one home delivery, consults
+  them before routing;
 * :mod:`~repro.overload.degrade` — diverting shed retrieves to the
-  next-most-similar key-neighbors and shed publishes through backoff
-  into neighbor placement.
+  next-most-similar key-neighbors and shed publishes through the retry
+  policy's backoff ladder into neighbor placement.
 
 Wire-up: set ``MeteorographConfig.overload_policy`` (or call
 ``Network.attach_admission`` on a built system).  With no controller
@@ -23,7 +25,7 @@ zero-cost-when-off contract as the observability layer.  See DESIGN.md,
 
 from .admission import AdmissionController, BackpressureError, OverloadPolicy
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .degrade import deliver_guarded, divert_home, divert_publish
+from .degrade import divert_home, divert_publish
 
 __all__ = [
     "AdmissionController",
@@ -33,7 +35,6 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "deliver_guarded",
     "divert_home",
     "divert_publish",
 ]

@@ -16,7 +16,7 @@ experiments have no wall time to meter against):
   tick — i.e. the fraction of *total fabric traffic* the node can
   absorb sustained — and grows by one per admitted arrival;
 * an arrival that would push the backlog past ``queue_cap`` is **shed**
-  when its message kind is in ``shed_kinds`` (application traffic:
+  when its message kind is in :data:`SHED_KINDS` (application traffic:
   ``publish`` / ``retrieve``); control traffic (routing-table upkeep,
   ``displace`` pushes, repair) is never refused — it is tiny and
   modelled as preempting, so the backlog merely clamps at the cap.
@@ -42,6 +42,13 @@ from ..obs import NULL_OBS, Observability
 from .breaker import CircuitBreaker
 
 __all__ = ["BackpressureError", "OverloadPolicy", "AdmissionController"]
+
+#: Message kinds a saturated node sheds: application traffic only.
+SHED_KINDS = frozenset(("publish", "retrieve"))
+#: Clock ticks one unit of retry backoff is worth: couples
+#: ``RetryPolicy`` delays (simulated seconds) to the arrival clock, so
+#: a shed publish's backoff drains the very meters it waits on.
+BACKOFF_TICKS = 32.0
 
 
 class BackpressureError(RuntimeError):
@@ -79,8 +86,6 @@ class OverloadPolicy:
 
     service_rate: float = 0.02
     queue_cap: int = 64
-    #: Message kinds subject to shedding (application traffic only).
-    shed_kinds: tuple[str, ...] = ("publish", "retrieve")
     #: Consecutive sheds at one destination before its breaker opens.
     breaker_threshold: int = 8
     #: Clock ticks an open breaker stays open before probing resumes.
@@ -89,10 +94,6 @@ class OverloadPolicy:
     breaker_probe_every: int = 4
     #: Live key-neighbors a degraded delivery tries before giving up.
     divert_attempts: int = 3
-    #: Clock ticks one unit of retry backoff delay is worth — couples
-    #: ``RetryPolicy`` delays (simulated seconds) to the arrival clock,
-    #: so a backoff wait actually drains the meters it is waiting on.
-    backoff_ticks: float = 32.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -116,8 +117,6 @@ class OverloadPolicy:
             raise ValueError(
                 f"divert_attempts must be >= 1, got {self.divert_attempts}"
             )
-        if self.backoff_ticks < 0:
-            raise ValueError(f"backoff_ticks must be >= 0, got {self.backoff_ticks}")
 
 
 class AdmissionController:
@@ -144,7 +143,6 @@ class AdmissionController:
         #: node id → [backlog, clock at last drain].
         self._meters: dict[int, list[float]] = {}
         self._rates: dict[int, float] = {}
-        self._shed_kinds = frozenset(policy.shed_kinds)
         self.breaker = CircuitBreaker(policy, self)
 
     # -- per-node rates ----------------------------------------------------
@@ -191,7 +189,7 @@ class AdmissionController:
                 backlog = 0.0
             m[1] = clock
         if backlog + 1.0 > p.queue_cap:
-            if kind in self._shed_kinds:
+            if kind in SHED_KINDS:
                 m[0] = backlog
                 self.sheds += 1
                 self.breaker.record_rejection(dst)
@@ -208,7 +206,7 @@ class AdmissionController:
             backlog = float(p.queue_cap) - 1.0
         m[0] = backlog + 1.0
         self.admitted += 1
-        if kind in self._shed_kinds:
+        if kind in SHED_KINDS:
             # An admitted application message proves the node is serving
             # again — closes a probing breaker, resets the shed streak.
             self.breaker.record_delivery(dst)

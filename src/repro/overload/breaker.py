@@ -3,12 +3,12 @@
 Back-pressure alone still lets every query *spend a route* discovering
 that a hot home is saturated.  The breaker stops the hammering: after
 ``breaker_threshold`` consecutive sheds at one destination its breaker
-**opens**, and :func:`repro.overload.degrade.deliver_guarded` fast-fails
-deliveries toward it without charging any route messages.  After
-``breaker_open_for`` clock ticks the breaker turns **half-open** and
-admits 1-in-``breaker_probe_every`` deliveries as probes — selected by
-the same splitmix64 hash :mod:`repro.maint.retry` uses for jitter, so
-the probe pattern is seed-deterministic and bit-reproducible.  A probe
+**opens**, and :meth:`repro.core.meteorograph.Meteorograph.deliver_home`
+fast-fails deliveries toward it without charging any route messages.
+After ``breaker_open_for`` clock ticks the breaker turns **half-open**
+and admits 1-in-``breaker_probe_every`` deliveries as probes — selected
+by :func:`repro.sim.hashing.splitmix64`, the hash behind retry jitter
+too, so the probe pattern is seed-deterministic and bit-reproducible.  A probe
 that gets admitted by the destination's meter closes the breaker; a
 probe that is shed re-opens it.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..maint.retry import splitmix64
+from ..sim.hashing import splitmix64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .admission import AdmissionController, OverloadPolicy

@@ -4,60 +4,28 @@ A shed delivery is not a failure — it is a *quality* decision.  By the
 paper's clustering property (§3.3) the nodes adjacent to a key's home
 hold the next-most-similar items, so a rejected ``retrieve`` can
 harvest a partial ranked result from the nearest live **admitting**
-key-neighbor instead; a rejected ``publish`` re-enters the
-:mod:`repro.maint.retry` backoff discipline (each wait advancing the
-admission clock, draining the very meters it is waiting on) before
-falling back to neighbor placement.  Results served this way carry a
-``degradation_level`` — how far down the home-preference order the
-delivery landed — so experiments can plot recall against shed rate.
+key-neighbor instead; a rejected ``publish`` climbs the
+:meth:`repro.maint.retry.RetryPolicy.waits` backoff ladder (each wait
+advancing the admission clock, draining the very meters it is waiting
+on) before falling back to neighbor placement.  Results served this way
+carry a ``degradation_level`` — how far down the home-preference order
+the delivery landed — so experiments can plot recall against shed rate.
 
-:func:`deliver_guarded` is the :meth:`Meteorograph.deliver_home` branch
-taken whenever an admission controller is attached: it consults the
-destination's circuit breaker *before* spending any route messages,
-then routes normally (with retry when configured).
+Every home delivery, diverted re-attempts included, goes through
+:meth:`Meteorograph.deliver_home`, which consults the destination's
+circuit breaker *before* spending any route messages.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .admission import BackpressureError
+from .admission import BACKOFF_TICKS, BackpressureError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.meteorograph import Meteorograph
-    from ..overlay.base import RouteResult
 
-__all__ = ["deliver_guarded", "divert_home", "divert_publish"]
-
-
-def deliver_guarded(
-    system: "Meteorograph", origin: int, key: int, *, kind: str = "route"
-) -> "RouteResult":
-    """Home delivery under admission control.
-
-    Fast-fails with :class:`BackpressureError` when the nominal home's
-    breaker is open — no route messages are charged, which is the whole
-    point of the breaker.  Otherwise routes exactly as
-    :meth:`Meteorograph.deliver_home` would (plain or retrying); a
-    saturated node anywhere on the path may still shed, and that
-    :class:`BackpressureError` propagates to the caller's divert logic.
-    """
-    network = system.network
-    adm = network.admission
-    home = system.overlay.home(key)
-    if not adm.breaker.allow(home):
-        if adm.obs.enabled:
-            adm.obs.metrics.counter("overload.breaker_fastfail")
-        raise BackpressureError(home, kind, reason="breaker-open")
-    if system.config.retry_policy is None:
-        route = system.overlay.route(origin, key, kind=kind)
-    else:
-        from ..maint.retry import route_with_retry
-
-        route = route_with_retry(system, origin, key, kind=kind)
-    if route.home is not None:
-        adm.breaker.record_delivery(route.home)
-    return route
+__all__ = ["divert_home", "divert_publish"]
 
 
 def divert_home(
@@ -132,52 +100,29 @@ def divert_publish(
     """Back-pressured publish: backoff re-attempts, then neighbor placement.
 
     With a configured :class:`~repro.maint.retry.RetryPolicy` the
-    publish first re-enters its backoff discipline — each recorded wait
-    advances the admission clock by ``backoff_ticks`` per delay unit, so
-    the saturated home drains while the publisher backs off, and a
-    re-attempt that gets admitted lands on the *true* home (degradation
-    level 0).  The policy's ``max_total_delay`` budget bounds the stall
-    (``maint.retry_gave_up`` counts budget exhaustions).  Only when the
-    re-attempts are all shed does the item divert to the nearest
-    admitting key-neighbor via :func:`divert_home`.
+    publish first climbs its backoff ladder — each wait advances the
+    admission clock by :data:`~repro.overload.admission.BACKOFF_TICKS`
+    per delay unit, so the saturated home drains while the publisher
+    backs off, and a re-attempt that gets admitted lands on the *true*
+    home (degradation level 0).  Only when the re-attempts are all shed
+    does the item divert to the nearest admitting key-neighbor via
+    :func:`divert_home`.
 
     Returns ``(home, route_hops, level)``; ``home`` is None when the
     publish was fully shed (``overload.publish_shed``).
     """
     network = system.network
-    adm = network.admission
-    obs = network.obs
     policy = system.config.retry_policy
-    hops = 0
     if policy is not None:
-        total_delay = 0.0
-        for attempt in range(1, policy.max_attempts):
-            d = policy.delay(attempt - 1, token=key)
-            if (
-                policy.max_total_delay is not None
-                and total_delay + d > policy.max_total_delay
-            ):
-                if obs.enabled:
-                    obs.metrics.counter("maint.retry_gave_up")
-                    if obs.tracer.enabled:
-                        obs.tracer.event(
-                            "retry_budget", key=key, spent=round(total_delay, 4)
-                        )
-                break
-            total_delay += d
-            if obs.enabled:
-                obs.metrics.counter("maint.retries")
-                obs.metrics.observe("maint.backoff_delay", d)
-            adm.advance(int(d * adm.policy.backoff_ticks))
+        for wait in policy.waits(network.obs, key):
+            network.admission.advance(int(wait * BACKOFF_TICKS))
             try:
-                route = deliver_guarded(system, origin, key, kind="publish")
+                route = system.deliver_home(origin, key, kind="publish")
             except BackpressureError:
                 continue
             if route.home is not None and network.is_alive(route.home):
-                hops += route.hops
-                return route.home, hops, 0
-    home, divert_hops, level = divert_home(system, key, kind="publish", origin=origin)
-    hops += divert_hops
-    if home is None and obs.enabled:
-        obs.metrics.counter("overload.publish_shed")
+                return route.home, route.hops, 0
+    home, hops, level = divert_home(system, key, kind="publish", origin=origin)
+    if home is None and network.obs.enabled:
+        network.obs.metrics.counter("overload.publish_shed")
     return home, hops, level

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .hashing import splitmix64
 from .network import DeadNodeError
 
 __all__ = ["LinkFaultPlane", "MessageLossError"]
@@ -63,17 +64,6 @@ _MASK64 = (1 << 64) - 1
 _SALT_DROP = 0x9E3779B97F4A7C15
 _SALT_DUP = 0xC2B2AE3D27D4EB4F
 _SALT_DELAY = 0x165667B19E3779F9
-
-
-def _splitmix64(x: int) -> int:
-    """One splitmix64 step — the same jitter kernel as
-    :func:`repro.maint.retry.splitmix64` (duplicated here because sim
-    sits below maint in the import order)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 class MessageLossError(DeadNodeError):
@@ -190,7 +180,7 @@ class LinkFaultPlane:
 
     def _draw(self, salt: int, src: int, dst: int) -> float:
         """Uniform-ish deterministic draw in [0, 1) for one decision."""
-        h = _splitmix64(
+        h = splitmix64(
             self.seed
             ^ (salt * (self._n + 1) & _MASK64)
             ^ ((src & _MASK64) * 0xD1342543DE82EF95 & _MASK64)

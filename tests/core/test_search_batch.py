@@ -394,14 +394,11 @@ class TestFallbacks:
         assert [snap(r) for r in seq] == [snap(r) for r in bat]
         assert any(r.degraded for r in bat)  # the storm really shed
 
-    @pytest.mark.parametrize(
-        "reason", ["admission", "link_faults", "replication", "retry"]
-    )
+    @pytest.mark.parametrize("reason", ["admission", "link_faults", "retry"])
     def test_each_reason_announces_itself(self, reason):
         """An unshared run counts its queries under exactly its own
         reason and bills what the sequential loop bills, nothing more."""
-        config = {"replication": dict(replication_factor=2)}.get(reason, {})
-        rng, a, b = twin_worlds(33, obs=True, **config)
+        rng, a, b = twin_worlds(33, obs=True)
         for s in (a, b):
             if reason == "admission":
                 s.network.attach_admission(AdmissionController(OverloadPolicy()))
@@ -423,6 +420,31 @@ class TestFallbacks:
         # Unshared: every query routed, nothing replayed.
         assert counters["retrieve.batch.routes"] == 8
         assert counters["retrieve.batch.replayed"] == 0
+
+    def test_replicated_storm_shares(self):
+        """Replication is no fallback reason: routes and walks read
+        replica copies like any other row, so a duplicated storm over
+        dead frontier nodes replays its routes and walks and still
+        equals the oracle on every result field and the bill."""
+        rng, a, b = twin_worlds(33, capacity=2, obs=True, replication_factor=3)
+        dead = rng.choice(list(a.overlay.ring), size=6, replace=False).tolist()
+        for s in (a, b):
+            for nid in dead:
+                s.network.fail_node(nid)
+        queries = random_queries(rng, 24, dup_every=3)
+        pool = [a.random_origin(rng) for _ in range(3)]
+        origins = [pool[i % 3] for i in range(len(queries))]
+        for amount, max_walk in ((None, None), (2, None), (3, 2)):
+            want = [
+                oracle_retrieve(a, o, q, amount, patience=4, max_walk=max_walk)
+                for o, q in zip(origins, queries)
+            ]
+            got = retrieve_many(b, origins, queries, amount, patience=4, max_walk=max_walk)
+            assert [vars(r) for r in got] == [vars(r) for r in want]
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        counters = b.network.obs.metrics.counters
+        assert not any(k.startswith("retrieve.batch.fallback.") for k in counters)
+        assert counters["retrieve.batch.replayed"] > 0
 
     def test_duplicated_pointer_storm_shares(self):
         """Directory pointers are no fallback reason: the facade's
@@ -450,11 +472,10 @@ class TestHostileFabricsMatchTheOracle:
     message bill and the fabric's own counters — and must not
     deduplicate, since a replayed bill would skip the fabric."""
 
-    FABRICS = ["admission", "link_faults", "replication", "retry"]
+    FABRICS = ["admission", "link_faults", "retry"]
 
     def twins(self, seed, fabric):
-        config = {"replication": dict(replication_factor=3)}.get(fabric, {})
-        rng, a, b = twin_worlds(seed, capacity=2, n_nodes=40, obs=True, **config)
+        rng, a, b = twin_worlds(seed, capacity=2, n_nodes=40, obs=True)
         dead = rng.choice(list(a.overlay.ring), size=6, replace=False).tolist()
         for s in (a, b):
             for nid in dead:

@@ -100,7 +100,6 @@ class TestTokenBucket:
             {"breaker_open_for": 0},
             {"breaker_probe_every": 0},
             {"divert_attempts": 0},
-            {"backoff_ticks": -1.0},
         ],
     )
     def test_bad_policy_rejected(self, kwargs):

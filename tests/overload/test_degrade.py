@@ -1,4 +1,5 @@
-"""Graceful degradation: diversion, breaker fast-fail, shed publishes.
+"""Graceful degradation: diversion, breaker fast-fail, shed publishes,
+and a shed publish backing off through the retry ladder.
 
 These tests exercise the full system path (route → shed → divert)
 rather than the controller in isolation: a module-private published
@@ -10,11 +11,14 @@ attaching admission to it would change behaviour for every other module.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.maint import RetryPolicy
 from repro.overload import AdmissionController, BackpressureError, OverloadPolicy
-from repro.overload.degrade import deliver_guarded
+from repro.overload.admission import BACKOFF_TICKS
 from repro.workload import keyword_query, nth_popular_keyword
 
 
@@ -150,6 +154,91 @@ class TestPublishDiversion:
             published.network.attach_admission(None)
 
 
+class TestPublishBackoff:
+    """Admission × retry: a shed publish climbs the retry policy's
+    backoff ladder before it diverts to a key-neighbor."""
+
+    @pytest.fixture()
+    def retry(self, published):
+        """Install a retry policy on the module system for one test."""
+        config = published.config
+
+        def install(policy: RetryPolicy) -> None:
+            published.config = dataclasses.replace(config, retry_policy=policy)
+
+        yield install
+        published.config = config
+
+    @staticmethod
+    def _publish_at_saturated_home(system, controller, trace, row):
+        vec = trace.corpus.vector(row)
+        _, key = system.item_keys(vec.indices, vec.values)
+        nominal = system.overlay.home(key)
+        _saturate(controller, nominal)
+        # A control arrival is never shed: it clamps the backlog at the
+        # cap, so the publish's first arrival there is surely shed.
+        controller.try_arrive(nominal, "route")
+        counters = system.obs.metrics.counters
+        names = ("maint.retries", "maint.retry_gave_up", "overload.diverts")
+        before = {name: counters.get(name, 0) for name in names}
+        before["clock"] = controller.clock
+        before["sent"] = system.network.sink.total
+        item_id = trace.corpus.n_items + 10 + row
+        res = system.publish(
+            _origin(system, avoid=nominal), item_id, vec.indices, vec.values
+        )
+        delta = {name: counters.get(name, 0) - before[name] for name in names}
+        delta["clock"] = controller.clock - before["clock"]
+        delta["sent"] = system.network.sink.total - before["sent"]
+        return res, key, nominal, item_id, delta
+
+    def test_backoff_drains_the_home_and_lands_there(
+        self, published, retry, small_trace
+    ):
+        policy = RetryPolicy(seed=3)
+        retry(policy)
+        controller = AdmissionController(
+            OverloadPolicy(service_rate=0.1, queue_cap=6), obs=published.obs
+        )
+        published.network.attach_admission(controller)
+        try:
+            res, key, nominal, item_id, delta = self._publish_at_saturated_home(
+                published, controller, small_trace, 3
+            )
+            # One wait drained the home; the re-attempt was admitted at
+            # the true home (degradation level 0: nothing diverted).
+            assert res.success
+            assert res.home == nominal
+            assert published.network.node(nominal).has_item(item_id)
+            # The clock moved once per message sent, plus the one wait.
+            waited = int(policy.delay(0, token=key) * BACKOFF_TICKS)
+            assert waited > 0
+            assert delta.pop("clock") == delta.pop("sent") + waited
+            assert delta == {
+                "maint.retries": 1, "maint.retry_gave_up": 0, "overload.diverts": 0
+            }
+        finally:
+            published.network.attach_admission(None)
+
+    def test_zero_budget_diverts_to_a_key_neighbor(
+        self, published, adm, retry, small_trace
+    ):
+        retry(RetryPolicy(seed=3, max_total_delay=0.0))
+        res, _, nominal, item_id, delta = self._publish_at_saturated_home(
+            published, adm, small_trace, 4
+        )
+        assert res.success
+        assert res.home != nominal
+        assert published.network.node(res.home).has_item(item_id)
+        # The budget stop is counted once, and no wait was taken: the
+        # clock moved once per message sent, plus once for the divert's
+        # explicitly metered delivery at the neighbor.
+        assert delta.pop("clock") == delta.pop("sent") + 1
+        assert delta == {
+            "maint.retries": 0, "maint.retry_gave_up": 1, "overload.diverts": 1
+        }
+
+
 class TestBreakerFastFail:
     def test_open_breaker_fails_before_spending_route_messages(
         self, published, adm, small_trace
@@ -164,7 +253,7 @@ class TestBreakerFastFail:
             "overload.breaker_fastfail", 0
         )
         with pytest.raises(BackpressureError) as exc:
-            deliver_guarded(published, _origin(published), key, kind="retrieve")
+            published.deliver_home(_origin(published), key, kind="retrieve")
         assert exc.value.reason == "breaker-open"
         assert exc.value.node_id == nominal
         assert published.network.sink.total == before  # zero messages spent

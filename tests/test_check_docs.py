@@ -1,4 +1,4 @@
-"""The docs check's orphan-symbol rule, on a planted tree."""
+"""The docs check's orphan-symbol and knob rules, on planted trees."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +37,33 @@ def test_orphan_check_flags_exactly_the_tests_only_symbol(tmp_path):
     errors = check_docs._orphan_symbol_errors(tmp_path)
     assert len(errors) == 1
     assert "`tested`" in errors[0]
+
+
+def test_knob_check_flags_exactly_the_tests_only_field(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/config.py",
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass RetryPolicy:\n"
+        "    direct: int = 0\n    forwarded: int = 0\n    via_dict: int = 0\n"
+        "    listed: int = 0\n    tested: int = 0\n\n\n"
+        "def build(**overrides):\n    return RetryPolicy(**overrides)\n",
+    )
+    _write(
+        tmp_path,
+        "src/repro/app.py",
+        "from .config import RetryPolicy, build\n\n"
+        "RetryPolicy(direct=1)\nbuild(forwarded=2)\n"
+        'CELLS = [{"via_dict": 3}]\nbuild(**CELLS[0])\n'
+        "# an unrelated call: tested=4 here sets nothing\nprint(tested=4)\n",
+    )
+    _write(tmp_path, "tests/test_config.py", "from repro.config import build\n\nbuild(tested=5)\n")
+    _write(
+        tmp_path,
+        "DESIGN.md",
+        "# Design\n\n## 3. System inventory\n\n- `RetryPolicy.listed`: kept on purpose.\n\n"
+        "## 4. Next\n\n- `RetryPolicy.tested`: outside §3, so no excuse.\n",
+    )
+    errors = check_docs._knob_errors(tmp_path)
+    assert len(errors) == 1
+    assert "`RetryPolicy.tested`" in errors[0]

@@ -53,6 +53,14 @@ string such as a wrapper's ``"item_keys"``) — or its name in backticks
 in DESIGN.md §3.  A symbol that only tests reach belongs under
 ``tests/`` or nowhere.
 
+One knob check keeps the configuration to what is used: every field of
+``MeteorographConfig``, ``RetryPolicy`` and ``OverloadPolicy`` needs a
+setter outside ``tests/`` — a keyword of a call to the class, or to a
+function that passes its ``**kwargs`` on to one, or a key of a dict
+literal (or ``dict(...)`` keyword) in a file that splats a dict into
+such a call — or a DESIGN.md §3 line naming it as `` `Class.field` ``
+with the reason it stays.
+
 Run as ``python tools/check_docs.py`` from the repo root (CI does;
 ``repro`` must be importable — ``pip install -e .`` or
 ``PYTHONPATH=src``).
@@ -336,6 +344,75 @@ def _orphan_symbol_errors(root: Path = ROOT) -> list[str]:
     return failed
 
 
+#: The configuration dataclasses the knob check covers.
+_KNOB_CLASSES = ("MeteorographConfig", "RetryPolicy", "OverloadPolicy")
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _knob_errors(root: Path = ROOT) -> list[str]:
+    """Config fields that nothing outside tests sets and DESIGN.md §3
+    does not explain (see the module docstring)."""
+    trees = [
+        (path, ast.parse(path.read_text()))
+        for top in _REFERRER_DIRS
+        for path in sorted((root / top).rglob("*.py"))
+        if "tests" not in path.relative_to(root).parts
+    ]
+    fields: dict[str, list[str]] = {}
+    for path, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in _KNOB_CLASSES:
+                fields[node.name] = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    # A sink of a class is the class or a function splatting its own
+    # ``**kwargs`` into a sink.
+    sinks = {cls: {cls} for cls in fields}
+    grown = True
+    while grown:
+        grown = False
+        for _, tree in trees:
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not fn.args.kwarg:
+                    continue
+                for call in ast.walk(fn):
+                    if not isinstance(call, ast.Call) or not any(
+                        k.arg is None and isinstance(k.value, ast.Name)
+                        and k.value.id == fn.args.kwarg.arg for k in call.keywords
+                    ):
+                        continue
+                    for names in sinks.values():
+                        if _callee(call) in names and fn.name not in names:
+                            names.add(fn.name)
+                            grown = True
+    assigned: dict[str, set] = {cls: set() for cls in fields}
+    for _, tree in trees:
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        keys = {
+            k.value for n in ast.walk(tree) if isinstance(n, ast.Dict)
+            for k in n.keys if isinstance(k, ast.Constant)
+        } | {k.arg for c in calls if _callee(c) == "dict" for k in c.keywords}
+        for cls, names in sinks.items():
+            into = [c for c in calls if _callee(c) in names]
+            assigned[cls].update(k.arg for c in into for k in c.keywords)
+            if any(k.arg is None for c in into for k in c.keywords):
+                assigned[cls].update(keys)
+    design = (root / "DESIGN.md").read_text()
+    inventory = design.split("\n## 3.", 1)[-1].split("\n## ", 1)[0]
+    return [
+        f"`{cls}.{name}` is set by nothing outside tests and DESIGN.md §3 does "
+        "not say why it stays: delete it, set it, or give it a §3 line"
+        for cls, names in sorted(fields.items())
+        for name in names
+        if name not in assigned[cls] and f"`{cls}.{name}`" not in inventory
+    ]
+
+
 def main() -> int:
     try:
         from repro.experiments import ALL_EXPERIMENTS
@@ -420,6 +497,7 @@ def main() -> int:
 
     failed.extend(_module_path_errors())
     failed.extend(_orphan_symbol_errors())
+    failed.extend(_knob_errors())
 
     manifest_path = ROOT / "results" / "manifest.json"
     if manifest_path.exists():
