@@ -421,31 +421,6 @@ class TestFallbacks:
         assert counters["retrieve.batch.routes"] == 8
         assert counters["retrieve.batch.replayed"] == 0
 
-    def test_replicated_storm_shares(self):
-        """Replication is no fallback reason: routes and walks read
-        replica copies like any other row, so a duplicated storm over
-        dead frontier nodes replays its routes and walks and still
-        equals the oracle on every result field and the bill."""
-        rng, a, b = twin_worlds(33, capacity=2, obs=True, replication_factor=3)
-        dead = rng.choice(list(a.overlay.ring), size=6, replace=False).tolist()
-        for s in (a, b):
-            for nid in dead:
-                s.network.fail_node(nid)
-        queries = random_queries(rng, 24, dup_every=3)
-        pool = [a.random_origin(rng) for _ in range(3)]
-        origins = [pool[i % 3] for i in range(len(queries))]
-        for amount, max_walk in ((None, None), (2, None), (3, 2)):
-            want = [
-                oracle_retrieve(a, o, q, amount, patience=4, max_walk=max_walk)
-                for o, q in zip(origins, queries)
-            ]
-            got = retrieve_many(b, origins, queries, amount, patience=4, max_walk=max_walk)
-            assert [vars(r) for r in got] == [vars(r) for r in want]
-        assert a.network.sink.snapshot() == b.network.sink.snapshot()
-        counters = b.network.obs.metrics.counters
-        assert not any(k.startswith("retrieve.batch.fallback.") for k in counters)
-        assert counters["retrieve.batch.replayed"] > 0
-
     def test_duplicated_pointer_storm_shares(self):
         """Directory pointers are no fallback reason: the facade's
         ``retrieve_many`` runs §3.5.2 through the engine, so a storm's
@@ -466,16 +441,19 @@ class TestFallbacks:
 
 
 class TestHostileFabricsMatchTheOracle:
-    """Each non-replayable configuration, on a window that holds
-    duplicate queries and dead frontier nodes: ``retrieve_many`` must
-    equal the oracle run query by query on every result field, the
-    message bill and the fabric's own counters — and must not
-    deduplicate, since a replayed bill would skip the fabric."""
+    """Each hostile configuration, on a window that holds duplicate
+    queries and dead frontier nodes: ``retrieve_many`` must equal the
+    oracle run query by query on every result field, the message bill
+    and the fabric's own counters. A non-replayable fabric must not
+    deduplicate, since a replayed bill would skip the fabric;
+    replication is no fallback reason — routes and walks read replica
+    copies like any other row — so its duplicates must replay."""
 
-    FABRICS = ["admission", "link_faults", "retry"]
+    FABRICS = ["admission", "link_faults", "replication", "retry"]
 
     def twins(self, seed, fabric):
-        rng, a, b = twin_worlds(seed, capacity=2, n_nodes=40, obs=True)
+        config = {"replication": dict(replication_factor=3)}.get(fabric, {})
+        rng, a, b = twin_worlds(seed, capacity=2, n_nodes=40, obs=True, **config)
         dead = rng.choice(list(a.overlay.ring), size=6, replace=False).tolist()
         for s in (a, b):
             for nid in dead:
@@ -525,6 +503,10 @@ class TestHostileFabricsMatchTheOracle:
         assert a.network.sink.snapshot() == b.network.sink.snapshot()
         assert self.fabric_counters(a) == self.fabric_counters(b)
         counters = b.network.obs.metrics.counters
+        if fabric == "replication":
+            assert not any(k.startswith("retrieve.batch.fallback.") for k in counters)
+            assert counters["retrieve.batch.replayed"] > 0
+            return
         assert counters[f"retrieve.batch.fallback.{fabric}"] == 3 * len(queries)
         assert counters["retrieve.batch.routes"] == 3 * len(queries)
         assert counters["retrieve.batch.replayed"] == 0
