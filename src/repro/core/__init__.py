@@ -9,7 +9,12 @@ from .angles import (
 from .naming import CdfEqualizer, Knee, angle_to_key, corpus_to_keys
 from .knees import empirical_cdf, equalizer_from_sample, fit_knees
 from .loadbalance import HotRegion, HotRegionNamer, detect_hot_regions, uniform_namer
-from .publish import PublishResult, ReplacementPolicy, run_displacement_chain
+from .publish import (
+    PublishResult,
+    ReplacementPolicy,
+    publish_pointer,
+    run_displacement_chain,
+)
 from .search import (
     Discovery,
     FindResult,
@@ -20,8 +25,7 @@ from .search import (
 )
 from .search_batch import retrieve_many
 from .firsthop import FirstHopSelector
-from .directory import publish_pointer
-from .replication import ReplicaRecord, ReplicationManager
+from .replication import ReplicationManager
 from .meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from .ranges import AttributeSpec, RangeDirectory, RangeQueryResult
 from .notify import NotificationService, Subscription, Notification
@@ -55,7 +59,6 @@ __all__ = [
     "retrieve_with_pointers",
     "FirstHopSelector",
     "publish_pointer",
-    "ReplicaRecord",
     "ReplicationManager",
     "Meteorograph",
     "MeteorographConfig",

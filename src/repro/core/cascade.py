@@ -49,7 +49,7 @@ from ..sim.node import PeerNode, StoredItem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .meteorograph import Meteorograph
-    from .publish import PublishResult
+    from .publish import PublishResult, _drop
 
 __all__ = ["cascade_placement"]
 
@@ -85,7 +85,7 @@ def cascade_placement(
     Fills ``results[k]`` with the :class:`PublishResult` each item would
     get from the sequential chain loop.
     """
-    from .publish import PublishResult
+    from .publish import PublishResult, _drop
 
     network = system.network
     obs = network.obs
@@ -145,9 +145,7 @@ def cascade_placement(
             if victim is None:
                 break
             if budget is not None and budget <= 0:
-                res.success = False
-                res.dropped_item_id = victim.item_id
-                res.dropped_angle_key = victim.angle_key
+                _drop(res, victim)
                 failures += 1
                 break
             fr = frontiers.get(home)
@@ -160,9 +158,7 @@ def cascade_placement(
                     break
                 flist.append(nxt)
             if frontier_i >= len(flist):
-                res.success = False
-                res.dropped_item_id = victim.item_id
-                res.dropped_angle_key = victim.angle_key
+                _drop(res, victim)
                 failures += 1
                 break
             next_id = flist[frontier_i]
@@ -203,7 +199,8 @@ def _reconcile(
     items: Sequence[StoredItem],
     norms=None,
 ) -> None:
-    """Apply each touched node's net diff to its store.
+    """Apply each touched node's net diff to its store and the item
+    record (one bulk store, credited in bulk, per node).
 
     Removals run everywhere first (collecting moved items' indexed
     norms), then each node bulk-stores its additions — equivalent to
@@ -211,6 +208,7 @@ def _reconcile(
     histories, determine each store's rows and ladder.
     """
     network = system.network
+    ledger = system.replication
     moved_norms: dict[int, float] = {}
     plan: list[tuple[int, list[int], list[StoredItem]]] = []
     for nid, sh in shadows.items():
@@ -232,6 +230,8 @@ def _reconcile(
             node = network.node(nid)
             moved_norms.update(zip(removed, node.index.norms_of_many(removed)))
             node.evict_many(removed)
+            for iid in removed:
+                ledger.uncredit(iid, nid)
         plan.append((nid, removed, added))
     if not any(added for _, _, added in plan):
         return
@@ -252,4 +252,4 @@ def _reconcile(
                 add_norms = None
                 break
             add_norms.append(n)
-        network.node(nid).store_many(added, add_norms)
+        system.store_run(nid, added, add_norms)

@@ -41,7 +41,6 @@ from ..sim.network import Network
 from ..sim.node import StoredItem
 from ..vsm.sparse import Corpus, SparseVector
 from .angles import DEFAULT_CHUNK_ROWS, absolute_angle_from_arrays
-from .directory import publish_pointer as _publish_pointer
 from .firsthop import FirstHopSelector
 from .knees import equalizer_from_sample
 from .loadbalance import HotRegionNamer, detect_hot_regions, uniform_namer
@@ -173,10 +172,6 @@ class Meteorograph:
         self.equalizer = equalizer
         self.bootstrap = bootstrap
         self.first_hop = first_hop
-        #: item id → (angle key, publish key) for everything published.
-        #: Multi-key schemes record the band-0 publish key (the
-        #: canonical copy ``find`` routes to).
-        self._published: dict[int, tuple[int, int]] = {}
         #: The naming seam: every key this facade hands out comes from
         #: here (see :mod:`repro.lsh.scheme`).  Imported lazily so the
         #: ``repro.core`` import graph stays acyclic.
@@ -212,11 +207,8 @@ class Meteorograph:
             )
         else:
             raise ValueError(f"unknown naming scheme {config.naming_scheme!r}")
-        self.replication: Optional[ReplicationManager] = (
-            ReplicationManager(self, config.replication_factor)
-            if config.replication_factor > 1
-            else None
-        )
+        #: The item record (every factor) and §3.6 replication.
+        self.replication = ReplicationManager(self, config.replication_factor)
         #: Optional §6 notification service; set via
         #: ``NotificationService(system).attach()``.
         self.notifications = None
@@ -397,8 +389,10 @@ class Meteorograph:
     # ------------------------------------------------------------ node storage
 
     def store_at(self, node_id: int, item: StoredItem) -> None:
-        """Store an item on a node and tell the notification service."""
+        """Store an item on a node, credit it in the item record and tell
+        the notification service."""
         self.network.node(node_id).store(item)
+        self.replication.credit(item.item_id, node_id)
         if self.notifications is not None and not item.is_replica:
             self.notifications.on_stored(node_id, item)
 
@@ -414,18 +408,11 @@ class Meteorograph:
         Used by the displacement-free branch of batch publish, where the
         ring sweep drops each node's whole run off in one message."""
         self.network.node(node_id).store_many(items, norms)
+        self.replication.credit_run(node_id, items)
         if self.notifications is not None:
             for item in items:
                 if not item.is_replica:
                     self.notifications.on_stored(node_id, item)
-
-    def publish_pointer(self, origin: int, item: StoredItem) -> int:
-        """Place ``item``'s §3.5.2 pointer row, withdrawing the row an
-        earlier publish left under another angle key."""
-        known = self._published.get(item.item_id)
-        return _publish_pointer(
-            self, origin, item, None if known is None else known[0]
-        )
 
     def deliver_home(self, origin: int, key: int, *, kind: str = "route") -> "RouteResult":
         """Route a message to the home of ``key``, fault-tolerantly.
@@ -458,23 +445,16 @@ class Meteorograph:
             adm.breaker.record_delivery(route.home)
         return route
 
-    def register_published_many(
-        self, item_ids: np.ndarray, angle_keys: np.ndarray, publish_keys: np.ndarray
-    ) -> None:
-        """Record each published item's (angle key, band-0 publish key)."""
-        self._published.update(
-            zip(item_ids.tolist(), zip(angle_keys.tolist(), publish_keys.tolist()))
-        )
-
     def published_key_of(self, item_id: int) -> int:
+        """The item's (band-0) publish key, from its record."""
         try:
-            return self._published[item_id][1]
+            return self.replication.keys[item_id][1]
         except KeyError:
             raise KeyError(f"item {item_id} was never published") from None
 
     @property
     def published_count(self) -> int:
-        return len(self._published)
+        return len(self.replication.keys)
 
     # --------------------------------------------------------------------- API
 

@@ -31,7 +31,8 @@ reason (the write twin of :mod:`repro.core.search_batch`):
 * route sharing (:func:`batch_publish`: one route to the smallest key's
   home, then one ring sweep dropping each node's run off) is refused
   under directory pointers or replication, which need the per-item
-  protocol — :func:`publish_item` then runs each row unshared;
+  protocol, and for a republish, which withdraws row by row —
+  :func:`publish_row` then runs each row unshared;
 * displacement sharing (the :mod:`repro.core.cascade` engine) is
   refused under the ``COSINE`` policy, a notification service,
   admission control or a link-fault plane, which observe each
@@ -61,7 +62,6 @@ from ..overload.degrade import divert_publish
 from ..sim.linkfaults import MessageLossError
 from ..sim.node import StoredItem
 from ..vsm.sparse import SparseVector
-from .directory import withdraw_pointer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..vsm.index import LocalVsmIndex
@@ -72,6 +72,8 @@ __all__ = [
     "PublishResult",
     "run",
     "publish_item",
+    "publish_pointer",
+    "publish_row",
     "run_displacement_chain",
     "batch_publish",
     "batch_live_homes",
@@ -100,8 +102,6 @@ class PublishResult:
     route_hops: int
     displacement_hops: int = 0
     dropped_item_id: Optional[int] = None
-    #: The dropped item's Eq. 5 angle key, where its pointer row lives.
-    dropped_angle_key: Optional[int] = None
     success: bool = True
     #: node ids touched by the displacement chain, in order (excludes home).
     chain: list[int] = field(default_factory=list)
@@ -140,7 +140,6 @@ def _drop(result: PublishResult, victim: StoredItem) -> PublishResult:
     """Record that the chain ended by dropping ``victim``."""
     result.success = False
     result.dropped_item_id = victim.item_id
-    result.dropped_angle_key = victim.angle_key
     return result
 
 
@@ -161,11 +160,13 @@ def run_displacement_chain(
     frontier); each full node swaps the incoming item for its
     least-similar one and pushes the victim on.  A node that already
     holds the incoming id replaces that copy in place, full or not (the
-    ``PeerNode.store`` contract): no victim, no push.
-    Charges one ``displace`` message per chain hop.  Under replication
-    the ledger follows every copy: each store credits its node and each
-    eviction uncredits it, so a victim's credit moves with each push
-    and is gone if the victim drops.
+    ``PeerNode.store`` contract): no victim, no push; nor is a victim
+    pushed that is a superseded copy of ``item`` (see
+    :func:`publish_row`).
+    Charges one ``displace`` message per chain hop.  The item record
+    follows every copy: each store credits its node and each eviction
+    uncredits it, so a victim's credit moves with each push and is gone
+    if the victim drops.
     """
     result = PublishResult(item_id=item.item_id, home=home_id, route_hops=0)
     current = home_id
@@ -180,16 +181,20 @@ def run_displacement_chain(
         node = system.network.node(current)
         if not node.is_full or node.has_item(incoming.item_id):
             system.store_at(current, incoming)
-            if ledger is not None:
-                ledger.credit(incoming, current)
             return result
         victim = _pick_victim(system, node.index, incoming, policy)
         if victim.item_id != incoming.item_id:
+            # A copy of the item being published that its new placement
+            # does not credit is superseded: it only makes room.
+            stale = (
+                victim.item_id == item.item_id
+                and current not in ledger.holders[item.item_id]
+            )
             node.evict(victim.item_id)
+            ledger.uncredit(victim.item_id, current)
             system.store_at(current, incoming)
-            if ledger is not None:
-                ledger.uncredit(victim.item_id, current)
-                ledger.credit(incoming, current)
+            if stale:
+                return result
         # else: incoming itself continues down the chain unstored.
         if budget is not None and budget <= 0:
             # Fig. 2: "if (c = 0) reply a publishing failure" — but the
@@ -226,8 +231,10 @@ def publish_item(
 ) -> PublishResult:
     """One item, unshared: route from ``origin`` to its publish key's
     home, run the displacement chain there, then place the directory
-    pointer and the replicas the configuration asks for."""
+    pointer and the replicas the configuration asks for, and withdraw
+    a dropped victim (its row goes once no body of it is left)."""
     config = system.config
+    ledger = system.replication
     obs = system.network.obs
     publish_key = item.publish_key
     with obs.tracer.span("publish", item=item.item_id, key=publish_key) as sp:
@@ -264,21 +271,11 @@ def publish_item(
         if dropped != item.item_id:
             # An item the chain dropped has no body: no row may name it.
             if config.directory_pointers:
-                system.publish_pointer(home, item)
-            if system.replication is not None:
-                system.replication.replicate(home, item)
-            if dropped is not None and config.directory_pointers:
-                # A displaced victim dropped: withdraw its row from the
-                # drop node unless a replica of it survives.
-                ledger = system.replication
-                record = None if ledger is None else ledger.records.get(dropped)
-                if record is None or not record.holders:
-                    withdraw_pointer(
-                        system,
-                        result.chain[-1] if result.chain else home,
-                        dropped,
-                        result.dropped_angle_key,
-                    )
+                publish_pointer(system, home, item)
+            if ledger.factor > 1:
+                ledger.replicate(home, item)
+            if dropped is not None:
+                ledger.withdraw(dropped, src=result.chain[-1] if result.chain else home)
         sp.set(
             home=result.home,
             route_hops=route_hops,
@@ -288,6 +285,33 @@ def publish_item(
         if level:
             sp.set(degraded=level)
     return result
+
+
+def publish_pointer(system: "Meteorograph", origin: int, item: StoredItem) -> int:
+    """Place ``item``'s §3.5.2 pointer — a row of the item itself, whose
+    ``publish_key`` names the body's home — at its Eq. 5 angle key's
+    home (rows are small: no capacity, no displacement), and name that
+    node in the item record.  Returns the ``pointer`` route hops."""
+    route = system.overlay.route(origin, item.angle_key, kind="pointer")
+    assert route.home is not None
+    system.network.node(route.home).add_pointer(item)
+    system.replication.rows[item.item_id] = route.home
+    return route.hops
+
+
+def publish_row(
+    system: "Meteorograph", origin: int, items: Sequence[StoredItem]
+) -> list[PublishResult]:
+    """One row's items (a copy per publish key) through
+    :func:`publish_item`; a republish supersedes the previous placement
+    and then withdraws what the new one did not reuse."""
+    ledger = system.replication
+    item_id = items[0].item_id
+    prior = ledger.supersede(item_id) if item_id in ledger.holders else None
+    results = [publish_item(system, origin, item) for item in items]
+    if prior is not None:
+        ledger.withdraw(item_id, *prior, src=results[0].home)
+    return results
 
 
 def batch_live_homes(
@@ -342,12 +366,15 @@ def store_runs(
         )
 
 
-def _route_reason(system: "Meteorograph") -> Optional[str]:
-    """Why one route plus a ring sweep cannot serve a batch, or ``None``
-    when it can (the first matching reason)."""
+def _route_reason(system: "Meteorograph", ids: list[int]) -> Optional[str]:
+    """Why one route plus a ring sweep cannot serve a batch of ``ids``,
+    or ``None`` when it can (the first matching reason).  A republish
+    (an id named twice, or already placed) withdraws row by row."""
+    placed = system.replication.holders.keys()
     return (
         "pointers" if system.config.directory_pointers
-        else "replication" if system.replication is not None
+        else "replication" if system.replication.factor > 1
+        else "republish" if len(set(ids)) < len(ids) or not placed.isdisjoint(ids)
         else None
     )
 
@@ -402,7 +429,8 @@ def run(
     n_keys = key_mat.shape[1]
     network = system.network
     metrics = network.obs.metrics
-    route_reason = _route_reason(system)
+    ids_l = ids.tolist()
+    route_reason = _route_reason(system, ids_l)
     if require_shared and route_reason is not None:
         raise ValueError(f"batch publish cannot share routes under {route_reason}")
     if route_reason is not None:
@@ -419,7 +447,6 @@ def run(
         live = [nid for nid in system.overlay.ring if network.is_alive(nid)]
         if not live:
             raise RuntimeError("no live nodes to publish from")
-    ids_l = ids.tolist()
     ak_l = angle_keys.tolist()
     keys = key_mat.reshape(-1)
     keys_l = keys.tolist()
@@ -450,11 +477,12 @@ def run(
             origins = [live[d] for d in rng.integers(0, len(live), size=n).tolist()]
         else:
             origins = [origin] * n
-        results = [
-            publish_item(system, origins[k // n_keys], item)
-            for k, item in enumerate(items)
-        ]
-    system.register_published_many(ids, angle_keys, key_mat[:, 0])
+        results = []
+        for i in range(n):
+            results += publish_row(
+                system, origins[i], items[i * n_keys:(i + 1) * n_keys]
+            )
+    system.replication.register(ids, angle_keys, key_mat)
     return results[::n_keys] if n_keys > 1 else results
 
 

@@ -39,7 +39,6 @@ class OwnedItem:
     weights: np.ndarray
     payload: object
     expires_at: float
-    generation: int = 0
 
 
 class SoftStateManager:
@@ -105,28 +104,14 @@ class SoftStateManager:
         )
         return result
 
-    def _purge_copies(self, item_id: int) -> int:
-        """Remove every stored copy of an item (all nodes, incl. replicas).
-
-        Also closes the item's replication record, so a subsequent
-        republish re-replicates from scratch.
-        """
-        purged = 0
-        for node in self.system.network.nodes():
-            if node.has_item(item_id):
-                node.evict(item_id)
-                purged += 1
-        if self.system.replication is not None:
-            self.system.replication.forget_item(item_id)
-        return purged
-
     def republish_all(self) -> int:
         """One owner-republish round: every live owner refreshes its items.
 
-        A refresh supersedes the previous generation (old copies are
-        withdrawn) and re-runs the full publish path — route, placement,
-        replication — so items whose homes died get re-homed; this is
-        the recovery mechanism.  Items of dead owners are left to
+        A refresh supersedes the previous generation and re-runs the
+        full publish path — route, placement, replication — so items
+        whose homes died get re-homed; this is the recovery mechanism.
+        The old copies the new placement does not reuse are withdrawn,
+        one ``withdraw`` message each.  Items of dead owners are left to
         expire.  Returns the number of items refreshed.
         """
         refreshed = 0
@@ -134,7 +119,6 @@ class SoftStateManager:
         for rec in self.records.values():
             if not self.system.network.is_alive(rec.owner):
                 continue
-            self._purge_copies(rec.item_id)
             self.system.publish(
                 rec.owner,
                 rec.item_id,
@@ -143,7 +127,6 @@ class SoftStateManager:
                 payload=rec.payload,
             )
             rec.expires_at = now + self.ttl
-            rec.generation += 1
             refreshed += 1
             self.republished += 1
         return refreshed
@@ -151,19 +134,19 @@ class SoftStateManager:
     # -- expiry --------------------------------------------------------------
 
     def expire_stale(self) -> int:
-        """Purge copies of items whose records have expired.
+        """Withdraw every copy of the items whose records have expired.
 
-        Expiry is global per item (the record carries the deadline);
-        every node holding a copy of an expired item drops it.  Returns
-        copies purged.
+        Expiry is global per item (the record carries the deadline):
+        every body copy and the pointer row the item record names go,
+        one ``withdraw`` message each from the owner.  Returns copies
+        withdrawn.
         """
-        now = self._now()
-        stale = [rec.item_id for rec in self.records.values() if rec.expires_at <= now]
+        ledger, now = self.system.replication, self._now()
         purged = 0
-        for item_id in stale:
-            purged += self._purge_copies(item_id)
+        for rec in [r for r in self.records.values() if r.expires_at <= now]:
+            purged += ledger.withdraw(rec.item_id, *ledger.supersede(rec.item_id), src=rec.owner)
+            del self.records[rec.item_id]
             self.expired += 1
-            del self.records[item_id]
         return purged
 
     # -- scheduling ----------------------------------------------------------------

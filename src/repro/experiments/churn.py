@@ -76,7 +76,7 @@ def run_churn(
             system, [PoissonChurn(depart_rate=depart_rate)], rng
         )
         engine = None
-        if with_repair and system.replication is not None:
+        if with_repair and system.replication.factor > 1:
             engine = RepairEngine(system).attach()
             engine.schedule(repair_interval)
 

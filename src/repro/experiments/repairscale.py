@@ -64,8 +64,8 @@ def _build(tr: WorldCupTrace, n_nodes: int, replicas: int, seed: int) -> Meteoro
 
 def _holders(system: Meteorograph) -> dict[int, tuple[int, ...]]:
     return {
-        item_id: tuple(sorted(rec.holders))
-        for item_id, rec in system.replication.records.items()
+        item_id: tuple(sorted(holders))
+        for item_id, holders in system.replication.holders.items()
     }
 
 

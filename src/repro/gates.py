@@ -149,7 +149,7 @@ def _faults(
     )
     system.publish_corpus(corpus, rng)
     engine = None
-    if repair_interval > 0 and system.replication is not None:
+    if repair_interval > 0 and replicas > 1:
         engine = RepairEngine(system).attach()
         engine.schedule(repair_interval)
     stats = run_scenarios(

@@ -8,7 +8,7 @@ faults"):
   manager's one repair loop over the dirty items; the full-scan
   ``ReplicationManager.repair`` runs it over every record — the
   reference the engine's placements are tested against.  Who holds a
-  copy is recorded once, in the manager's ledger.
+  copy is recorded once, in the manager's item record.
 * :class:`RetryPolicy` / :func:`route_with_retry` — bounded
   exponential backoff (deterministic jitter from the run seed) around
   publish/retrieve home delivery, degrading to the nearest live
@@ -19,7 +19,8 @@ faults"):
   change kind.
 * :mod:`repro.maint.invariants` — the chaos harness's machine-checked
   health conditions (reachability, replica counts, message-accounting
-  conservation, the replication ledger's credited ⇔ stored contract).
+  conservation, the item record's credited ⇔ stored contract, pointer
+  freshness).
 * :mod:`repro.maint.scenarios` — declarative fault scenarios (batch
   kill, Poisson churn, flapping nodes, correlated region failure,
   partitions, lossy links) driving :mod:`repro.sim.engine`, checked by
@@ -32,6 +33,7 @@ from .invariants import (
     check_accounting,
     check_all,
     check_holder_index,
+    check_pointers,
     check_reachability,
     check_replica_counts,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "check_replica_counts",
     "check_accounting",
     "check_holder_index",
+    "check_pointers",
     "check_all",
     "Scenario",
     "ScenarioStats",

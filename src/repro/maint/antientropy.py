@@ -65,11 +65,8 @@ class AntiEntropyEngine:
     """
 
     def __init__(self, system: "Meteorograph", repair: RepairEngine) -> None:
-        if system.replication is None:
-            raise ValueError(
-                "AntiEntropyEngine needs a replicated system "
-                "(replication_factor > 1)"
-            )
+        if system.replication.factor < 2:
+            raise ValueError("AntiEntropyEngine needs replication_factor > 1")
         self.system = system
         self.manager = system.replication
         self.repair = repair
@@ -153,26 +150,23 @@ class AntiEntropyEngine:
         #    repair ladder to retry.
         replaced = 0
         reconciled = 0
-        for item_id, record in manager.records.items():
-            home = overlay.live_home(record.item.publish_key)
+        network = self.system.network
+        for item_id in manager.holders:
+            home = overlay.live_home(manager.keys[item_id][1])
             if home is None:
                 continue
-            live = manager.live_holders(record)
+            live = manager.live_holders(item_id)
             if not live or home in live:
                 continue
             reconciled += 1
-            src = self._closest_live_source(live, home)
-            if manager.place_copy(src, home, record):
+            # Deterministic source: the live holder nearest the home.
+            src = min(live, key=lambda h: (abs(h - home), h))
+            if manager.place_copy(src, home, network.node(src).get_item(item_id)):
                 replaced += 1
             else:
                 self.repair.dirty.add(item_id)
                 self._deferred.add(item_id)
         return dirtied, replaced, reconciled
-
-    @staticmethod
-    def _closest_live_source(live: list[int], home: int) -> int:
-        """Deterministic source pick: the live holder nearest the home."""
-        return min(live, key=lambda h: (abs(h - home), h))
 
     # -- introspection -----------------------------------------------------
 

@@ -8,12 +8,10 @@ when a single node failed — which is what capped churn experiments near
 item ids whose copy count may have changed, fed by
 
 * the network's liveness notifications (fail / recover / heal) — a
-  holder's transition marks exactly the items the replication ledger
-  credits to it;
+  holder's transition marks exactly the items the item record credits
+  to it;
 * the manager's ``on_under_replicated`` hook — publish-time shortfalls
-  (targets full or dead) and the items of a removed node, which the
-  ledger has already uncredited by the time the engine would hear the
-  ``remove``.
+  and the items of a removed node, already uncredited by then.
 
 A :meth:`tick` runs the manager's one repair loop
 (``ReplicationManager.repair_each``) over the dirty items in record
@@ -34,7 +32,6 @@ Metrics (when the system is observable): ``maint.repair_tick`` timer,
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Collection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,8 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import PeriodicTask
 
 __all__ = ["RepairEngine"]
-
-_RANK = attrgetter("rank")
 
 
 class RepairEngine:
@@ -60,11 +55,8 @@ class RepairEngine:
     """
 
     def __init__(self, system: "Meteorograph") -> None:
-        if system.replication is None:
-            raise ValueError(
-                "RepairEngine needs a replicated system "
-                "(replication_factor > 1)"
-            )
+        if system.replication.factor < 2:
+            raise ValueError("RepairEngine needs replication_factor > 1")
         self.system = system
         self.manager = system.replication
         #: item ids whose live copy count may have changed.
@@ -132,9 +124,9 @@ class RepairEngine:
             obs.metrics.observe("maint.dirty_size", len(self.dirty))
         if not self.dirty:
             return 0
-        records = self.manager.records
-        pending = [records[i] for i in self.dirty if i in records]
-        pending.sort(key=_RANK)
+        rank = self.manager.rank
+        pending = [i for i in self.dirty if i in rank]
+        pending.sort(key=rank.__getitem__)
         self.dirty.clear()
         placed, repaired, short = self.manager.repair_each(pending)
         self.dirty.update(short)

@@ -120,7 +120,6 @@ def traced_session(
     # Maintenance on the event engine: periodic replica repair plus a
     # small failure batch halfway through, so repair has work to do and
     # the profiler sees a non-trivial queue.
-    assert system.replication is not None
     sim.schedule_every(1.0, system.replication.repair)
     sim.schedule(
         2.5, lambda: fail_fraction(system.network, 0.05, rng)

@@ -7,13 +7,14 @@ This is what it must equal: each row's L items in list order, every one
 through the Fig. 2 protocol on its own.
 
 * ``sweep=False`` (the default) is the unshared loop: each row is
-  published from its own random live origin (one ``size=n`` draw), each
-  of its items routed and placed by ``publish_item``.
+  published from its own random live origin (one ``size=n`` draw), its
+  items routed and placed by ``publish_row``.
 * ``sweep=True`` shares the route the way the engine does — one scalar
   origin draw, one route to the smallest key's home, then one clockwise
   step per live node from where the route landed until the last home is
   reached — and then runs each item's chain at its live home with
-  ``run_displacement_chain``, one item at a time.  It is the reference
+  ``run_displacement_chain``, one item at a time, a republished row
+  superseding and withdrawing as ``publish_row`` does.  It is the reference
   wherever per-item routes would not reach the live homes (a lossy
   plane stalls them), and it sends the engine's messages in the
   engine's order, so a fault plane's verdicts line up.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.publish import publish_item, run_displacement_chain
+from repro.core.publish import publish_row, run_displacement_chain
 from repro.overload.admission import BackpressureError
 from repro.sim.linkfaults import MessageLossError
 from repro.sim.node import StoredItem
@@ -52,18 +53,20 @@ def oracle_publish(system, corpus, rng, *, item_ids=None, origin=None, sweep=Fal
     if sweep:
         if origin is None:
             origin = live[int(rng.integers(0, len(live)))]
-        results = _swept(system, live, origin, items)
+        results = _swept(system, live, origin, items, n_keys)
     else:
         if origin is None:
             origins = [live[int(d)] for d in rng.integers(0, len(live), size=n)]
         else:
             origins = [origin] * n
-        results = [publish_item(system, origins[k // n_keys], it) for k, it in enumerate(items)]
-    system.register_published_many(ids, angle_keys, key_mat[:, 0])
+        results = []
+        for i in range(n):
+            results += publish_row(system, origins[i], items[i * n_keys:(i + 1) * n_keys])
+    system.replication.register(ids, angle_keys, key_mat)
     return results[::n_keys]
 
 
-def _swept(system, live, origin, items):
+def _swept(system, live, origin, items, n_keys):
     network = system.network
     config = system.config
     first_key = min(it.publish_key for it in items)
@@ -97,12 +100,17 @@ def _swept(system, live, origin, items):
             network.send(live[(at + step) % m], live[(at + step + 1) % m], kind="publish")
         except (BackpressureError, MessageLossError):
             pass
+    ledger = system.replication
     results = []
-    for item, home, hops in zip(items, homes, route_hops):
+    for k, (item, home, hops) in enumerate(zip(items, homes, route_hops)):
+        if k % n_keys == 0:
+            prior = ledger.supersede(item.item_id) if item.item_id in ledger.holders else None
         res = run_displacement_chain(
             system, home, item,
             hop_budget=config.hop_budget, policy=config.replacement_policy,
         )
         res.route_hops = hops
         results.append(res)
+        if k % n_keys == n_keys - 1 and prior is not None:
+            ledger.withdraw(item.item_id, *prior, src=results[k - n_keys + 1].home)
     return results

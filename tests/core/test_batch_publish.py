@@ -81,7 +81,7 @@ class TestBatchEquivalence:
         bat = bat_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(bat_sys)
         assert accounting(seq) == accounting(bat)
-        assert seq_sys._published == bat_sys._published
+        assert seq_sys.replication.keys == bat_sys.replication.keys
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_batch_matches_sequential_across_seeds(self, seed):

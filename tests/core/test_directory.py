@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core.directory import publish_pointer
+from repro.core.publish import publish_pointer
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
@@ -78,10 +78,14 @@ class TestPublishPointer:
 
     def test_republish_under_a_new_angle_withdraws_the_old_row(self):
         """A republish that moves the angle key takes the earlier row
-        off the old angle home with one more billed ``pointer`` route."""
+        off the old angle home, which the item record names, and the
+        earlier body off the old home: two billed ``withdraw`` messages.
+        The ``pointer`` bill is the new row's route."""
         system = make_system(list(range(0, 10_000, 250)))
         system.publish(0, 1, [3], [1.0])
+        old_row = system.replication.rows[1]
         before = system.network.sink.count("pointer")
+        withdrawn = system.network.sink.count("withdraw")
         system.publish(0, 1, list(range(3, 11)), [1.0] * 8)
         rows = [
             n.node_id
@@ -91,13 +95,12 @@ class TestPublishPointer:
         assert len(rows) == 1
         item = system.network.node(rows[0]).pointers.item(1)
         assert list(item.keyword_ids) == list(range(3, 11))
-        assert rows[0] == system.overlay.home(item.angle_key)
+        assert rows[0] == system.overlay.home(item.angle_key) == system.replication.rows[1]
+        assert rows[0] != old_row
         origin = system.overlay.home(system.published_key_of(1))
-        routes = [
-            system.overlay.route(origin, key, kind="probe").hops
-            for key in (system.item_keys(np.array([3]), np.ones(1))[0], item.angle_key)
-        ]
-        assert system.network.sink.count("pointer") - before == sum(routes)
+        route = system.overlay.route(origin, item.angle_key, kind="probe").hops
+        assert system.network.sink.count("pointer") - before == route
+        assert system.network.sink.count("withdraw") - withdrawn == 2
 
     def test_a_publish_that_drops_its_own_item_places_no_pointer(self):
         """At capacity 1 with no displacement budget every later publish
@@ -128,7 +131,8 @@ class TestPublishPointer:
     def test_a_dropped_victim_loses_its_pointer_row(self):
         """At capacity 1 with no displacement budget, items 1 and 2 each
         displace the stored item, which drops at the home: its row is
-        withdrawn with one more billed ``pointer`` route from there."""
+        withdrawn with one billed ``withdraw`` message from there to the
+        row holder the item record names."""
         config = MeteorographConfig(
             scheme=PlacementScheme.NONE,
             directory_pointers=True,
@@ -138,11 +142,13 @@ class TestPublishPointer:
         rng = np.random.default_rng(0)
         system = Meteorograph.build(8, DIM, rng=rng, config=config)
         origin = system.random_origin(rng)
-        results, bills = [], []
+        results, bills, withdrawals = [], [], []
+        sink = system.network.sink
         for item_id, kws in ((0, list(range(3, 9))), (1, [3]), (2, [3, 9])):
-            before = system.network.sink.count("pointer")
+            before, withdrawn = sink.count("pointer"), sink.count("withdraw")
             results.append(system.publish(origin, item_id, kws, [1.0] * len(kws)))
-            bills.append(system.network.sink.count("pointer") - before)
+            bills.append(sink.count("pointer") - before)
+            withdrawals.append(sink.count("withdraw") - withdrawn)
         assert [r.dropped_item_id for r in results] == [None, 0, 1]
         held = {i for n in system.network.nodes() for i in n.item_ids()}
         rows = {
@@ -153,14 +159,10 @@ class TestPublishPointer:
         }
         assert rows == held == {2}
         home = results[2].home
-        expect = sum(
-            system.overlay.route(home, key, kind="probe").hops
-            for key in (
-                system.item_keys(np.array([3, 9]), np.ones(2))[0],
-                results[2].dropped_angle_key,
-            )
-        )
-        assert bills[2] == expect
+        key = system.item_keys(np.array([3, 9]), np.ones(2))[0]
+        assert bills[2] == system.overlay.route(home, key, kind="probe").hops
+        assert withdrawals == [0, 1, 1]
+        assert set(system.replication.rows) == {2}
 
     def test_a_dropped_victim_with_a_replica_keeps_its_row(self):
         """The row stays while another copy of the victim is held."""
@@ -177,7 +179,7 @@ class TestPublishPointer:
         system.publish(origin, 0, list(range(3, 9)), [1.0] * 6)
         result = system.publish(origin, 1, [3], [1.0])
         assert result.dropped_item_id == 0
-        assert system.replication.records[0].holders
+        assert system.replication.holders[0]
         rows = {
             i
             for n in system.network.nodes()

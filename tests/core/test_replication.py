@@ -14,13 +14,14 @@ DIM = 32
 SPACE = KeySpace(10_000)
 
 
-def make_system(node_ids, replication=2, capacity=None) -> Meteorograph:
+def make_system(node_ids, replication=2, capacity=None, pointers=False) -> Meteorograph:
     network = Network()
     overlay = TornadoOverlay(SPACE, network)
     cfg = MeteorographConfig(
         scheme=PlacementScheme.NONE,
         node_capacity=capacity,
         replication_factor=replication,
+        directory_pointers=pointers,
     )
     system = Meteorograph(
         space=SPACE,
@@ -45,11 +46,13 @@ class TestPlacement:
         assert system.replication.live_copies(1) == 3
 
     def test_factor_one_is_primary_only(self):
+        """Factor 1 is a record with one holder and no replicas."""
         system = make_system(NODES, replication=1)
-        assert system.replication is None  # manager not even created
         system.publish(0, 1, [3], [1.0])
         holders = [n.node_id for n in system.network.nodes() if n.has_item(1)]
         assert len(holders) == 1
+        assert system.replication.holders[1] == set(holders)
+        assert system.network.sink.count("replicate") == 0
 
     def test_replicas_on_numerically_closest_nodes(self):
         system = make_system(NODES, replication=3)
@@ -200,34 +203,33 @@ def stored_holders(system, item_id) -> set[int]:
 
 
 class TestLedger:
-    """The manager's ledger: credited ⇔ stored, both directions agree."""
+    """The item record: credited ⇔ stored, both directions agree."""
 
     def test_node_entries_transpose_the_records(self):
         system = make_system(NODES, replication=3)
         for i in range(6):
             system.publish(0, i, [3, 4 + i], [1.0, 0.5])
         mgr = system.replication
-        for item_id, record in mgr.records.items():
-            assert record.holders == stored_holders(system, item_id)
-            for node_id in record.holders:
+        for item_id, holders in mgr.holders.items():
+            assert holders == stored_holders(system, item_id)
+            for node_id in holders:
                 assert item_id in mgr.items_of(node_id)
         credits = sum(len(held) for held in mgr.held.values())
-        assert credits == sum(len(r.holders) for r in mgr.records.values())
+        assert credits == sum(len(h) for h in mgr.holders.values())
 
     def test_displaced_copies_move_their_credit(self):
         """At finite capacity the displacement chain evicts and pushes
         copies; each credit follows its copy, and the primary is
         credited where it landed, not at the route's home."""
-        from repro.maint import RepairEngine, check_holder_index
+        from repro.maint import check_holder_index
 
         system = make_system(NODES, replication=2, capacity=2)
-        engine = RepairEngine(system).attach()
         for i in range(12):
             system.publish(0, i, [3, 4 + i % 3], [1.0, 0.5 + i / 20])
-        report = check_holder_index(system, engine)
+        report = check_holder_index(system)
         assert report.ok, report.samples
-        for item_id, record in system.replication.records.items():
-            assert record.holders == stored_holders(system, item_id)
+        for item_id, holders in system.replication.holders.items():
+            assert holders == stored_holders(system, item_id)
 
     def test_republish_refreshes_the_record(self):
         """A republish under a new key repairs the new vector at the new
@@ -238,7 +240,79 @@ class TestLedger:
         system.publish(0, 1, list(range(3, 11)), [1.0] * 8)
         new_key = system.published_key_of(1)
         assert new_key != old_key
-        record = system.replication.records[1]
-        assert record.item.publish_key == new_key
-        assert list(record.item.keyword_ids) == list(range(3, 11))
-        assert record.primary == system.overlay.home(new_key)
+        home = system.overlay.home(new_key)
+        assert home in system.replication.holders[1]
+        for node_id in system.replication.holders[1]:
+            copy = system.network.node(node_id).get_item(1)
+            assert copy.publish_key == new_key
+            assert list(copy.keyword_ids) == list(range(3, 11))
+
+
+def row_holders(system, item_id) -> set[int]:
+    return {
+        n.node_id
+        for n in system.network.nodes()
+        if n.pointers is not None and item_id in n.pointers
+    }
+
+
+class TestWithdraw:
+    """Republish, expiry and a drop withdraw the copies the record names."""
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_republish_leaves_only_the_new_placement(self, factor):
+        """Item 1 republished under a new key: the previous copies go,
+        so the record credits exactly the nodes holding the new vector,
+        and repair sources and counts only those."""
+        system = make_system(NODES, replication=factor)
+        system.publish(0, 1, [3], [1.0])
+        system.publish(0, 1, list(range(3, 11)), [1.0] * 8)
+        home = system.overlay.home(system.published_key_of(1))
+        placed = {home, *system.overlay.replica_homes(home, factor - 1)}
+        assert stored_holders(system, 1) == placed
+        assert system.replication.holders[1] == placed
+        assert system.network.sink.count("withdraw") >= 1
+        if factor > 1:
+            system.network.fail_node(4000)
+            system.overlay.stabilize()
+            placed_now, live = system.replication.repair_record(1)
+            assert placed_now == 1 and live == factor
+            for node_id in system.replication.live_holders(1):
+                copy = system.network.node(node_id).get_item(1)
+                assert list(copy.keyword_ids) == list(range(3, 11))
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_expiry_leaves_no_pointer_row(self, factor):
+        from repro.core.softstate import SoftStateManager
+        from repro.sim.engine import Simulator
+
+        system = make_system(NODES, replication=factor, pointers=True)
+        sim = system.network.simulator = Simulator()
+        mgr = SoftStateManager(system, ttl=10, republish_interval=3)
+        mgr.publish(0, 1, [3], [1.0])
+        assert row_holders(system, 1)
+        sim.run(until=11.0)
+        assert mgr.expire_stale() == factor + 1  # the bodies and the row
+        assert not stored_holders(system, 1)
+        assert not row_holders(system, 1)
+        assert 1 not in system.replication.rows
+
+    def test_row_placed_on_a_degraded_ring_follows_its_holder(self):
+        """The angle home is down when item 1 is published, so its row
+        lands on a neighbour; after the home recovers, a republish under
+        a new angle key withdraws the row from the neighbour that holds
+        it, not from the live angle home of the old key (which is also
+        the new key's)."""
+        system = make_system(NODES, replication=1, pointers=True)
+        angle_key = system.item_keys(np.array([3]), np.ones(1))[0]
+        angle_home = system.overlay.home(angle_key)
+        system.network.fail_node(angle_home)
+        system.overlay.stabilize()
+        system.publish(0, 1, [3], [1.0])
+        (stand_in,) = row_holders(system, 1)
+        assert stand_in != angle_home
+        system.network.recover_node(angle_home)
+        system.overlay.stabilize()
+        system.publish(0, 1, [3, 4], [1.0, 1.0])
+        new_angle = system.item_keys(np.array([3, 4]), np.ones(2))[0]
+        assert row_holders(system, 1) == {system.overlay.home(new_angle)}

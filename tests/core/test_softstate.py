@@ -93,19 +93,18 @@ class TestPublishAndExpiry:
         assert copies_after == copies_before  # superseded, not duplicated
 
     def test_expiry_purge_uncredits_every_copy(self):
-        """The purge closes the item's ledger entry on both sides, so the
-        repair engine credits no node with a purged copy."""
-        from repro.maint import RepairEngine, check_holder_index
+        """Expiry withdraws every copy and uncredits it on both sides of
+        the record, so no node is credited with an expired copy."""
+        from repro.maint import check_holder_index
 
         system, sim = make_system(replication=2)
-        engine = RepairEngine(system).attach()
         mgr = SoftStateManager(system, ttl=10, republish_interval=3)
         for i in range(5):
             mgr.publish(NODES[i], i, [2 + i], [1.0])
         sim.run(until=11.0)
         assert mgr.expire_stale() == 10
-        assert not system.replication.records
-        assert check_holder_index(system, engine).ok
+        assert not any(system.replication.holders.values())
+        assert check_holder_index(system).ok
         assert not any(system.replication.held.values())
 
 

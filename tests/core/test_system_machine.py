@@ -14,18 +14,18 @@ and repair ticks.
 
 After every step:
 
-* ``check_all`` holds — the replication ledger's contract
-  (``holder_index``: credited ⇔ stored) and message accounting.
+* ``check_all`` holds — the item record's contract (``holder_index``:
+  credited ⇔ stored, under a current publish key), message accounting
+  and pointer freshness (``pointers``: every row on a live node is the
+  one the record names and matches a held body, every body on a live
+  node has its row unless the row's holder is down), across fail,
+  recover, remove and rejoin steps alike.
   ``reachability`` and ``replica_counts`` are quiescence conditions
   (after repair, without full nodes) that a mid-run step of a
   finite-capacity ring legitimately breaks: a replica push skips a full
   target, and a failure leaves items short until the next tick;
 * every discovery a read returned is held by the node it names;
-* every item a live node holds is found by ``find`` with no walk limit;
-* every pointer row names an item some registered node holds, or one
-  that left with a removed node — until a node joins, fails or
-  recovers: rows do not migrate, so a later withdrawal may route past
-  the node that keeps one.
+* every item a live node holds is found by ``find`` with no walk limit.
 
 The example budget scales with the Hypothesis profile: tier-1 runs half
 the default one, ``HYPOTHESIS_PROFILE=ci`` ten times that.
@@ -86,11 +86,6 @@ class SystemMachine(RuleBasedStateMachine):
         )
         self.repair = RepairEngine(self.system).attach() if replication > 1 else None
         self.removed: list[int] = []
-        #: Items that left with a removed node (their rows may stay).
-        self.left: set[int] = set()
-        #: Whether a node joined, failed or recovered.  Rows stay where
-        #: they were placed, so a later withdrawal may route past them.
-        self.membership_changed = False
         #: Every read since the last invariant check: (item, node) pairs.
         self.discoveries: list[tuple[int, int]] = []
 
@@ -156,7 +151,7 @@ class SystemMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.system.published_count)
     @rule(row=rows, origin=picks)
     def find(self, row, origin):
-        published = sorted(self.system._published)  # noqa: SLF001
+        published = sorted(self.system.replication.keys)
         item_id = self.pick(published, row)
         result = self.system.find(self.pick(self.live(), origin), item_id)
         if result.found:
@@ -170,7 +165,6 @@ class SystemMachine(RuleBasedStateMachine):
         """Remove a live node, the fullest first for small ``i``."""
         network = self.system.network
         nid = self.pick(sorted(self.live(), key=lambda n: -len(network.node(n))), i)
-        self.left.update(network.node(nid).item_ids())
         self.system.overlay.remove_node(nid)
         self.removed.append(nid)
 
@@ -180,7 +174,6 @@ class SystemMachine(RuleBasedStateMachine):
         while nid in self.system.overlay.ring or nid in self.removed:
             nid = int(self.rng.integers(0, SPACE.modulus))
         self.system.overlay.add_node(nid, capacity=self.capacity)
-        self.membership_changed = True
 
     @precondition(lambda self: self.removed)
     @rule(i=picks)
@@ -188,13 +181,11 @@ class SystemMachine(RuleBasedStateMachine):
         """Add a removed node back under its old id."""
         nid = self.removed.pop(i % len(self.removed))
         self.system.overlay.add_node(nid, capacity=self.capacity)
-        self.membership_changed = True
 
     @precondition(lambda self: len(self.live()) > 2)
     @rule(i=picks)
     def fail(self, i):
         self.system.network.fail_node(self.pick(self.live(), i))
-        self.membership_changed = True
 
     @rule(i=picks)
     def recover(self, i):
@@ -202,7 +193,6 @@ class SystemMachine(RuleBasedStateMachine):
         dead = [nid for nid in self.system.overlay.ring if not network.is_alive(nid)]
         if dead:
             network.recover_node(self.pick(dead, i))
-            self.membership_changed = True
 
     @rule()
     def stabilize(self):
@@ -218,7 +208,7 @@ class SystemMachine(RuleBasedStateMachine):
     @invariant()
     def invariants_hold(self):
         reports = check_all(self.system, repair=self.repair)
-        for name in ("holder_index", "accounting"):
+        for name in ("holder_index", "accounting", "pointers"):
             assert reports[name].ok, reports[name]
 
     @invariant()
@@ -227,17 +217,6 @@ class SystemMachine(RuleBasedStateMachine):
         for item_id, node_id in self.discoveries:
             assert network.node(node_id).has_item(item_id), (item_id, node_id)
         self.discoveries.clear()
-
-    @invariant()
-    def pointer_rows_name_bodies(self):
-        if self.membership_changed:
-            return
-        nodes = list(self.system.network.nodes())
-        held = {i for n in nodes for i in n.item_ids()}
-        for node in nodes:
-            if node.pointers is not None:
-                for item_id in node.pointers.items_by_id():
-                    assert item_id in held or item_id in self.left, (item_id, node.node_id)
 
     @invariant()
     def held_items_are_found(self):

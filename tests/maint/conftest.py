@@ -50,8 +50,8 @@ def build_replicated_system(
 
 def _holders_snapshot(system) -> dict[int, tuple[int, ...]]:
     return {
-        item_id: tuple(sorted(record.holders))
-        for item_id, record in system.replication.records.items()
+        item_id: tuple(sorted(holders))
+        for item_id, holders in system.replication.holders.items()
     }
 
 

@@ -7,6 +7,7 @@ defect is planted by hand (violation with a usable sample message).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.maint import (
@@ -14,6 +15,7 @@ from repro.maint import (
     check_accounting,
     check_all,
     check_holder_index,
+    check_pointers,
     check_reachability,
     check_replica_counts,
 )
@@ -26,8 +28,9 @@ def system(build_replicated, tiny_trace):
 
 
 def _first_record(system):
-    item_id = next(iter(system.replication.records))
-    return item_id, system.replication.records[item_id]
+    """An item id and the nodes its record credits."""
+    item_id = next(iter(system.replication.holders))
+    return item_id, system.replication.holders[item_id]
 
 
 class TestHealthyState:
@@ -38,6 +41,7 @@ class TestHealthyState:
         reports = check_all(system, repair=repair, plane=plane)
         assert set(reports) == {
             "reachability", "replica_counts", "accounting", "holder_index",
+            "pointers",
         }
         assert all(r.ok for r in reports.values())
         assert reports["reachability"].checked > 0
@@ -55,7 +59,7 @@ class TestReachability:
         item_id, record = _first_record(system)
         network = system.network
         overlay = system.overlay
-        home = overlay.live_home(record.item.publish_key)
+        home = overlay.live_home(system.published_key_of(item_id))
         # Strand the item: strip every copy near the home, park one on
         # the live node farthest down the walk order.
         stranded = None
@@ -64,18 +68,18 @@ class TestReachability:
                 stranded = nid
                 break
         item = None
-        for holder in list(record.holders):
+        for holder in list(record):
             if network.node(holder).has_item(item_id):
                 item = network.node(holder).evict(item_id)
         network.node(stranded).store(item)
-        record.holders = {stranded}
+        system.replication.holders[item_id] = {stranded}
         report = check_reachability(system)
         assert not report.ok
         assert any(str(item_id) in s for s in report.samples)
 
     def test_items_with_no_live_copy_are_lost_not_violations(self, system):
         item_id, record = _first_record(system)
-        for holder in list(record.holders):
+        for holder in list(record):
             if system.network.node(holder).has_item(item_id):
                 system.network.node(holder).evict(item_id)
         report = check_reachability(system)
@@ -87,7 +91,7 @@ class TestReplicaCounts:
     def test_detects_partial_loss(self, system):
         item_id, record = _first_record(system)
         survivors = sorted(
-            h for h in record.holders
+            h for h in record
             if system.network.node(h).has_item(item_id)
         )
         for holder in survivors[1:]:  # leave exactly one live copy
@@ -98,7 +102,7 @@ class TestReplicaCounts:
 
     def test_total_loss_is_info(self, system):
         item_id, record = _first_record(system)
-        for holder in list(record.holders):
+        for holder in list(record):
             if system.network.node(holder).has_item(item_id):
                 system.network.node(holder).evict(item_id)
         report = check_replica_counts(system)
@@ -120,20 +124,77 @@ class TestAccounting:
 
 class TestHolderIndex:
     def test_detects_dangling_live_credit(self, system):
-        repair = RepairEngine(system).attach()
         item_id, record = _first_record(system)
         holder = next(
-            h for h in record.holders
+            h for h in record
             if system.network.node(h).has_item(item_id)
         )
         system.network.node(holder).evict(item_id)  # index not told
-        report = check_holder_index(system, repair)
+        report = check_holder_index(system)
         assert not report.ok
 
     def test_detects_index_transpose_skew(self, system):
-        repair = RepairEngine(system).attach()
         item_id, record = _first_record(system)
-        holder = next(iter(record.holders))
+        holder = next(iter(record))
         system.replication.held[holder].discard(item_id)  # record not told
-        report = check_holder_index(system, repair)
+        report = check_holder_index(system)
         assert not report.ok
+
+    def test_detects_a_copy_under_a_superseded_key(self, system):
+        from dataclasses import replace
+
+        item_id, record = _first_record(system)
+        holder = next(iter(record))
+        node = system.network.node(holder)
+        stale = replace(node.get_item(item_id), publish_key=-1)
+        node.store(stale)  # replaces the copy in place; still credited
+        report = check_holder_index(system)
+        assert not report.ok
+        assert "superseded key" in report.samples[0]
+
+    def test_runs_at_factor_one(self, build_system_fn, tiny_trace):
+        system = build_system_fn(tiny_trace)
+        system.publish_corpus(tiny_trace.corpus, np.random.default_rng(3))
+        report = check_holder_index(system)
+        assert report.ok and report.checked == tiny_trace.corpus.n_items
+        item_id, record = _first_record(system)
+        system.network.node(next(iter(record))).evict(item_id)
+        assert not check_holder_index(system).ok
+
+
+class TestPointers:
+    @pytest.fixture()
+    def pointer_system(self, build_system_fn, tiny_trace):
+        system = build_system_fn(tiny_trace, directory_pointers=True)
+        system.publish_corpus(tiny_trace.corpus, np.random.default_rng(3))
+        return system
+
+    def test_fresh_rows_are_ok(self, pointer_system):
+        report = check_pointers(pointer_system)
+        assert report.ok, report.samples
+        assert report.checked > 0
+
+    def test_pointers_off_is_vacuously_ok(self, system):
+        report = check_pointers(system)
+        assert report.ok and report.checked == 0
+
+    def test_detects_a_row_naming_no_body(self, pointer_system):
+        item_id, record = _first_record(pointer_system)
+        for holder in record:
+            pointer_system.network.node(holder).evict(item_id)
+        report = check_pointers(pointer_system)
+        assert not report.ok
+        assert any("no held body" in s for s in report.samples)
+
+    def test_detects_a_body_without_its_row(self, pointer_system):
+        item_id, _ = _first_record(pointer_system)
+        row_holder = pointer_system.replication.rows[item_id]
+        pointer_system.network.node(row_holder).pointers.remove(item_id)
+        report = check_pointers(pointer_system)
+        assert not report.ok
+        assert any("has no row" in s for s in report.samples)
+
+    def test_a_dead_row_holder_is_tolerated(self, pointer_system):
+        item_id, _ = _first_record(pointer_system)
+        pointer_system.network.fail_node(pointer_system.replication.rows[item_id])
+        assert check_pointers(pointer_system).ok

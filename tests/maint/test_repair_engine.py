@@ -72,9 +72,9 @@ class TestEquivalence:
 
 def some_holder(system) -> tuple[int, set[int]]:
     """A node credited with copies, and the items credited to it."""
-    records = system.replication.records
-    victim = next(iter(next(iter(records.values())).holders))
-    return victim, {i for i, r in records.items() if victim in r.holders}
+    holders = system.replication.holders
+    victim = next(iter(next(iter(holders.values()))))
+    return victim, {i for i, h in holders.items() if victim in h}
 
 
 class TestDirtySet:
@@ -110,8 +110,8 @@ class TestDirtySet:
         victim, held = some_holder(system)
         system.overlay.remove_node(victim)
         assert engine.dirty == held
-        for record in system.replication.records.values():
-            assert victim not in record.holders
+        for holders in system.replication.holders.values():
+            assert victim not in holders
         assert victim not in system.replication.held
 
     def test_double_attach_rejected(self, engine_system):

@@ -92,7 +92,7 @@ def _probe(system, *, n=80, seed=99):
     """Fraction of sampled items a remote origin can still retrieve."""
     rng = np.random.default_rng(seed)
     origins = list(system.network.alive_ids())
-    item_ids = list(system.replication.records)
+    item_ids = list(system.replication.holders)
     hits = 0
     probes = []
     for _ in range(n):
