@@ -22,6 +22,7 @@ The three placement schemes are exactly the paper's evaluation legend:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Optional, Sequence
 
@@ -38,7 +39,7 @@ from ..overload.admission import BackpressureError
 from ..sim.engine import Simulator
 from ..sim.metrics import MetricSink
 from ..sim.network import Network
-from ..sim.node import StoredItem
+from ..vsm.index import RowBlock, StoredItem
 from ..vsm.sparse import Corpus, SparseVector
 from .angles import DEFAULT_CHUNK_ROWS, absolute_angle_from_arrays
 from .firsthop import FirstHopSelector
@@ -396,21 +397,16 @@ class Meteorograph:
         if self.notifications is not None and not item.is_replica:
             self.notifications.on_stored(node_id, item)
 
-    def store_run(
-        self,
-        node_id: int,
-        items: Sequence[StoredItem],
-        norms: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Bulk :meth:`store_at`: a run of items landing on one node, all
-        or nothing (see ``PeerNode.store_many``, which ``norms`` feeds).
+    def store_run(self, node_id: int, rows: RowBlock) -> None:
+        """Bulk :meth:`store_at`: a block of rows landing on one node, all
+        or nothing (see ``PeerNode.store_many``).
 
-        Used by the displacement-free branch of batch publish, where the
-        ring sweep drops each node's whole run off in one message."""
-        self.network.node(node_id).store_many(items, norms)
-        self.replication.credit_run(node_id, items)
+        Used by the write engine: the displacement-free branch stores
+        each node's run of the sweep, the cascade each node's net gain."""
+        self.network.node(node_id).store_many(rows)
+        self.replication.credit_run(node_id, rows.ids.tolist())
         if self.notifications is not None:
-            for item in items:
+            for item in rows:
                 if not item.is_replica:
                     self.notifications.on_stored(node_id, item)
 
@@ -484,15 +480,19 @@ class Meteorograph:
         kw = np.asarray(keyword_ids, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
         angle_key, publish_keys = self.naming.keys_for(kw, w)
-        (result,) = run_publish(
-            self,
-            [(0, kw, w)],
+        key_mat = np.array([publish_keys], dtype=np.int64)
+        row = RowBlock(
             np.array([item_id], dtype=np.int64),
+            key_mat[:, 0],
             np.array([angle_key], dtype=np.int64),
-            np.array([publish_keys], dtype=np.int64),
-            origin=origin,
-            payload=payload,
+            np.array([math.sqrt(w.dot(w))]),
+            np.zeros(1, dtype=np.int64),
+            np.array([kw.size], dtype=np.int64),
+            kw,
+            w,
+            payloads=None if payload is None else {0: payload},
         )
+        (result,) = run_publish(self, row, key_mat, origin=origin)
         return result
 
     def publish_corpus(
@@ -533,16 +533,20 @@ class Meteorograph:
         )
         if ids.shape[0] != corpus.n_items:
             raise ValueError("item_ids must parallel the corpus")
-        return run_publish(
-            self,
-            corpus.row_slices(),
+        csr = corpus.matrix
+        indptr = csr.indptr.astype(np.int64)
+        rows = RowBlock(
             ids,
+            key_mat[:, 0],
             angle_keys,
-            key_mat,
-            origin=origin,
-            rng=rng,
-            norms=corpus.norms(),
-            require_shared=batch,
+            corpus.norms(),
+            indptr[:-1],
+            np.diff(indptr),
+            csr.indices.astype(np.int64),
+            csr.data,
+        )
+        return run_publish(
+            self, rows, key_mat, origin=origin, rng=rng, require_shared=batch
         )
 
     @staticmethod

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from ..overlay.idspace import KeySpace
 from ..overload.admission import BackpressureError
 from ..overload.degrade import divert_publish
 from ..sim.linkfaults import MessageLossError
-from ..sim.node import StoredItem
+from ..vsm.index import RowBlock, StoredItem
 from ..vsm.sparse import SparseVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -116,30 +116,30 @@ def _pick_victim(
     index: "LocalVsmIndex",
     incoming: StoredItem,
     policy: ReplacementPolicy,
-) -> StoredItem:
-    """Choose what a full node, whose store is ``index``, displaces to
-    admit ``incoming``.
+) -> int:
+    """The id of what a full node, whose store is ``index``, displaces
+    to admit ``incoming``.
 
-    May return ``incoming`` itself (under ``ANGLE``, when the incoming
+    May be ``incoming``'s own id (under ``ANGLE``, when the incoming
     item is farther from the node's cluster than everything stored —
     storing it just to displace it again would churn two items instead
-    of one).
+    of one).  Under ``ANGLE`` the victim is the max of [min-extreme,
+    max-extreme, incoming] ranked by (|angle − incoming angle|, id),
+    first wins on ties: read off the ladder, no item is built.
     """
     if policy is ReplacementPolicy.COSINE:
         query = SparseVector(incoming.keyword_ids, incoming.weights, system.dim)
-        return index.least_similar(query)
+        return index.least_similar(query).item_id
     ladder = index.angle_ladder()
-    candidates = [index.item(ladder[0][1]), index.item(ladder[-1][1]), incoming]
-    return max(
-        candidates,
-        key=lambda it: (abs(it.angle_key - incoming.angle_key), it.item_id),
-    )
+    ak = incoming.angle_key
+    (lo_key, lo_id), (hi_key, hi_id) = ladder[0], ladder[-1]
+    return max((abs(lo_key - ak), lo_id), (abs(hi_key - ak), hi_id), (0, incoming.item_id))[1]
 
 
-def _drop(result: PublishResult, victim: StoredItem) -> PublishResult:
-    """Record that the chain ended by dropping ``victim``."""
+def _drop(result: PublishResult, victim_id: int) -> PublishResult:
+    """Record that the chain ended by dropping item ``victim_id``."""
     result.success = False
-    result.dropped_item_id = victim.item_id
+    result.dropped_item_id = victim_id
     return result
 
 
@@ -182,42 +182,44 @@ def run_displacement_chain(
         if not node.is_full or node.has_item(incoming.item_id):
             system.store_at(current, incoming)
             return result
-        victim = _pick_victim(system, node.index, incoming, policy)
-        if victim.item_id != incoming.item_id:
+        victim_id = _pick_victim(system, node.index, incoming, policy)
+        if victim_id != incoming.item_id:
             # A copy of the item being published that its new placement
             # does not credit is superseded: it only makes room.
             stale = (
-                victim.item_id == item.item_id
+                victim_id == item.item_id
                 and current not in ledger.holders[item.item_id]
             )
-            node.evict(victim.item_id)
-            ledger.uncredit(victim.item_id, current)
+            victim = node.evict(victim_id)
+            ledger.uncredit(victim_id, current)
             system.store_at(current, incoming)
             if stale:
                 return result
-        # else: incoming itself continues down the chain unstored.
+        else:
+            # Incoming itself continues down the chain unstored.
+            victim = incoming
         if budget is not None and budget <= 0:
             # Fig. 2: "if (c = 0) reply a publishing failure" — but the
             # swap above has already happened at this terminal node, so
             # what drops is the chain's final displaced *victim*, never
             # the in-flight incoming item (unless the policy picked the
             # incoming itself as least similar).
-            return _drop(result, victim)
+            return _drop(result, victim_id)
         if frontier is None:
             frontier = system.overlay.closest_neighbors(home_id, alive_only=True)
         next_id = next(frontier, None)
         if next_id is None:
             # No node left in the overlay can take the victim.
-            return _drop(result, victim)
+            return _drop(result, victim_id)
         try:
             system.network.send(current, next_id, kind="displace")
         except MessageLossError:
             # The displacement push was charged but lost in flight: the
             # victim drops here, exactly the budget-exhaustion outcome —
             # the in-flight incoming item was already swapped in above.
-            return _drop(result, victim)
+            return _drop(result, victim_id)
         if tracer.enabled:
-            tracer.event("displace", src=current, dst=next_id, item=victim.item_id)
+            tracer.event("displace", src=current, dst=next_id, item=victim_id)
         result.displacement_hops += 1
         result.chain.append(next_id)
         if budget is not None:
@@ -339,31 +341,25 @@ def batch_live_homes(
 
 def store_runs(
     system: "Meteorograph",
-    items: Sequence[StoredItem],
+    copies: RowBlock,
     homes: np.ndarray,
     order: np.ndarray,
-    norms: Optional[np.ndarray] = None,
 ) -> None:
     """Store a displacement-free batch: one bulk store per home run.
 
     ``order`` is the sweep's delivery order (ring order, key order
     within a node), so each maximal stretch of equal ``homes`` along it
-    is the run the sweep drops off as it passes that node.
-    ``norms`` optionally parallels ``items`` (``Corpus.norms``).
+    is the run the sweep drops off as it passes that node: a slice of
+    ``copies`` gathered once in that order.
     """
     if order.size == 0:
         return
-    order_l = order.tolist()
+    swept = copies.take(order)
     run_homes = homes[order]
-    norms_l = np.asarray(norms)[order].tolist() if norms is not None else None
     cuts = (np.flatnonzero(run_homes[1:] != run_homes[:-1]) + 1).tolist()
     store_run = system.store_run
-    for a, b in zip([0, *cuts], [*cuts, len(order_l)]):
-        store_run(
-            int(run_homes[a]),
-            [items[k] for k in order_l[a:b]],
-            norms_l[a:b] if norms_l is not None else None,
-        )
+    for a, b in zip([0, *cuts], [*cuts, len(swept)]):
+        store_run(int(run_homes[a]), swept[a:b])
 
 
 def _route_reason(system: "Meteorograph", ids: list[int]) -> Optional[str]:
@@ -399,38 +395,48 @@ def _cascade_reason(system: "Meteorograph") -> Optional[str]:
     )
 
 
+def _copies(rows: RowBlock, key_mat: np.ndarray) -> RowBlock:
+    """Item-major fan-out: row i becomes one copy per publish key of
+    ``key_mat[i]``, the copies sharing the row's keyword/weight run."""
+    n_keys = key_mat.shape[1]
+    if n_keys == 1:
+        return rows
+    copies = rows.take(np.repeat(np.arange(len(rows)), n_keys))
+    copies.publish_keys = key_mat.reshape(-1)
+    return copies
+
+
 def run(
     system: "Meteorograph",
-    rows: Iterable[tuple[int, np.ndarray, np.ndarray]],
-    ids: np.ndarray,
-    angle_keys: np.ndarray,
+    rows: RowBlock,
     key_mat: np.ndarray,
     *,
     origin: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    payload: object = None,
-    norms: Optional[np.ndarray] = None,
     require_shared: bool = False,
 ) -> list[PublishResult]:
-    """Publish ``rows`` — ``(row, keyword_ids, weights)`` as int64 and
-    float64 arrays, with ``row`` indexing the parallel ``ids``,
-    ``angle_keys`` and the ``(n, L)`` publish-key matrix ``key_mat`` —
-    once per key; one result per row (its band-0 placement).
+    """Publish the items of ``rows`` — ids, band-0 publish keys, angle
+    keys, norms (``Corpus.norms``), keyword/weight runs and any
+    payloads — once per key of the parallel ``(n, L)`` publish-key
+    matrix ``key_mat`` (its first column is ``rows.publish_keys``); one
+    result per row (its band-0 placement).
 
-    A batch of one row has nothing to share, so it runs unshared, as
-    does any batch :func:`_route_reason` refuses; ``require_shared``
-    raises :class:`ValueError` on a refusal instead.  Origins: ``origin``
-    pins one for every row; otherwise the shared branch draws one live
-    node (one scalar ``rng`` draw) for its one route and the unshared
-    loop one per row (one ``size=n`` draw).  ``norms`` parallels the
-    rows (``Corpus.norms``) and feeds the shared branch's bulk stores.
+    Every copy stays a row of the batch's columns (:func:`_copies`) on
+    the shared branch, down to the stores; the unshared loop builds each
+    copy's :class:`StoredItem` as it publishes it.  A batch of one row
+    has nothing to share, so it runs unshared, as does any batch
+    :func:`_route_reason` refuses; ``require_shared`` raises
+    :class:`ValueError` on a refusal instead.  Origins: ``origin`` pins
+    one for every row; otherwise the shared branch draws one live node
+    (one scalar ``rng`` draw) for its one route and the unshared loop
+    one per row (one ``size=n`` draw).
     """
+    ids = rows.ids
     n = len(ids)
     n_keys = key_mat.shape[1]
     network = system.network
     metrics = network.obs.metrics
-    ids_l = ids.tolist()
-    route_reason = _route_reason(system, ids_l)
+    route_reason = _route_reason(system, ids.tolist())
     if require_shared and route_reason is not None:
         raise ValueError(f"batch publish cannot share routes under {route_reason}")
     if route_reason is not None:
@@ -447,53 +453,31 @@ def run(
         live = [nid for nid in system.overlay.ring if network.is_alive(nid)]
         if not live:
             raise RuntimeError("no live nodes to publish from")
-    ak_l = angle_keys.tolist()
-    keys = key_mat.reshape(-1)
-    keys_l = keys.tolist()
-    # Item-major fan-out: row i becomes L items (one per key) sharing
-    # the row's keyword/weight arrays.
-    items = [
-        StoredItem(
-            item_id=ids_l[i],
-            publish_key=pk,
-            angle_key=ak_l[i],
-            keyword_ids=kw,
-            weights=w,
-            payload=payload,
-        )
-        for i, kw, w in rows
-        for pk in keys_l[i * n_keys:(i + 1) * n_keys]
-    ]
+    copies = _copies(rows, key_mat)
     if shared:
         if origin is None:
             origin = live[int(rng.integers(0, len(live)))]
-        if norms is not None and n_keys > 1:
-            norms = np.repeat(norms, n_keys)
-        results = batch_publish(
-            system, items, origin=origin, live=live, keys=keys, norms=norms
-        )
+        results = batch_publish(system, copies, origin=origin, live=live)
     else:
         if origin is None:
             origins = [live[d] for d in rng.integers(0, len(live), size=n).tolist()]
         else:
             origins = [origin] * n
+        item = copies.item
         results = []
         for i in range(n):
-            results += publish_row(
-                system, origins[i], items[i * n_keys:(i + 1) * n_keys]
-            )
-    system.replication.register(ids, angle_keys, key_mat)
+            row = list(map(item, range(i * n_keys, (i + 1) * n_keys)))
+            results += publish_row(system, origins[i], row)
+    system.replication.register(ids, rows.angle_keys, key_mat)
     return results[::n_keys] if n_keys > 1 else results
 
 
 def batch_publish(
     system: "Meteorograph",
-    items: Sequence[StoredItem],
+    copies: RowBlock,
     *,
     origin: int,
     live: list[int],
-    keys: np.ndarray,
-    norms: Optional[np.ndarray] = None,
 ) -> list[PublishResult]:
     """The shared branch of :func:`run` (Mercury-style locality batching).
 
@@ -525,7 +509,8 @@ def batch_publish(
     home; the sweep still starts where it landed and runs one lap at
     most.
     """
-    n = len(items)
+    n = len(copies)
+    keys = copies.publish_keys
     network = system.network
     config = system.config
     m = len(live)
@@ -605,10 +590,10 @@ def batch_publish(
                 np.all((caps < 0) | (loads + arrivals <= caps))
             )
         if displacement_free:
-            store_runs(system, items, homes, order, norms)
+            store_runs(system, copies, homes, order)
             results = [
-                PublishResult(item_id=it.item_id, home=h, route_hops=hops)
-                for it, h, hops in zip(items, homes_l, route_hops)
+                PublishResult(item_id=i, home=h, route_hops=hops)
+                for i, h, hops in zip(copies.ids.tolist(), homes_l, route_hops)
             ]
         elif _cascade_reason(system) is None:
             from .cascade import cascade_placement
@@ -616,12 +601,11 @@ def batch_publish(
             with obs.metrics.timer("publish.cascade"):
                 cascade_placement(
                     system,
-                    items,
+                    copies,
                     homes_l,
                     route_hops,
                     results,
                     hop_budget=config.hop_budget,
-                    norms=norms,
                 )
         else:
             timer = obs.metrics.timer
@@ -630,7 +614,7 @@ def batch_publish(
                     res = run_displacement_chain(
                         system,
                         homes_l[k],
-                        items[k],
+                        copies.item(k),
                         hop_budget=config.hop_budget,
                         policy=config.replacement_policy,
                     )

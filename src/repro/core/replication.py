@@ -96,7 +96,7 @@ class ReplicationManager:
             self.rank[item_id] = len(self.rank)
         self.held.setdefault(node_id, set()).add(item_id)
 
-    def credit_run(self, node_id: int, items: Sequence[StoredItem]) -> None:
+    def credit_run(self, node_id: int, item_ids: Sequence[int]) -> None:
         """Bulk :meth:`credit` of one node run of the write engine (which
         runs at factor 1 only): the items the run opens share one holder
         tuple, so a run costs no call per copy and no object per opened
@@ -105,7 +105,7 @@ class ReplicationManager:
         into a set on its first change."""
         holders = self.holders
         get = holders.get
-        ids = dict.fromkeys([it.item_id for it in items])
+        ids = dict.fromkeys(item_ids)
         shared = (node_id,)
         opened: dict[int, tuple[int]] = {}
         for item_id in ids:

@@ -197,8 +197,8 @@ def _fetch(
         promised_at.setdefault(holder, []).append(iid)
     by_home: dict[int, list[int]] = {}
     for holder, held in promised_at.items():
-        for row in nodes[holder].pointers.items_of(held):
-            by_home.setdefault(home_of(row.publish_key), []).append(row.item_id)
+        for iid, body_key in zip(held, nodes[holder].pointers.publish_keys_of(held)):
+            by_home.setdefault(home_of(body_key), []).append(iid)
     hits = Harvest()
     walk_limit = max_walk if max_walk is not None else max(patience, 4)
 

@@ -42,6 +42,7 @@ Metrics: ``maint.antientropy.ticks`` / ``.reconciled`` / ``.replaced``
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from .repair import RepairEngine
@@ -83,11 +84,15 @@ class AntiEntropyEngine:
     # -- wiring ------------------------------------------------------------
 
     def attach(self) -> "AntiEntropyEngine":
-        """Subscribe to the network's liveness feed."""
+        """Subscribe to the network's liveness feed, weakly (see
+        ``RepairEngine.attach``): the caller keeps the engine alive."""
         if self._attached:
             raise RuntimeError("AntiEntropyEngine already attached")
         self._attached = True
-        self.system.network.subscribe_liveness(self._on_liveness)
+        record = weakref.WeakMethod(self._on_liveness)
+        self.system.network.subscribe_liveness(
+            lambda node_id, change: (on := record()) and on(node_id, change)
+        )
         return self
 
     def schedule(self, interval: float) -> "PeriodicTask":

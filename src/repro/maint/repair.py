@@ -32,6 +32,7 @@ Metrics (when the system is observable): ``maint.repair_tick`` timer,
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Collection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,12 +69,20 @@ class RepairEngine:
     # -- wiring ------------------------------------------------------------
 
     def attach(self) -> "RepairEngine":
-        """Subscribe to the network's liveness feed and the manager."""
+        """Subscribe to the network's liveness feed and the manager.
+
+        Both hold the engine weakly, so the system keeps no cycle through
+        it and is freed when its last reference goes; the caller (or the
+        simulator, once :meth:`schedule` ran) keeps the engine alive."""
         if self._attached:
             raise RuntimeError("RepairEngine already attached")
         self._attached = True
-        self.manager.on_under_replicated = self._mark_dirty
-        self.system.network.subscribe_liveness(self._on_liveness)
+        mark = weakref.WeakMethod(self._mark_dirty)
+        self.manager.on_under_replicated = lambda ids: (on := mark()) and on(ids)
+        record = weakref.WeakMethod(self._on_liveness)
+        self.system.network.subscribe_liveness(
+            lambda node_id, change: (on := record()) and on(node_id, change)
+        )
         return self
 
     def schedule(self, interval: float) -> "PeriodicTask":

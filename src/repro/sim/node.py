@@ -11,48 +11,15 @@ keeps the node reusable under every scheme the evaluation compares
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
-from ..vsm.index import LocalVsmIndex
+from ..vsm.index import LocalVsmIndex, RowBlock, StoredItem
 
 __all__ = ["StoredItem", "PeerNode", "CapacityError"]
 
 
 class CapacityError(RuntimeError):
     """Raised when adding to a full node without displacing anything."""
-
-
-@dataclass(frozen=True)
-class StoredItem:
-    """One published item as held by a node.
-
-    ``item_id`` is the corpus row.  ``publish_key`` is the key the item
-    was routed with (Eq. 5 angle key, or Eq. 6 balanced key when the
-    unused-hash-space scheme is on).  ``angle_key`` is always the raw
-    Eq. 5 key — replacement ranking and the similarity walk reason in
-    angle space regardless of where the body physically lives.  The
-    keyword vector travels with the item so nodes can run a local VSM
-    index (Fig. 2: "adopt VSM or LSI for local indexing").
-    """
-
-    item_id: int
-    publish_key: int
-    angle_key: int
-    keyword_ids: np.ndarray
-    weights: np.ndarray
-    payload: object = None
-    replica_of: Optional[int] = None  # primary node id when this is a replica
-
-    def __post_init__(self) -> None:
-        if len(self.keyword_ids) != len(self.weights):
-            raise ValueError("keyword_ids and weights must have equal length")
-
-    @property
-    def is_replica(self) -> bool:
-        return self.replica_of is not None
 
 
 class PeerNode:
@@ -142,16 +109,15 @@ class PeerNode:
             raise KeyError(f"node {self.node_id} does not hold item {item_id}")
         return self.index.item(item_id)
 
-    def _by_id(self) -> dict[int, StoredItem]:
-        """A copy of the id → item map, safe to iterate while storing."""
-        index = self.index
-        return {} if index is None else index.items_by_id()
-
     def items(self) -> Iterator[StoredItem]:
-        return iter(self._by_id().values())
+        """The stored items, built from the rows; safe while storing."""
+        index = self.index
+        return iter(() if index is None else index.items_by_id().values())
 
     def item_ids(self) -> Iterator[int]:
-        return iter(self._by_id())
+        """The stored ids (no item is built); safe while storing."""
+        index = self.index
+        return iter(() if index is None else list(index._slots))  # noqa: SLF001
 
     def store(self, item: StoredItem) -> None:
         """Store an item; refuses when full (caller must displace first).
@@ -172,22 +138,17 @@ class PeerNode:
             )
         index.add(item)
 
-    def store_many(
-        self,
-        items: Sequence[StoredItem],
-        norms: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Bulk :meth:`store`, all or nothing: when the ids the node does
-        not already hold would overfill it, raises :class:`CapacityError`
-        with nothing stored.  ``norms`` optionally parallels ``items``
-        with precomputed Euclidean norms (see ``LocalVsmIndex.add_many``).
+    def store_many(self, rows: RowBlock) -> None:
+        """Bulk :meth:`store` of a :class:`RowBlock`, all or nothing: when
+        the ids the node does not already hold would overfill it, raises
+        :class:`CapacityError` with nothing stored.
         """
-        if not items:
+        if not len(rows):
             return
         index = self.index
         if self.capacity is not None:
             held = {} if index is None else index._slots  # noqa: SLF001
-            fresh = {it.item_id for it in items if it.item_id not in held}
+            fresh = set(rows.ids.tolist()).difference(held)
             if len(held) + len(fresh) > self.capacity:
                 raise CapacityError(
                     f"node {self.node_id} full ({self.capacity}); "
@@ -195,7 +156,7 @@ class PeerNode:
                 )
         if index is None:
             index = self.index = LocalVsmIndex()
-        index.add_many(items, norms)
+        index.add_many(rows)
 
     def evict(self, item_id: int) -> StoredItem:
         """Remove and return an item (``KeyError`` if not held)."""
@@ -204,10 +165,11 @@ class PeerNode:
             raise KeyError(f"node {self.node_id} holds no items")
         return index.remove(item_id)
 
-    def evict_many(self, item_ids: Sequence[int]) -> list[StoredItem]:
+    def evict_many(self, item_ids: Sequence[int]) -> RowBlock | list:
         """Bulk :meth:`evict`, all or nothing: every id is resolved before
         any is removed, so an id the node does not hold raises
-        ``KeyError`` with the store unchanged.  Duplicates evict once."""
+        ``KeyError`` with the store unchanged.  Duplicates evict once.
+        Returns the evicted rows (``LocalVsmIndex.remove_many``)."""
         index = self.index
         if index is None:
             if item_ids:

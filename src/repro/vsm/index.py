@@ -6,10 +6,13 @@ implements the plain vector-space answer: cosine ranking, optional
 exact keyword filtering, and the *least-similar* selection that drives
 the publish-side replacement policy.
 
-The store is **columnar** (structure-of-arrays): item ids, angle keys
-and norms live in parallel numpy arrays, and every item's keyword/weight
-pairs are appended to shared flat arrays in CSR fashion — the scoring
-layout *is* the store, not a cache rebuilt after each mutation.  The
+The store is **columnar** (structure-of-arrays): item ids, publish
+keys, angle keys and norms live in parallel numpy arrays, and every
+item's keyword/weight pairs are appended to shared flat arrays in CSR
+fashion — the scoring layout *is* the store, not a cache rebuilt after
+each mutation, and no per-row object is kept: a :class:`StoredItem` is
+built from a row when a caller reads one, and writes arrive as a
+:class:`RowBlock` of columns.  The
 bulk operations :meth:`LocalVsmIndex.add_many` /
 :meth:`~LocalVsmIndex.remove_many` / :meth:`~LocalVsmIndex.score_many`
 are the primitives; the scalar :meth:`~LocalVsmIndex.add` /
@@ -53,22 +56,208 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .sparse import SparseVector
 
-if TYPE_CHECKING:  # pragma: no cover - sim.node imports this module
-    from ..sim.node import StoredItem
-
-__all__ = ["LocalVsmIndex", "Ranking", "ScoredItem"]
+__all__ = ["LocalVsmIndex", "Ranking", "RowBlock", "ScoredItem", "StoredItem"]
 
 #: Initial row / flat-entry capacities (grown by doubling).
 _MIN_ROWS = 16
 _MIN_NNZ = 256
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_SCORES = np.empty(0, dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class StoredItem:
+    """One published item as held by a node.
+
+    ``item_id`` is the corpus row.  ``publish_key`` is the key the item
+    was routed with (Eq. 5 angle key, or Eq. 6 balanced key when the
+    unused-hash-space scheme is on).  ``angle_key`` is always the raw
+    Eq. 5 key — replacement ranking and the similarity walk reason in
+    angle space regardless of where the body physically lives.  The
+    keyword vector travels with the item so nodes can run a local VSM
+    index (Fig. 2: "adopt VSM or LSI for local indexing").
+
+    A store keeps rows as columns, not as these objects: one is built
+    when a caller reads a row (see :class:`RowBlock`), so two reads of a
+    row are equal, not identical — equality compares every field, the
+    keyword and weight arrays by value.
+    """
+
+    item_id: int
+    publish_key: int
+    angle_key: int
+    keyword_ids: np.ndarray
+    weights: np.ndarray
+    payload: object = None
+    replica_of: Optional[int] = None  # primary node id when this is a replica
+
+    def __post_init__(self) -> None:
+        if len(self.keyword_ids) != len(self.weights):
+            raise ValueError("keyword_ids and weights must have equal length")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StoredItem):
+            return NotImplemented
+        return (
+            self.item_id == other.item_id
+            and self.publish_key == other.publish_key
+            and self.angle_key == other.angle_key
+            and np.array_equal(self.keyword_ids, other.keyword_ids)
+            and np.array_equal(self.weights, other.weights)
+            and (self.payload is other.payload or self.payload == other.payload)
+            and self.replica_of == other.replica_of
+        )
+
+    @property
+    def is_replica(self) -> bool:
+        return self.replica_of is not None
+
+
+class RowBlock:
+    """Item rows as columns — what a store is written from and read as.
+
+    Row ``j`` is ``ids[j]``, ``publish_keys[j]``, ``angle_keys[j]``,
+    ``norms[j]`` (the Euclidean norm the store indexes) and the keyword /
+    weight run ``[starts[j], starts[j] + lengths[j])`` of the shared
+    ``keywords`` / ``weights`` flats; ``payloads`` and ``replica_of`` map
+    a row to its value only where one is set.  Rows of one block may
+    share a run (an item's L band copies do).  Flats are read-only here:
+    a block gathers (:meth:`take`) or slices its rows without copying a
+    run, so a batch's copies and a node's stored rows travel as blocks.
+
+    As a sequence (``len``, indexing, iteration, ``==``) the rows appear
+    as :class:`StoredItem` views, built only when asked for — as
+    :class:`Ranking` shows its hits as :class:`ScoredItem`.
+    """
+
+    __slots__ = (
+        "ids", "publish_keys", "angle_keys", "norms", "starts", "lengths",
+        "keywords", "weights", "payloads", "replica_of",
+    )
+
+    def __init__(
+        self, ids, publish_keys, angle_keys, norms, starts, lengths, keywords,
+        weights, payloads=None, replica_of=None,
+    ) -> None:
+        self.ids, self.publish_keys, self.angle_keys = ids, publish_keys, angle_keys
+        self.norms, self.starts, self.lengths = norms, starts, lengths
+        self.keywords, self.weights = keywords, weights
+        self.payloads: dict[int, object] = {} if payloads is None else payloads
+        self.replica_of: dict[int, int] = {} if replica_of is None else replica_of
+
+    @classmethod
+    def from_items(cls, items: Sequence[StoredItem]) -> "RowBlock":
+        """The rows of ``items``, each norm its item's ``sqrt(w·w)`` (as
+        :meth:`LocalVsmIndex.add` computes it)."""
+        n = len(items)
+        lengths = np.fromiter((it.keyword_ids.size for it in items), np.int64, count=n)
+        return cls(
+            np.fromiter((it.item_id for it in items), np.int64, count=n),
+            np.fromiter((it.publish_key for it in items), np.int64, count=n),
+            np.fromiter((it.angle_key for it in items), np.int64, count=n),
+            np.fromiter(
+                (math.sqrt(it.weights.dot(it.weights)) for it in items),
+                np.float64,
+                count=n,
+            ),
+            np.cumsum(lengths) - lengths,
+            lengths,
+            np.concatenate([it.keyword_ids for it in items]) if n else _NO_IDS,
+            np.concatenate([it.weights for it in items]) if n else _NO_SCORES,
+            {j: it.payload for j, it in enumerate(items) if it.payload is not None},
+            {j: it.replica_of for j, it in enumerate(items) if it.replica_of is not None},
+        )
+
+    @classmethod
+    def concat(cls, blocks: Sequence["RowBlock"]) -> "RowBlock":
+        """One block of every row of ``blocks``, in order.  Its flats hold
+        only those rows' runs (a run several rows share is copied once per
+        row), so joining gathers from large blocks copies no more."""
+        gathers = [_range_gather(b.starts, b.lengths) for b in blocks]
+        lengths = np.concatenate([b.lengths for b in blocks])
+        base = 0
+        payloads: dict[int, object] = {}
+        replica_of: dict[int, int] = {}
+        for b in blocks:
+            payloads.update((base + j, v) for j, v in b.payloads.items())
+            replica_of.update((base + j, v) for j, v in b.replica_of.items())
+            base += len(b)
+        return cls(
+            np.concatenate([b.ids for b in blocks]),
+            np.concatenate([b.publish_keys for b in blocks]),
+            np.concatenate([b.angle_keys for b in blocks]),
+            np.concatenate([b.norms for b in blocks]),
+            np.cumsum(lengths) - lengths,
+            lengths,
+            np.concatenate([b.keywords[g] for b, g in zip(blocks, gathers)]),
+            np.concatenate([b.weights[g] for b, g in zip(blocks, gathers)]),
+            payloads,
+            replica_of,
+        )
+
+    def take(self, rows) -> "RowBlock":
+        """The block of ``rows`` (positions into this one), in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return RowBlock(
+            self.ids[rows], self.publish_keys[rows], self.angle_keys[rows],
+            self.norms[rows], self.starts[rows], self.lengths[rows],
+            self.keywords, self.weights,
+            *self._remap(rows),
+        )
+
+    def _remap(self, rows) -> tuple[dict, dict]:
+        """``payloads`` and ``replica_of`` re-keyed by position in ``rows``."""
+        if not (self.payloads or self.replica_of):
+            return {}, {}
+        rows = list(rows)
+        return tuple(
+            {j: d[r] for j, r in enumerate(rows) if r in d} if d else {}
+            for d in (self.payloads, self.replica_of)
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):  # column views, nothing gathered
+            return RowBlock(
+                self.ids[j], self.publish_keys[j], self.angle_keys[j],
+                self.norms[j], self.starts[j], self.lengths[j],
+                self.keywords, self.weights,
+                *self._remap(range(len(self.ids))[j]),
+            )
+        return self.item(j)
+
+    def item(self, j: int) -> StoredItem:
+        """Row ``j`` as a :class:`StoredItem` (its arrays view the flats)."""
+        start = int(self.starts[j])
+        end = start + int(self.lengths[j])
+        return StoredItem(
+            int(self.ids[j]),
+            int(self.publish_keys[j]),
+            int(self.angle_keys[j]),
+            self.keywords[start:end],
+            self.weights[start:end],
+            self.payloads.get(j),
+            self.replica_of.get(j),
+        )
+
+    def __iter__(self):
+        return map(self.item, range(len(self.ids)))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+
+#: The rows of an empty result.
+_NO_ROWS = RowBlock(_NO_IDS, _NO_IDS, _NO_IDS, _NO_SCORES, _NO_IDS, _NO_IDS, _NO_IDS, _NO_SCORES)
 
 
 class ScoredItem:
@@ -91,25 +280,27 @@ class Ranking:
     *are* the result; as a sequence (``len``, indexing, slicing,
     iteration, ``== list``) the same hits appear as :class:`ScoredItem`
     views, built only when asked for.  A ranking is a snapshot: it
-    resolves its row slots through the index's append-only slot → item
-    list, so later removals and compactions do not change what it yields.
+    resolves its row slots through the index's columns as they stood
+    (a slot's row is never rewritten, and growth and compaction install
+    new arrays), so later removals and compactions do not change what it
+    yields.
     """
 
-    __slots__ = ("ids", "scores", "_slots", "_objs")
+    __slots__ = ("ids", "scores", "_slots", "_rows")
 
-    def __init__(self, ids=_NO_IDS, scores=_NO_SCORES, slots=_NO_IDS, objs=()) -> None:
-        self.ids, self.scores, self._slots, self._objs = ids, scores, slots, objs
+    def __init__(self, ids=_NO_IDS, scores=_NO_SCORES, slots=_NO_IDS, rows=_NO_ROWS) -> None:
+        self.ids, self.scores, self._slots, self._rows = ids, scores, slots, rows
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Ranking(self.ids[i], self.scores[i], self._slots[i], self._objs)
-        return ScoredItem(self._objs[self._slots[i]], float(self.scores[i]))
+            return Ranking(self.ids[i], self.scores[i], self._slots[i], self._rows)
+        return ScoredItem(self._rows.item(int(self._slots[i])), float(self.scores[i]))
 
     def __iter__(self):
-        items = map(self._objs.__getitem__, self._slots.tolist())
+        items = map(self._rows.item, self._slots.tolist())
         return map(ScoredItem, items, self.scores.tolist())
 
     def __eq__(self, other) -> bool:
@@ -142,12 +333,11 @@ class LocalVsmIndex:
     def __init__(self) -> None:
         #: live item id → row slot.
         self._slots: dict[int, int] = {}
-        #: row slot → StoredItem.  Append-only: a tombstoned row keeps its
-        #: reference until compaction swaps in a new list, so a
-        #: :class:`Ranking` can snapshot by (this list, ranked slots).
-        self._item_objs: list[StoredItem] = []
-        # -- row columns (parallel, capacity-grown, slots never reused) --
+        # -- row columns (parallel, capacity-grown, slots never reused:
+        # a slot's row is never rewritten until compaction installs new
+        # arrays, which is what lets a RowBlock over them be a snapshot) --
         self._ids = np.empty(_MIN_ROWS, dtype=np.int64)
+        self._publish_keys = np.empty(_MIN_ROWS, dtype=np.int64)
         self._angle_keys = np.empty(_MIN_ROWS, dtype=np.int64)
         self._norms = np.empty(_MIN_ROWS, dtype=np.float64)
         self._alive = np.zeros(_MIN_ROWS, dtype=np.bool_)
@@ -156,6 +346,9 @@ class LocalVsmIndex:
         # -- CSR flats: each row's keyword/weight run, append-ordered --
         self._kw_flat = np.empty(_MIN_NNZ, dtype=np.int64)
         self._wt_flat = np.empty(_MIN_NNZ, dtype=np.float64)
+        #: slot → payload / primary node id, only where one is set.
+        self._payloads: dict[int, object] = {}
+        self._replica_of: dict[int, int] = {}
         self._rows = 0  # used slots, dead included
         self._nnz = 0  # used flat entries, garbage included
         self._dead_rows = 0
@@ -171,6 +364,9 @@ class LocalVsmIndex:
         self._postings: Optional[tuple] = None
         #: sorted [(angle_key, item_id)] — the replacement ladder.
         self._ladder: Optional[list[tuple[int, int]]] = None
+        #: The columns as one slot-indexed RowBlock; None after an array
+        #: was replaced (growth, compaction).
+        self._cols: Optional[RowBlock] = None
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -184,7 +380,7 @@ class LocalVsmIndex:
         cap = self._ids.size
         new = max(need, cap * 2)
         used = self._rows
-        for name in ("_ids", "_angle_keys", "_norms", "_starts", "_lengths"):
+        for name in ("_ids", "_publish_keys", "_angle_keys", "_norms", "_starts", "_lengths"):
             arr = getattr(self, name)
             grown = np.empty(new, dtype=arr.dtype)
             grown[:used] = arr[:used]
@@ -192,6 +388,7 @@ class LocalVsmIndex:
         alive = np.zeros(new, dtype=np.bool_)
         alive[:used] = self._alive[:used]
         self._alive = alive
+        self._cols = None
 
     def _grow_nnz(self, need: int) -> None:
         new = max(need, self._kw_flat.size * 2)
@@ -201,28 +398,26 @@ class LocalVsmIndex:
             grown = np.empty(new, dtype=arr.dtype)
             grown[:used] = arr[:used]
             setattr(self, name, grown)
+        self._cols = None
 
-    def _kill(self, slot: int) -> StoredItem:
+    def _kill(self, slot: int) -> None:
         """Tombstone one row; the caller owns ``_slots`` and the caches."""
         self._alive[slot] = False
         self._dead_rows += 1
         self._dead_nnz += int(self._lengths[slot])
-        item = self._item_objs[slot]
         ladder = self._ladder
         if ladder is not None:
-            entry = (int(self._angle_keys[slot]), item.item_id)
+            entry = (int(self._angle_keys[slot]), int(self._ids[slot]))
             j = bisect_left(ladder, entry)
             if j < len(ladder) and ladder[j] == entry:
                 del ladder[j]
-        return item
 
-    def add(self, item: StoredItem, norm: Optional[float] = None) -> None:
+    def add(self, item: StoredItem) -> None:
         """Index an item (idempotent per item id; re-add replaces).
 
         The scalar specialisation of :meth:`add_many` — one row append
-        on the columnar store, no per-keyword Python work.  ``norm``
-        optionally supplies the precomputed Euclidean norm (see
-        :meth:`add_many`).
+        on the columnar store, no per-keyword Python work; the indexed
+        norm is ``sqrt(w·w)``.
         """
         iid = item.item_id
         slots = self._slots
@@ -238,20 +433,22 @@ class LocalVsmIndex:
         p = self._nnz
         if p + length > self._kw_flat.size:
             self._grow_nnz(p + length)
-        if norm is None:
-            norm = math.sqrt(weights.dot(weights))
         self._ids[s] = iid
+        self._publish_keys[s] = item.publish_key
         self._angle_keys[s] = item.angle_key
-        self._norms[s] = norm
+        self._norms[s] = math.sqrt(weights.dot(weights))
         self._alive[s] = True
         self._starts[s] = p
         self._lengths[s] = length
         self._kw_flat[p : p + length] = kws
         self._wt_flat[p : p + length] = weights
+        if item.payload is not None:
+            self._payloads[s] = item.payload
+        if item.replica_of is not None:
+            self._replica_of[s] = item.replica_of
         self._rows = s + 1
         self._nnz = p + length
         slots[iid] = s
-        self._item_objs.append(item)
         self._view = None
         self._postings = None
         ladder = self._ladder
@@ -262,76 +459,60 @@ class LocalVsmIndex:
             # store over the compaction threshold.
             self._maybe_compact()
 
-    def add_many(
-        self,
-        items: Sequence[StoredItem],
-        norms: Optional[Sequence[float]] = None,
-    ) -> None:
+    def add_many(self, rows: RowBlock | Sequence[StoredItem]) -> None:
         """Bulk add — the primitive mutation of the columnar store.
 
-        End state is identical to scalar-adding the items in list order
-        (later duplicates replace earlier ones and any stored copy), but
-        the work is one row-block append: every column is filled with a
-        single vectorised write, so a node receiving its whole run of
-        items in one call — the store half of the batch-publish fast
-        path — pays no per-item Python loop beyond object unpacking.
-
-        ``norms`` optionally parallels ``items`` with precomputed
-        Euclidean norms (``Corpus.norms``; same quantity, see DESIGN.md
-        "Columnar node state" for the last-ulp tolerance contract).
+        ``rows`` is a :class:`RowBlock` (the write engine's form: every
+        column is filled with one gather from the block's columns, no
+        per-row object) or a sequence of :class:`StoredItem`
+        (:meth:`RowBlock.from_items`).  End state is identical to
+        scalar-adding the rows in order (later duplicates replace earlier
+        ones and any stored copy); the indexed norm is the block's (``Corpus.norms`` on the write engine; DESIGN.md
+        "Columnar node state" has the last-ulp tolerance contract).
         """
-        n = len(items)
+        if not isinstance(rows, RowBlock):
+            rows = RowBlock.from_items(rows)
+        n = len(rows)
         if n == 0:
             return
         self._view = None
         self._postings = None
         self._ladder = None
         base = self._rows
-        if base + n > self._ids.size:
-            self._grow_rows(base + n)
-        lens = np.fromiter((it.keyword_ids.size for it in items), np.int64, count=n)
-        total = int(lens.sum())
+        end = base + n
+        if end > self._ids.size:
+            self._grow_rows(end)
+        lens = rows.lengths
+        gi = _range_gather(rows.starts, lens)
+        total = gi.size
         p = self._nnz
         if p + total > self._kw_flat.size:
             self._grow_nnz(p + total)
-        if norms is None:
-            norms_arr = np.fromiter(
-                (math.sqrt(it.weights.dot(it.weights)) for it in items),
-                np.float64,
-                count=n,
-            )
-        else:
-            norms_arr = np.asarray(norms, dtype=np.float64)
-            if norms_arr.shape[0] != n:
-                raise ValueError("norms must parallel items")
-        ids_arr = np.fromiter((it.item_id for it in items), np.int64, count=n)
-        self._ids[base : base + n] = ids_arr
-        self._angle_keys[base : base + n] = np.fromiter(
-            (it.angle_key for it in items), np.int64, count=n
-        )
-        self._norms[base : base + n] = norms_arr
-        self._alive[base : base + n] = True
+        self._ids[base:end] = rows.ids
+        self._publish_keys[base:end] = rows.publish_keys
+        self._angle_keys[base:end] = rows.angle_keys
+        self._norms[base:end] = rows.norms
+        self._alive[base:end] = True
         ends = p + np.cumsum(lens)
-        self._starts[base : base + n] = ends - lens
-        self._lengths[base : base + n] = lens
+        self._starts[base:end] = ends - lens
+        self._lengths[base:end] = lens
         if total:
-            self._kw_flat[p : p + total] = np.concatenate(
-                [it.keyword_ids for it in items]
-            )
-            self._wt_flat[p : p + total] = np.concatenate(
-                [it.weights for it in items]
-            )
-        self._item_objs.extend(items)
-        self._rows = base + n
+            self._kw_flat[p : p + total] = rows.keywords[gi]
+            self._wt_flat[p : p + total] = rows.weights[gi]
+        for j, v in rows.payloads.items():
+            self._payloads[base + j] = v
+        for j, v in rows.replica_of.items():
+            self._replica_of[base + j] = v
+        self._rows = end
         self._nnz = p + total
         # Replacement pass after the block is live: an id already stored
-        # (or repeated within the batch) keeps only its last occurrence.
+        # (or repeated within the block) keeps only its last row.
         slots = self._slots
-        for j, iid in enumerate(ids_arr.tolist()):
+        for j, iid in enumerate(rows.ids.tolist(), base):
             old = slots.get(iid)
             if old is not None:
                 self._kill(old)
-            slots[iid] = base + j
+            slots[iid] = j
         self._maybe_compact()
 
     def remove(self, item_id: int) -> StoredItem:
@@ -340,14 +521,16 @@ class LocalVsmIndex:
             slot = self._slots.pop(item_id)
         except KeyError:
             raise KeyError(f"item {item_id} not indexed") from None
-        item = self._kill(slot)
+        item = self._columns().item(slot)
+        self._kill(slot)
         self._view = None
         self._postings = None
         self._maybe_compact()
         return item
 
-    def remove_many(self, item_ids: Sequence[int]) -> list[StoredItem]:
-        """Bulk remove; returns the items in (deduplicated) request order.
+    def remove_many(self, item_ids: Sequence[int]) -> RowBlock:
+        """Bulk remove; returns the removed rows in (deduplicated) request
+        order — a :class:`RowBlock`, so nothing is built unless read.
 
         Duplicate ids are removed once, and *every* id is resolved
         before any row is touched — an unknown id raises ``KeyError``
@@ -366,14 +549,14 @@ class LocalVsmIndex:
                 raise KeyError(f"item {iid} not indexed")
             order.append(iid)
             slots.append(slot)
+        out = self._columns().take(slots)
         if not order:
-            return []
+            return out
         self._view = None
         self._postings = None
-        out = []
         for iid, slot in zip(order, slots):
             del slots_map[iid]
-            out.append(self._kill(slot))
+            self._kill(slot)
         self._maybe_compact()
         return out
 
@@ -403,6 +586,8 @@ class LocalVsmIndex:
         nnz_cap = max(_MIN_NNZ, 2 * total)
         ids = np.empty(row_cap, dtype=np.int64)
         ids[:n] = self._ids[sel]
+        pks = np.empty(row_cap, dtype=np.int64)
+        pks[:n] = self._publish_keys[sel]
         angles = np.empty(row_cap, dtype=np.int64)
         angles[:n] = self._angle_keys[sel]
         norms = np.empty(row_cap, dtype=np.float64)
@@ -418,47 +603,74 @@ class LocalVsmIndex:
         kw[:total] = self._kw_flat[gi]
         wt = np.empty(nnz_cap, dtype=np.float64)
         wt[:total] = self._wt_flat[gi]
-        objs = self._item_objs
-        self._item_objs = [objs[s] for s in sel.tolist()]
+        # Fresh maps even when empty: a Ranking or block taken before
+        # holds the old ones, and renumbered slots must not write into them.
+        payloads: dict[int, object] = {}
+        replica_of: dict[int, int] = {}
+        if self._payloads or self._replica_of:
+            new_slot = dict(zip(sel.tolist(), range(n)))
+            payloads = {new_slot[s]: v for s, v in self._payloads.items() if s in new_slot}
+            replica_of = {
+                new_slot[s]: v for s, v in self._replica_of.items() if s in new_slot
+            }
+        self._payloads, self._replica_of = payloads, replica_of
         self._slots = {int(i): j for j, i in enumerate(ids[:n].tolist())}
-        self._ids, self._angle_keys, self._norms = ids, angles, norms
+        self._ids, self._publish_keys = ids, pks
+        self._angle_keys, self._norms = angles, norms
         self._alive, self._starts, self._lengths = alive, starts, lengths
         self._kw_flat, self._wt_flat = kw, wt
         self._rows, self._nnz = n, total
         self._dead_rows = self._dead_nnz = 0
         self._view = None
         self._postings = None
+        self._cols = None
         # The ladder holds (angle key, item id) pairs — slot renumbering
         # does not invalidate it.
 
     # -- accessors ----------------------------------------------------------
 
-    def item(self, item_id: int) -> StoredItem:
-        """The stored item for ``item_id`` (KeyError if absent)."""
-        return self._item_objs[self._slots[item_id]]
+    def _columns(self) -> RowBlock:
+        """The columns as one slot-indexed :class:`RowBlock` (cached until
+        growth or compaction replaces an array)."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = RowBlock(
+                self._ids, self._publish_keys, self._angle_keys, self._norms,
+                self._starts, self._lengths, self._kw_flat, self._wt_flat,
+                self._payloads, self._replica_of,
+            )
+        return cols
 
-    def items_of(self, item_ids: Iterable[int]) -> list[StoredItem]:
-        """Bulk :meth:`item`, in the order given (KeyError if one is absent)."""
-        objs, slots = self._item_objs, self._slots
-        return [objs[slots[iid]] for iid in item_ids]
+    def item(self, item_id: int) -> StoredItem:
+        """The stored item for ``item_id``, built from its row (KeyError
+        if absent)."""
+        cols = self._cols
+        if cols is None:
+            cols = self._columns()
+        return cols.item(self._slots[item_id])
 
     def items_by_id(self) -> dict[int, StoredItem]:
-        """A copy of the id → item map (node iteration, shadow seeding)."""
-        objs = self._item_objs
-        return {iid: objs[slot] for iid, slot in self._slots.items()}
+        """The id → item map, built from the rows (node iteration)."""
+        row = self._columns().item
+        return {iid: row(slot) for iid, slot in self._slots.items()}
+
+    def rows(self) -> RowBlock:
+        """Every live row, in id-map order, as a block of the columns
+        (nothing copied, nothing built) — the cascade seeds its shadows
+        from it."""
+        slots = np.fromiter(self._slots.values(), np.int64, count=len(self._slots))
+        return self._columns().take(slots)
+
+    def publish_keys_of(self, item_ids: Sequence[int]) -> list[int]:
+        """The publish keys of stored items, in the order given — one
+        gather over the column (a pointer row's key names its body's
+        home)."""
+        slots_map = self._slots
+        return self._publish_keys[[slots_map[iid] for iid in item_ids]].tolist()
 
     def norm_of(self, item_id: int) -> float:
-        """The indexed Euclidean norm of a stored item (KeyError if absent).
-
-        Lets bulk movers (the cascade reconcile) carry an item's norm to
-        its destination index instead of recomputing the dot product.
-        """
+        """The indexed Euclidean norm of a stored item (KeyError if absent)."""
         return float(self._norms[self._slots[item_id]])
-
-    def norms_of_many(self, item_ids: Sequence[int]) -> list[float]:
-        """Bulk :meth:`norm_of` — one gather over the norm column."""
-        slots_map = self._slots
-        return self._norms[[slots_map[iid] for iid in item_ids]].tolist()
 
     def angle_ladder(self) -> list[tuple[int, int]]:
         """The sorted (angle key, item id) ladder — a cached view over the
@@ -608,7 +820,10 @@ class LocalVsmIndex:
             ksel = ksel[np.lexsort((ids_sel[ksel], -scores[ksel]))]
         if limit is not None:
             ksel = ksel[:limit]
-        return Ranking(ids_sel[ksel], scores[ksel], sel[ksel], self._item_objs)
+        cols = self._cols
+        if cols is None:
+            cols = self._columns()
+        return Ranking(ids_sel[ksel], scores[ksel], sel[ksel], cols)
 
     def _presence_summary(self, dim: int) -> bytes:
         """One byte per id of the ``dim``-sized dictionary: non-zero iff
@@ -728,7 +943,7 @@ class LocalVsmIndex:
             if sel is not None:
                 scores_full[sel] = scores
         pick = np.lexsort((self._ids[alive_slots], scores_full[alive_slots]))[0]
-        return self._item_objs[alive_slots[pick]]
+        return self._columns().item(int(alive_slots[pick]))
 
     # -- postings (exact keyword filtering) ---------------------------------
 
@@ -773,6 +988,6 @@ class LocalVsmIndex:
         hit = self._slots_with_all(keyword_ids)
         if hit.size == 0:
             return []
-        objs = self._item_objs
+        row = self._columns().item
         order = np.argsort(self._ids[hit])
-        return [objs[s] for s in hit[order].tolist()]
+        return [row(s) for s in hit[order].tolist()]

@@ -23,6 +23,7 @@ through the Fig. 2 protocol on its own.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.publish import publish_row, run_displacement_chain
 from repro.overload.admission import BackpressureError
@@ -114,3 +115,46 @@ def _swept(system, live, origin, items, n_keys):
         if k % n_keys == n_keys - 1 and prior is not None:
             ledger.withdraw(item.item_id, *prior, src=results[k - n_keys + 1].home)
     return results
+
+
+def dot_norms(corpus):
+    """Each corpus row's norm as the scalar store computes it,
+    ``sqrt(w·w)``, by row: what the unshared loop indexes."""
+    return [float(np.sqrt(w.dot(w))) for _, _, w in corpus.row_slices()]
+
+
+def stored_rows(system, norms=None):
+    """node id → ({item id → stored row}, angle ladder) for every
+    non-empty node, where a row is what the store holds of a copy:
+    publish key, angle key, keyword ids, weights (as bytes),
+    ``replica_of`` and payload.
+
+    The indexed norm is checked, not returned: the engine indexes
+    ``Corpus.norms`` and the scalar store ``sqrt(w·w)``, which DESIGN.md
+    ("Columnar node state") lets differ in the last ulp.  Every norm must
+    agree with its own stored weights to that tolerance, and with
+    ``norms[item id]`` bit for bit when ``norms`` is given.
+    """
+    out = {}
+    for node in system.network.nodes():
+        index = node.index
+        if index is None or not len(index):
+            continue
+        rows = {}
+        for item_id in sorted(node.item_ids()):
+            item = index.item(item_id)
+            norm = index.norm_of(item_id)
+            w = item.weights
+            assert norm == pytest.approx(float(np.sqrt(w.dot(w))), rel=1e-12, abs=1e-15)
+            if norms is not None:
+                assert norm == norms[item_id], (node.node_id, item_id)
+            rows[item_id] = (
+                item.publish_key,
+                item.angle_key,
+                item.keyword_ids.tolist(),
+                w.tobytes(),
+                item.replica_of,
+                item.payload,
+            )
+        out[node.node_id] = (rows, list(index.angle_ladder()))
+    return out

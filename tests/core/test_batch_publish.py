@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from publish_oracle import oracle_publish
+from publish_oracle import dot_norms, oracle_publish, stored_rows
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.core.notify import NotificationService
 from repro.core.publish import ReplacementPolicy, batch_live_homes
 from repro.overlay.idspace import KeySpace, SortedKeyRing
 from repro.sim.linkfaults import LinkFaultPlane
+from repro.sim.node import StoredItem
 from repro.workload import WorldCupParams, generate_trace
 
 N_ITEMS = 400
@@ -191,6 +192,8 @@ class TestCascadeEquivalence:
         seq = oracle_publish(seq_sys, trace.corpus, np.random.default_rng(3), sweep=True)
         cas = cas_sys.publish_corpus(trace.corpus, np.random.default_rng(3))
         assert placements(seq_sys) == placements(cas_sys)
+        corpus = trace.corpus
+        assert stored_rows(seq_sys, dot_norms(corpus)) == stored_rows(cas_sys, corpus.norms())
         assert accounting(seq) == accounting(cas)
         # The oracle shares the route and sweep too, so results are
         # *fully* identical here, route_hops and the whole bill included.
@@ -280,6 +283,25 @@ class TestCascadeEquivalence:
         assert placements(seq_sys) == placements(bat_sys)
         assert accounting(seq) == accounting(bat)
         assert bat_sys.network.sink.count("displace") == 0
+
+
+class TestColumnarWrites:
+    """The shared write path stores index rows gathered from the batch's
+    columns: no per-copy object is built between naming and the store."""
+
+    @pytest.mark.parametrize("capacity", [5, 40])
+    def test_shared_publish_builds_no_stored_item(self, capacity, monkeypatch):
+        trace = make_trace()
+        system = build_system(trace, capacity=capacity)
+        built = []
+        check = StoredItem.__post_init__
+        monkeypatch.setattr(
+            StoredItem, "__post_init__", lambda item: (built.append(item), check(item))
+        )
+        results = system.publish_corpus(trace.corpus, np.random.default_rng(3))
+        assert len(results) == N_ITEMS
+        assert system.network.total_items() > 0
+        assert built == []
 
 
 class TestLossyPlane:
@@ -394,6 +416,12 @@ class TestEngineProperty:
         # Per-item routes stall on a lossy link: share the route there.
         ref = oracle_publish(ref_sys, corpus, np.random.default_rng(seed), sweep=lossy)
         assert placements(eng_sys) == placements(ref_sys)
+        # The chain loop a refused cascade falls back to stores objects,
+        # so it indexes the scalar store's norms; the bulk branches the
+        # batch's norm column.
+        chained = "publish.displace_chain" in eng_sys.obs.metrics.timers
+        eng_norms = dot_norms(corpus) if chained else corpus.norms()
+        assert stored_rows(eng_sys, eng_norms) == stored_rows(ref_sys, dot_norms(corpus))
         assert accounting(eng) == accounting(ref)
         sink = eng_sys.network.sink
         assert sink.count("displace") == ref_sys.network.sink.count("displace")

@@ -8,7 +8,8 @@ from pre-populated nodes.
 """
 
 import numpy as np
-from publish_oracle import oracle_publish
+import pytest
+from publish_oracle import oracle_publish, stored_rows
 
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.core.publish import ReplacementPolicy, _cascade_reason, run_displacement_chain
@@ -188,6 +189,7 @@ class TestPrePopulatedSeeding:
         )
         cas_sys.publish_corpus(second.corpus, np.random.default_rng(4), item_ids=ids2)
         assert placements(seq_sys) == placements(cas_sys)
+        assert stored_rows(seq_sys) == stored_rows(cas_sys)
         # Index norms stay queryable for every stored item (the moved-
         # norm bookkeeping didn't lose or fabricate entries).
         for sys_ in (seq_sys, cas_sys):
@@ -212,9 +214,59 @@ class TestPrePopulatedSeeding:
                 )
             outcomes.append((
                 placements(system),
+                stored_rows(system),
                 [(r.home, r.success, r.dropped_item_id, r.chain) for r in results],
             ))
         assert outcomes[0] == outcomes[1]
+
+    def test_band_copies_over_loaded_ring_match_sequential(self):
+        """Under LSH an item's band copies can land on one node, where the
+        later copy replaces the earlier in place; over a loaded ring that
+        in-place branch meets seeded rows, and every stored row (keys,
+        vector, indexed norm) and ladder must equal the chain loop's."""
+        first = make_trace(seed=11)
+        second = make_trace(seed=22)
+        ids2 = np.arange(N_ITEMS, 2 * N_ITEMS, dtype=np.int64)
+        systems = []
+        for _ in range(2):
+            rng = np.random.default_rng(5)
+            sample_ids = np.sort(rng.choice(N_ITEMS, 50, replace=False))
+            cfg = MeteorographConfig(
+                scheme=PlacementScheme.NONE,
+                naming_scheme="cosine-lsh",
+                lsh_bands=4,
+                node_capacity=12,
+            )
+            system = Meteorograph.build(
+                30,
+                first.corpus.dim,
+                rng=np.random.default_rng(9),
+                sample=first.corpus.subsample(sample_ids),
+                config=cfg,
+            )
+            system.publish_corpus(first.corpus, np.random.default_rng(3))
+            systems.append(system)
+        seq_sys, cas_sys = systems
+        oracle_publish(
+            seq_sys, second.corpus, np.random.default_rng(4), item_ids=ids2, sweep=True
+        )
+        cas_sys.publish_corpus(second.corpus, np.random.default_rng(4), item_ids=ids2)
+        assert stored_rows(seq_sys) == stored_rows(cas_sys)
+        assert seq_sys.network.sink.snapshot() == cas_sys.network.sink.snapshot()
+
+    def test_an_id_the_record_does_not_name_fails_loudly(self):
+        """The packed ladder orders ids only inside the bounds the batch
+        and the item record give it; a node holding an id past them (a
+        store the record never credited) stops the cascade before any
+        node is written, instead of mis-ordering its victims."""
+        trace = make_trace()
+        system = build_system(trace, capacity=5)
+        for node in system.network.nodes():
+            node.store(make_item(10**9 + node.node_id, key=node.node_id))
+        before = {n.node_id: sorted(n.item_ids()) for n in system.network.nodes()}
+        with pytest.raises(RuntimeError, match="does not name"):
+            system.publish_corpus(trace.corpus, np.random.default_rng(3))
+        assert {n.node_id: sorted(n.item_ids()) for n in system.network.nodes()} == before
 
     def test_retrieve_after_cascade_matches_sequential(self):
         """The reconciled inverted indexes answer queries identically."""

@@ -58,7 +58,7 @@ class TestPublishPointer:
         item = make_item(7, angle_key=1234, body_key=8000)
         publish_pointer(system, 8000, item)
         node = system.network.node(system.overlay.home(1234))
-        assert node.pointers.item(7) is item
+        assert node.pointers.item(7) == item
         assert node.pointers.item(7).publish_key == 8000
         assert node.index is None  # the angle home holds no body
 

@@ -125,3 +125,34 @@ class TestHealReconciliation:
         assert all(
             system.network.is_alive(nid) for nid in system.network.node_ids()
         )
+
+
+class TestEnginesHoldNoCycle:
+    """Attached engines hold the system weakly: a dropped system is freed
+    by reference counting alone, with no cyclic collection."""
+
+    @pytest.mark.parametrize("antientropy", [False, True])
+    def test_dropped_system_is_freed_without_a_collection(self, tiny_trace, antientropy):
+        import gc
+        import weakref
+
+        system = Meteorograph.build(
+            20,
+            tiny_trace.corpus.dim,
+            rng=np.random.default_rng(3),
+            sample=tiny_trace.corpus.subsample(np.arange(20)),
+            config=MeteorographConfig(replication_factor=3),
+        )
+        system.publish_corpus(tiny_trace.corpus, np.random.default_rng(4))
+        network = weakref.ref(system.network)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engines = [RepairEngine(system).attach()]
+            if antientropy:
+                engines.append(AntiEntropyEngine(system, engines[0]).attach())
+            del system, engines
+            assert network() is None
+        finally:
+            if was_enabled:
+                gc.enable()

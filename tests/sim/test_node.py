@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.node import CapacityError, PeerNode, StoredItem
+from repro.vsm.index import RowBlock
 
 
 def make_item(item_id: int, key: int = 100, kws=(1, 2)) -> StoredItem:
@@ -15,6 +16,11 @@ def make_item(item_id: int, key: int = 100, kws=(1, 2)) -> StoredItem:
         keyword_ids=kw,
         weights=np.ones(len(kw)),
     )
+
+
+def make_rows(item_ids, key: int = 100) -> RowBlock:
+    """The rows of ``make_item`` items — what ``store_many`` takes."""
+    return RowBlock.from_items([make_item(i, key=key) for i in item_ids])
 
 
 class TestStoredItem:
@@ -106,7 +112,7 @@ class TestStore:
 
     def test_store_is_the_index(self):
         node = PeerNode(5)
-        node.store_many([make_item(1), make_item(2)])
+        node.store_many(make_rows([1, 2]))
         node.store(make_item(3))
         node.evict(2)
         assert sorted(node.index.items_by_id()) == [1, 3]
@@ -114,8 +120,8 @@ class TestStore:
 
     def test_bulk_store_counts_only_ids_not_held(self):
         node = PeerNode(5, capacity=3)
-        node.store_many([make_item(i) for i in range(2)])
-        node.store_many([make_item(i, key=7) for i in range(3)])  # one new id
+        node.store_many(make_rows(range(2)))
+        node.store_many(make_rows(range(3), key=7))  # one new id
         assert len(node) == 3
         assert node.get_item(0).publish_key == 7
 
@@ -123,9 +129,9 @@ class TestStore:
         "held, op, error",
         [
             # 5 new ids onto an empty capacity-3 node.
-            ([], lambda n: n.store_many([make_item(i) for i in range(5)]), CapacityError),
+            ([], lambda n: n.store_many(make_rows(range(5))), CapacityError),
             # 2 held + 2 new (one repeated) + 1 re-stored overfill capacity 3.
-            ([0, 1], lambda n: n.store_many([make_item(i) for i in (1, 5, 6, 6)]), CapacityError),
+            ([0, 1], lambda n: n.store_many(make_rows((1, 5, 6, 6))), CapacityError),
             # The first id is held, the second is not.
             ([0, 1], lambda n: n.evict_many([0, 99]), KeyError),
         ],
@@ -133,7 +139,7 @@ class TestStore:
     )
     def test_bulk_ops_are_all_or_nothing(self, held, op, error):
         node = PeerNode(5, capacity=3)
-        node.store_many([make_item(i) for i in held])
+        node.store_many(make_rows(held))
         with pytest.raises(error):
             op(node)
         assert sorted(node.item_ids()) == held

@@ -19,13 +19,14 @@ that claim:
   id must fail *before* any mutation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro.sim.node import StoredItem
-from repro.vsm.index import LocalVsmIndex
+from repro.vsm.index import LocalVsmIndex, RowBlock
 from repro.vsm.sparse import SparseVector
 
 DIM = 24
@@ -113,7 +114,7 @@ class TestRandomizedOracle:
             elif op < 0.80:
                 iid = int(rng.choice(sorted(oracle)))
                 removed = index.remove(iid)
-                assert removed is oracle.pop(iid)
+                assert removed == oracle.pop(iid)
             else:
                 n = min(len(oracle), int(rng.integers(1, 6)))
                 ids = rng.choice(sorted(oracle), size=n, replace=False).tolist()
@@ -141,7 +142,7 @@ class TestRandomizedOracle:
         expect_ladder = sorted((it.angle_key, iid) for iid, it in oracle.items())
         assert ladder == expect_ladder
         for _, iid in ladder[:1] + ladder[-1:]:
-            assert index.item(iid) is oracle[iid]
+            assert index.item(iid) == oracle[iid]
 
     def test_compaction_preserves_contents(self):
         rng = np.random.default_rng(42)
@@ -293,8 +294,10 @@ class TestBulkScalarEquivalence:
         rng = np.random.default_rng(22)
         items = [rand_item(rng, i) for i in range(10)]
         norms = [math.sqrt(it.weights.dot(it.weights)) for it in items]
+        block = RowBlock.from_items(items)
+        block.norms = np.asarray(norms)  # an explicit norms column
         with_norms = LocalVsmIndex()
-        with_norms.add_many(items, norms)
+        with_norms.add_many(block)
         without = LocalVsmIndex()
         without.add_many(items)
         q = rand_query(rng)
@@ -302,4 +305,56 @@ class TestBulkScalarEquivalence:
         assert pairs(with_norms.query(q)) == pairs(without.query(q))
         for it in items:
             assert with_norms.norm_of(it.item_id) == without.norm_of(it.item_id)
-        assert with_norms.norms_of_many([it.item_id for it in items]) == norms
+        assert [with_norms.norm_of(it.item_id) for it in items] == norms
+        # The block's column is what gets indexed, whatever it holds.
+        block.norms = 2.0 * np.asarray(norms)
+        doubled = LocalVsmIndex()
+        doubled.add_many(block)
+        assert [doubled.norm_of(it.item_id) for it in items] == block.norms.tolist()
+
+
+class TestRowBlock:
+    """A RowBlock is the columns of its items: gathers, slices and joins
+    of blocks, a store written from one and the rows it returns on
+    removal all read back as the same items — payloads and replica
+    markers included, across compaction."""
+
+    def items(self):
+        rng = np.random.default_rng(30)
+        out = [rand_item(rng, i) for i in range(12)]
+        out[3] = dataclasses.replace(out[3], payload={"owner": 3})
+        out[7] = dataclasses.replace(out[7], replica_of=4242)
+        return out
+
+    def test_block_reads_back_as_its_items(self):
+        items = self.items()
+        block = RowBlock.from_items(items)
+        assert list(block) == items and len(block) == len(items)
+        assert block.take([7, 3, 0]) == [items[7], items[3], items[0]]
+        assert block[2:8] == items[2:8]
+        assert RowBlock.concat([block[:5], block.take([9, 3]), block[5:]]) == (
+            items[:5] + [items[9], items[3]] + items[5:]
+        )
+
+    def test_store_written_from_a_block_equals_scalar_adds(self):
+        items = self.items()
+        bulk = LocalVsmIndex()
+        bulk.add_many(RowBlock.from_items(items).take(list(range(11, -1, -1))))
+        scalar = LocalVsmIndex()
+        for it in reversed(items):
+            scalar.add(it)
+        assert snapshot(bulk) == snapshot(scalar)
+        assert bulk.item(3).payload == {"owner": 3} and bulk.item(7).is_replica
+
+    def test_removed_rows_and_compaction_keep_markers(self):
+        items = self.items()
+        index = LocalVsmIndex()
+        index.add_many(items)
+        assert index.remove_many([7, 3]) == [items[7], items[3]]
+        index.add_many([items[3], items[7]])
+        pad = [make_item(100 + i, {0: 1.0}) for i in range(40)]
+        index.add_many(pad)
+        rows_before = index._rows  # noqa: SLF001
+        index.remove_many([it.item_id for it in pad])
+        assert index._rows < rows_before  # noqa: SLF001 - it compacted
+        assert index.items_by_id() == {it.item_id: it for it in items}

@@ -1,5 +1,7 @@
 """Unit tests for the per-node local VSM index."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from cosine_oracle import top_k_items
@@ -256,11 +258,34 @@ class TestRanking:
             idx.rebuild([item(500, {0: 1.0})])
         idx.add(item(900, {0: 3.0, 3: 1.0}))
         after = [(h.item, h.score) for h in r]
-        assert [(a is b, s == t) for (a, s), (b, t) in zip(before, after)] == [
+        assert [(a == b, s == t) for (a, s), (b, t) in zip(before, after)] == [
             (True, True)
         ] * len(before)
         assert r.ids.tolist() == ranked
         assert 900 not in r.ids.tolist()
+
+    @pytest.mark.parametrize("bulk", [False, True], ids=["add", "add_many"])
+    @pytest.mark.parametrize("marker", ["payload", "replica_of"])
+    def test_snapshot_keeps_markers_across_compaction(self, marker, bulk):
+        # A store with no payload or replica row, ranked then compacted:
+        # rows added afterwards reuse the old slot numbers, and their
+        # markers must not show through the old hits.
+        idx = self.build()
+        r = idx.query(query({0: 1.0, 3: 0.5}))
+        before = [(h.item, h.score) for h in r]
+        idx.remove_many([i for i in range(120) if i % 4])
+        assert idx._rows == 30  # compacted: slots renumbered from 0
+        fresh = [
+            replace(item(1000 + i, {0: 1.0}), **{marker: 7}) for i in range(120)
+        ]
+        if bulk:
+            idx.add_many(fresh)
+        else:
+            for it in fresh:
+                idx.add(it)
+        after = [(h.item, h.score) for h in r]
+        assert after == before
+        assert all(h.item.payload is None and h.item.replica_of is None for h in r)
 
 
 class TestLeastSimilar:

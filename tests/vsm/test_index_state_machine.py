@@ -167,7 +167,7 @@ class IndexMachine(RuleBasedStateMachine):
     def remove(self, data):
         before = keywords_of(self.model.values())
         iid = data.draw(st.sampled_from(sorted(self.model)))
-        assert self.index.remove(iid) is self.model.pop(iid)
+        assert self.index.remove(iid) == self.model.pop(iid)
         self.touched(before, keywords_of(self.model.values()))
 
     @precondition(lambda self: self.model)
@@ -218,7 +218,7 @@ class IndexMachine(RuleBasedStateMachine):
             assert victim is None
             return
         ids, scores = self.full_scan(q)
-        assert victim is self.model[min(zip(scores, ids))[1]]
+        assert victim == self.model[min(zip(scores, ids))[1]]
 
     @rule(probes=st.lists(baskets, min_size=1, max_size=3))
     def score_many(self, probes):

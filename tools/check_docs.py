@@ -53,6 +53,11 @@ string such as a wrapper's ``"item_keys"``) — or its name in backticks
 in DESIGN.md §3.  A symbol that only tests reach belongs under
 ``tests/`` or nowhere.
 
+One layer-table check keeps ``tools/profile_layers.py`` attributing
+every sample: each module under ``src/repro/`` must match a row of its
+``LAYERS`` path table (its own, or its package's ``pkg/`` row), and each
+row must still match a module.
+
 One knob check keeps the configuration to what is used: every field of
 ``MeteorographConfig``, ``RetryPolicy`` and ``OverloadPolicy`` needs a
 setter outside ``tests/`` — a keyword of a call to the class, or to a
@@ -413,6 +418,31 @@ def _knob_errors(root: Path = ROOT) -> list[str]:
     ]
 
 
+def _layer_table_errors() -> list[str]:
+    """Every ``src/repro`` module has a row in ``tools/profile_layers.py``'s
+    ``LAYERS`` table, and every row names a module or package."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "profile_layers", ROOT / "tools" / "profile_layers.py"
+    )
+    sampler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sampler)
+    modules = sampler.modules()
+    failed = [
+        f"tools/profile_layers.py: src/repro/{m}.py has no row in LAYERS"
+        for m in modules
+        if sampler.layer_of(m) is None
+    ]
+    packages = {m.rpartition("/")[0] + "/" for m in modules if "/" in m}
+    failed += [
+        f"tools/profile_layers.py: LAYERS row `{row}` names no module"
+        for row in sampler.LAYERS
+        if row not in packages and row not in modules
+    ]
+    return failed
+
+
 def main() -> int:
     try:
         from repro.experiments import ALL_EXPERIMENTS
@@ -498,6 +528,7 @@ def main() -> int:
     failed.extend(_module_path_errors())
     failed.extend(_orphan_symbol_errors())
     failed.extend(_knob_errors())
+    failed.extend(_layer_table_errors())
 
     manifest_path = ROOT / "results" / "manifest.json"
     if manifest_path.exists():
